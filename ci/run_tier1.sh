@@ -7,6 +7,8 @@
 #                 suites (exec ThreadPool/parallelFor/
 #                 ParallelSweepRunner, the svc query service and the
 #                 obs tracer) under TSan.
+#   2b. `asan`  — AddressSanitizer + UndefinedBehaviorSanitizer build;
+#                 runs the whole suite (UBSan findings are fatal).
 #   3. obs gate — a traced sweep must produce a trace.json that the
 #                 strict parser accepts, and span sites that are
 #                 compiled in but disabled must stay under 1%
@@ -19,17 +21,15 @@
 #                 timings, so a loaded CI host cannot flake the gate.
 #                 (The replay benches do assert bit-identity of the
 #                 compiled-replay vs rebuild engines — and of the
-#                 batched-SoA and delta-replay paths vs the
-#                 sequential oracle — which is host-independent.) The BENCH_*.json files are
+#                 batched-SoA path vs the sequential oracle — which is
+#                 host-independent.) The BENCH_*.json files are
 #                 collected under build-tier1/bench-artifacts/ as the
 #                 perf-trajectory artifact to upload.
 #   5. 3D-parallelism gate — the zoo3d_parallel_sweep bench must emit
 #                 the collective_lowering_* schema keys, `twocs sweep
 #                 --figure 12` under a full `--parallel` plan (flat
-#                 and hierarchical topology) must be byte-identical
-#                 across --jobs, and the deprecated collective/plan
-#                 shims must not be referenced outside their shim
-#                 files.
+#                 and hierarchical topology) and `--engine event` must
+#                 be byte-identical across --jobs.
 #   6. loopback serve smoke — `twocs serve --listen` with a 2-deep
 #                 shard queue is saturated over TCP by the
 #                 svc_throughput --connect driver: every request must
@@ -53,6 +53,9 @@ cmake --workflow --preset tier1
 
 echo "== tier-1: ThreadSanitizer (exec + svc + obs) =="
 cmake --workflow --preset tsan
+
+echo "== tier-1: AddressSanitizer + UBSan (full suite) =="
+cmake --workflow --preset asan
 
 echo "== tier-1: traced sweep produces strictly valid JSON =="
 twocs=build-tier1/src/cli/twocs
@@ -91,14 +94,7 @@ grep -q '"pass_chain_tasks_per_sec_replay"' "${msp_json}"
 grep -q '"pass_chain_tasks_per_sec_replay_fused"' "${msp_json}"
 grep -q '"pass_fuse_speedup"' "${msp_json}"
 grep -q '"pass_fuse_compile_ms"' "${msp_json}"
-grep -q '"delta_replay_speedup"' "${msp_json}"
-grep -q '"delta_cone_frac"' "${msp_json}"
-grep -q '"delta_fallback_frac"' "${msp_json}"
-grep -q '"sweep_points_per_sec_rebuild"' "${msp_json}"
-grep -q '"sweep_points_per_sec_cached"' "${msp_json}"
-grep -q '"sweep_points_per_sec_delta"' "${msp_json}"
 grep -q '"graph_cache_hit_rate"' "${msp_json}"
-grep -q '"delta_sweep_speedup"' "${msp_json}"
 
 cj_json="${artifacts}/BENCH_cluster_jitter.json"
 rm -f "${cj_json}"
@@ -143,7 +139,6 @@ grep -q '"collective_lowering_zero2_wire_ratio"' "${zoo_json}"
 grep -q '"collective_lowering_zero3_wire_ratio"' "${zoo_json}"
 grep -q '"collective_lowering_pp_p2p_bytes"' "${zoo_json}"
 grep -q '"collective_lowering_ar_wire_bytes"' "${zoo_json}"
-grep -q '"sweep_engines_bit_identical": 1' "${zoo_json}"
 
 echo "== tier-1: batched trial engine byte-identical to replay at any --jobs =="
 cluster_flags="--trials 8 --jitter 0.05 --tp 4"
@@ -167,46 +162,17 @@ hier_two="$("${twocs}" sweep --figure 12 --parallel "${plan}" \
     --topology multi:8 --jobs 2)"
 [ "${hier_one}" = "${hier_two}" ]
 
-echo "== tier-1: incremental sweep engines byte-identical to rebuild =="
-# The cached and delta engines route through the process-wide graph
-# cache; their CLI output must match the per-point-rebuild oracle
-# byte for byte at any --jobs.
-f12_rebuild="$("${twocs}" sweep --figure 12 --engine rebuild --jobs 1)"
-[ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine cached \
-    --jobs 1)" ]
-[ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine cached \
-    --jobs 4)" ]
-[ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine delta \
-    --jobs 1)" ]
-[ "${f12_rebuild}" = "$("${twocs}" sweep --figure 12 --engine delta \
+echo "== tier-1: figure-12 event sweep byte-identical across --jobs =="
+# The event path groups points by structure through the process-wide
+# graph cache (gated against a per-point CaseStudy::run in the
+# GraphCacheSweep tests); its CLI output must not depend on --jobs.
+f12_event="$("${twocs}" sweep --figure 12 --engine event --jobs 1)"
+[ "${f12_event}" = "$("${twocs}" sweep --figure 12 --engine event \
     --jobs 4)" ]
 # --lanes outside the batched trial engine is a configuration error.
 if "${twocs}" cluster --trials 4 --engine replay --lanes 4 \
     > /dev/null 2>&1; then
     echo "cluster accepted --lanes without --engine batched"
-    exit 1
-fi
-
-echo "== tier-1: deprecated collective wrappers stay shim-only =="
-# The per-kind CollectiveModel methods and simulateRingAllReduce are
-# one-release migration shims: only the shim sites themselves (and
-# their deprecation tests) may reference them.
-if grep -RnE '(->|\.)(allReduce|treeAllReduce|allGather|reduceScatter|broadcast|allToAll|hierarchicalAllReduce)\(' \
-    src bench tests --include='*.cc' --include='*.hh' \
-    | grep -v 'src/comm/collectives'; then
-    echo "deprecated CollectiveModel wrapper used outside the shim"
-    exit 1
-fi
-if grep -Rn 'simulateRingAllReduce' src bench tests \
-    --include='*.cc' --include='*.hh' \
-    | grep -v 'src/comm/ring_sim'; then
-    echo "deprecated simulateRingAllReduce used outside the shim"
-    exit 1
-fi
-if grep -Rn 'ParallelConfig' src bench tests \
-    --include='*.cc' --include='*.hh' \
-    | grep -v 'src/model/parallel.hh'; then
-    echo "deprecated ParallelConfig alias used outside the shim"
     exit 1
 fi
 

@@ -297,13 +297,10 @@ cmdCluster(const Args &args)
         core::TrialEngine engine = core::TrialEngine::CompiledReplay;
         if (engine_name == "replay")
             engine = core::TrialEngine::CompiledReplay;
-        else if (engine_name == "rebuild")
-            engine = core::TrialEngine::Rebuild;
         else if (engine_name == "batched")
             engine = core::TrialEngine::BatchedReplay;
         else
-            fatal("option --engine expects replay|rebuild|batched, "
-                  "got '",
+            fatal("option --engine expects replay|batched, got '",
                   engine_name, "'");
         fatalIf(args.has("lanes") &&
                     engine != core::TrialEngine::BatchedReplay,
@@ -397,11 +394,13 @@ cmdSweep(const Args &args)
     } else if (figure == 12) {
         // Hardware evolution: the Figure 10 model lines at each
         // compute scaling step, optionally under a full 3D plan.
-        const core::SweepEngine engine =
-            core::sweepEngineFromName(args.get("engine", "model"));
+        const std::string engine = args.get("engine", "model");
+        fatalIf(engine != "model" && engine != "event",
+                "option --engine expects model|event, got '", engine,
+                "'");
         std::vector<core::EvolutionConfig> configs =
             core::figure12Configs();
-        if (engine == core::SweepEngine::Model) {
+        if (engine == "model") {
             core::SerializedStudyOptions opts;
             opts.basePlan = parallelFrom(args);
             opts.runner = runnerFrom(args, "sweep_figure12");
@@ -425,17 +424,15 @@ cmdSweep(const Args &args)
             }
             csv ? t.printCsv(std::cout) : t.print(std::cout);
         } else {
-            // Ground truth on the event engine: rebuild is the
-            // per-point oracle, cached/delta reuse templates through
-            // the process-wide graph cache and stay byte-identical
-            // to it (DESIGN.md §16).
+            // Ground truth on the event engine: one compile per
+            // structure, a duration refill and replay per point,
+            // byte-identical to a per-point rebuild (DESIGN.md §16).
             fatalIf(args.has("parallel"),
                     "--parallel only applies to --engine model: the "
                     "event-engine study runs each line at its "
                     "required TP degree");
             const auto points = core::runSimulatedEvolutionStudy(
-                sys, configs, engine,
-                runnerFrom(args, "sweep_figure12"));
+                sys, configs, runnerFrom(args, "sweep_figure12"));
 
             TextTable t({ "model", "flop_scale", "H", "SL", "TP",
                           "iteration", "compute", "serialized_comm",
@@ -930,7 +927,7 @@ buildRegistry()
                       { "trials", FlagType::Int, "1",
                         "independent jittered trials" },
                       { "engine", FlagType::String, "replay",
-                        "trial engine: replay|rebuild|batched" },
+                        "trial engine: replay|batched" },
                       { "lanes", FlagType::Int, "8",
                         "SoA lane width for --engine batched" },
                       { "passes", FlagType::String, "",
@@ -946,8 +943,7 @@ buildRegistry()
                       { "passes", FlagType::String, "",
                         "graph pass pipeline (figure 14 only)" },
                       { "engine", FlagType::String, "model",
-                        "figure 12 evaluation engine: "
-                        "model|rebuild|cached|delta" } },
+                        "figure 12 evaluation engine: model|event" } },
                     parallel, system, runner, trace }),
           cmdSweep });
     registry.push_back(

@@ -375,49 +375,6 @@ CollectiveModel::cost(const CollectiveDesc &desc) const
     }
 }
 
-CollectiveCost
-CollectiveModel::allReduce(Bytes bytes, int participants) const
-{
-    return allReduceImpl(bytes, participants);
-}
-
-CollectiveCost
-CollectiveModel::treeAllReduce(Bytes bytes, int participants) const
-{
-    return treeAllReduceImpl(bytes, participants);
-}
-
-CollectiveCost
-CollectiveModel::allGather(Bytes bytes, int participants) const
-{
-    return allGatherImpl(bytes, participants);
-}
-
-CollectiveCost
-CollectiveModel::reduceScatter(Bytes bytes, int participants) const
-{
-    return reduceScatterImpl(bytes, participants);
-}
-
-CollectiveCost
-CollectiveModel::broadcast(Bytes bytes, int participants) const
-{
-    return broadcastImpl(bytes, participants);
-}
-
-CollectiveCost
-CollectiveModel::allToAll(Bytes bytes, int participants) const
-{
-    return allToAllImpl(bytes, participants);
-}
-
-CollectiveCost
-CollectiveModel::hierarchicalAllReduce(Bytes bytes,
-                                       int participants) const
-{
-    return hierarchicalAllReduceImpl(bytes, participants);
-}
-
 ByteRate
 CollectiveModel::achievedAllReduceBandwidth(Bytes bytes,
                                             int participants) const

@@ -16,8 +16,7 @@
  * forced algorithm; `Auto` picks per topology tier — the flat ring on
  * one node, the hierarchical reduce-scatter/all-reduce/all-gather
  * when the group spans nodes, and the switch reduction when
- * in-network reduction is enabled. The per-kind named methods are
- * deprecated thin wrappers kept one release for mechanical migration.
+ * in-network reduction is enabled.
  */
 
 #ifndef TWOCS_COMM_COLLECTIVES_HH
@@ -127,20 +126,6 @@ class CollectiveModel
      *  (what Auto resolves to on this topology). */
     CollectiveAlgorithm resolveAlgorithm(const CollectiveDesc &desc) const;
 
-    /** Ring all-reduce of `bytes` across `participants` devices. */
-    [[deprecated("build a CollectiveDesc and call cost()")]]
-    CollectiveCost allReduce(Bytes bytes, int participants) const;
-
-    /**
-     * Binary-tree all-reduce (reduce up, broadcast down): 2*ceil(lg P)
-     * steps each moving the full payload — latency-optimal where the
-     * ring is bandwidth-optimal. Collective libraries pick per size;
-     * see allReduceAuto().
-     */
-    [[deprecated("build a CollectiveDesc with "
-                 "CollectiveAlgorithm::Tree and call cost()")]]
-    CollectiveCost treeAllReduce(Bytes bytes, int participants) const;
-
     /** NCCL/RCCL-style algorithm selection: the cheaper of ring and
      *  tree for this payload and group size. */
     CollectiveCost allReduceAuto(Bytes bytes, int participants) const;
@@ -148,33 +133,6 @@ class CollectiveModel
     /** Payload below which the tree beats the ring for this group
      *  size (bisected; 0 when the ring always wins). */
     Bytes ringTreeCrossover(int participants) const;
-
-    /** Ring all-gather; bytes = per-device contribution. */
-    [[deprecated("build a CollectiveDesc and call cost()")]]
-    CollectiveCost allGather(Bytes bytes, int participants) const;
-
-    /** Ring reduce-scatter; bytes = full tensor size. */
-    [[deprecated("build a CollectiveDesc and call cost()")]]
-    CollectiveCost reduceScatter(Bytes bytes, int participants) const;
-
-    /** Pipelined ring broadcast of `bytes`. */
-    [[deprecated("build a CollectiveDesc and call cost()")]]
-    CollectiveCost broadcast(Bytes bytes, int participants) const;
-
-    /** All-to-all exchange; bytes = per-device send total. */
-    [[deprecated("build a CollectiveDesc and call cost()")]]
-    CollectiveCost allToAll(Bytes bytes, int participants) const;
-
-    /**
-     * Reduce-scatter within each node, all-reduce of shards across
-     * nodes, all-gather within each node. Used automatically when an
-     * all-reduce spans more devices than one node holds
-     * (Section 4.3.7). `participants` defaults to every device.
-     */
-    [[deprecated("build a CollectiveDesc with "
-                 "CollectiveAlgorithm::Hierarchical and call cost()")]]
-    CollectiveCost hierarchicalAllReduce(Bytes bytes,
-                                         int participants = 0) const;
 
     /**
      * Effective achieved all-reduce bandwidth for a payload:

@@ -380,17 +380,4 @@ simulateRingCollectiveBatch(
     return results;
 }
 
-RingSimResult
-simulateRingAllReduce(const hw::Topology &topology, Bytes payload,
-                      const std::vector<Seconds> &arrival_times,
-                      const hw::LinkEfficiencyParams &link_params,
-                      RingSimEngine engine)
-{
-    RingSimOptions options;
-    options.linkParams = link_params;
-    options.engine = engine;
-    return simulateRingCollective(topology, payload, arrival_times,
-                                  options);
-}
-
 } // namespace twocs::comm

@@ -130,15 +130,6 @@ std::vector<RingSimResult> simulateRingCollectiveBatch(
     const std::vector<std::vector<Seconds>> &arrival_sets,
     const RingSimOptions &options = {});
 
-/** simulateRingCollective with RingCollective::AllReduce — the
- *  historical entry point, kept one release for migration. */
-[[deprecated("call simulateRingCollective() with RingSimOptions")]]
-RingSimResult simulateRingAllReduce(
-    const hw::Topology &topology, Bytes payload,
-    const std::vector<Seconds> &arrival_times,
-    const hw::LinkEfficiencyParams &link_params = {},
-    RingSimEngine engine = RingSimEngine::CompiledReplay);
-
 } // namespace twocs::comm
 
 #endif // TWOCS_COMM_RING_SIM_HH

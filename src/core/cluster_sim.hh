@@ -106,8 +106,8 @@ enum class TrialEngine
      *  vector per trial (zero per-trial allocation). The default. */
     CompiledReplay,
     /** Rebuild the EventSimulator graph on every trial — the
-     *  historical path, kept as the measured baseline and the
-     *  byte-identity reference for the replay tests. */
+     *  historical path, kept as the byte-identity oracle for the
+     *  replay tests (not selectable from the CLI). */
     Rebuild,
     /**
      * Compile once, then advance trials through sim::replayBatch in

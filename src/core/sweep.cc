@@ -1,10 +1,8 @@
 #include "sweep.hh"
 
 #include <map>
-#include <span>
 #include <tuple>
 
-#include "exec/scratch_pool.hh"
 #include "model/zoo.hh"
 #include "util/logging.hh"
 
@@ -38,55 +36,7 @@ evolutionCase(const SystemConfig &base, const EvolutionConfig &c)
     return cfg;
 }
 
-/** Evaluate one cell by replaying `graph` with `durations` (empty =
- *  the template's base durations) through a pooled scratch. */
-CaseStudyResult
-replayCase(const std::shared_ptr<const sim::GraphTemplate> &graph,
-           std::span<const Seconds> durations)
-{
-    const exec::ScratchPool<sim::ReplayScratch>::Lease scratch =
-        exec::ScratchPool<sim::ReplayScratch>::acquire();
-    // Pooled arenas recycle across templates; bind() is the explicit
-    // opt-in (and the held shared_ptr keeps the template alive for
-    // the replay).
-    scratch->bind(*graph);
-    sim::replay(*graph, durations, *scratch);
-    return CaseStudy::resultFromSchedule(
-        sim::Schedule(graph, scratch->placements()));
-}
-
 } // namespace
-
-SweepEngine
-sweepEngineFromName(const std::string &name)
-{
-    if (name == "model")
-        return SweepEngine::Model;
-    if (name == "rebuild")
-        return SweepEngine::Rebuild;
-    if (name == "cached")
-        return SweepEngine::Cached;
-    if (name == "delta")
-        return SweepEngine::Delta;
-    fatal("option --engine expects model|rebuild|cached|delta, got '",
-          name, "'");
-}
-
-const char *
-sweepEngineName(SweepEngine engine)
-{
-    switch (engine) {
-      case SweepEngine::Model:
-        return "model";
-      case SweepEngine::Rebuild:
-        return "rebuild";
-      case SweepEngine::Cached:
-        return "cached";
-      case SweepEngine::Delta:
-        return "delta";
-    }
-    panic("unknown sweep engine");
-}
 
 SweepSpace
 table3()
@@ -201,91 +151,61 @@ runHardwareEvolutionStudy(const SystemConfig &base,
 std::vector<SimulatedEvolutionPoint>
 runSimulatedEvolutionStudy(const SystemConfig &base,
                            const std::vector<EvolutionConfig> &configs,
-                           SweepEngine engine,
                            const exec::RunnerOptions &runner_options,
                            exec::RunReport *report)
 {
-    fatalIf(engine == SweepEngine::Model,
-            "the simulated evolution study runs on the event engine; "
-            "--engine model is the operator-model projection path");
+    // Reorder the grid so the cells that share a graph structure —
+    // same model line, different compute scaling — form one work
+    // unit. Each group compiles once and derives every sibling's
+    // durations from the recipe; the replays land back in input
+    // order, so the reordering is invisible in the output.
+    std::vector<std::vector<std::size_t>> groups;
+    std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>,
+             std::size_t>
+        group_of;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const EvolutionConfig &c = configs[i];
+        const auto key = std::make_tuple(c.hidden, c.seqLen, c.tpDegree);
+        const auto [it, inserted] =
+            group_of.try_emplace(key, groups.size());
+        if (inserted)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
 
     const CaseStudy study;
     exec::ParallelSweepRunner runner(runner_options);
-    std::vector<SimulatedEvolutionPoint> points;
-
-    if (engine == SweepEngine::Rebuild) {
-        // The oracle: one from-scratch build + run per cell, no
-        // template reuse anywhere.
-        points = runner.map(configs, [&](const EvolutionConfig &c) {
-            SimulatedEvolutionPoint p;
-            p.config = c;
-            p.result = study.run(evolutionCase(base, c));
-            return p;
+    const std::vector<std::vector<SimulatedEvolutionPoint>> per_group =
+        runner.map(groups, [&](const std::vector<std::size_t> &members) {
+            const CompiledCase cc = study.compileCaseWithRecipe(
+                evolutionCase(base, configs[members.front()]));
+            // One pair of arenas per worker thread, rebound per
+            // template (the explicit reuse opt-in); the held
+            // shared_ptr keeps the template alive for the replays.
+            thread_local sim::ReplayScratch scratch;
+            thread_local std::vector<Seconds> durations;
+            scratch.bind(*cc.graph);
+            std::vector<SimulatedEvolutionPoint> local;
+            local.reserve(members.size());
+            for (const std::size_t idx : members) {
+                const CaseStudyConfig cfg =
+                    evolutionCase(base, configs[idx]);
+                CaseStudy::fillDurations(
+                    *cc.recipe, cfg.system.kernelModel(), durations);
+                sim::replay(*cc.graph, durations, scratch);
+                SimulatedEvolutionPoint p;
+                p.config = configs[idx];
+                p.result = CaseStudy::resultFromSchedule(
+                    sim::Schedule(cc.graph, scratch.placements()));
+                local.push_back(std::move(p));
+            }
+            return local;
         });
-    } else if (engine == SweepEngine::Cached) {
-        // Compile-once/replay-many per distinct structural key: the
-        // first point of a key pays the compile, every other point
-        // (and every later run in this process) replays.
-        points = runner.map(configs, [&](const EvolutionConfig &c) {
-            const CaseStudyConfig cfg = evolutionCase(base, c);
-            SimulatedEvolutionPoint p;
-            p.config = c;
-            p.result = replayCase(study.compileGraph(cfg), {});
-            return p;
-        });
-    } else {
-        // Delta: reorder the grid so the cells that share a graph
-        // structure — same model line, different compute scaling —
-        // form one work unit. Each group compiles once and derives
-        // every sibling's durations from the recipe; the replays
-        // land back in input order, so the reordering is invisible
-        // in the output.
-        std::vector<std::vector<std::size_t>> groups;
-        std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>,
-                 std::size_t>
-            group_of;
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const EvolutionConfig &c = configs[i];
-            const auto key =
-                std::make_tuple(c.hidden, c.seqLen, c.tpDegree);
-            const auto [it, inserted] =
-                group_of.try_emplace(key, groups.size());
-            if (inserted)
-                groups.emplace_back();
-            groups[it->second].push_back(i);
-        }
 
-        const std::vector<std::vector<SimulatedEvolutionPoint>>
-            per_group = runner.map(
-                groups, [&](const std::vector<std::size_t> &members) {
-                    const CompiledCase cc = study.compileCaseWithRecipe(
-                        evolutionCase(base,
-                                      configs[members.front()]));
-                    const exec::ScratchPool<
-                        std::vector<Seconds>>::Lease durations =
-                        exec::ScratchPool<
-                            std::vector<Seconds>>::acquire();
-                    std::vector<SimulatedEvolutionPoint> local;
-                    local.reserve(members.size());
-                    for (const std::size_t idx : members) {
-                        const CaseStudyConfig cfg =
-                            evolutionCase(base, configs[idx]);
-                        CaseStudy::fillDurations(
-                            *cc.recipe, cfg.system.kernelModel(),
-                            *durations);
-                        SimulatedEvolutionPoint p;
-                        p.config = configs[idx];
-                        p.result = replayCase(cc.graph, *durations);
-                        local.push_back(std::move(p));
-                    }
-                    return local;
-                });
-
-        points.resize(configs.size());
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            for (std::size_t k = 0; k < groups[g].size(); ++k)
-                points[groups[g][k]] = per_group[g][k];
-        }
+    std::vector<SimulatedEvolutionPoint> points(configs.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (std::size_t k = 0; k < groups[g].size(); ++k)
+            points[groups[g][k]] = per_group[g][k];
     }
 
     if (report != nullptr)

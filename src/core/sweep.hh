@@ -132,33 +132,6 @@ runHardwareEvolutionStudy(const SystemConfig &base,
                           const SerializedStudyOptions &options = {},
                           exec::RunReport *report = nullptr);
 
-/**
- * How a ground-truth sweep evaluates its points (DESIGN.md §16).
- *
- *  - Model: the operator-model projection (no task graph at all) —
- *    the historical default and the only engine for analytic grids.
- *  - Rebuild: build + run a fresh event-engine graph per point. The
- *    byte-identity oracle the incremental engines are gated against.
- *  - Cached: resolve each point's template through the process-wide
- *    sim::GraphCache and replay its base durations — compile once
- *    per distinct structural key, replay everywhere else.
- *  - Delta: additionally group points that share a structure and
- *    differ only in operator durations (the compute-scaling axis);
- *    one compile per group, then a per-point duration refill from
- *    the group's recipe plus one replay.
- */
-enum class SweepEngine
-{
-    Model,
-    Rebuild,
-    Cached,
-    Delta,
-};
-
-/** Parse "model|rebuild|cached|delta"; fatal() on anything else. */
-SweepEngine sweepEngineFromName(const std::string &name);
-const char *sweepEngineName(SweepEngine engine);
-
 /** One Figure 12 cell evaluated on the event engine. */
 struct SimulatedEvolutionPoint
 {
@@ -168,16 +141,19 @@ struct SimulatedEvolutionPoint
 
 /**
  * The hardware-evolution study on the event engine: every cell's
- * two-stream case-study iteration under its compute scaling,
- * evaluated with the chosen engine (Model is not valid here). The
- * three engines are bit-identical by construction and results come
- * back in input order at any --jobs — the same determinism contract
- * as every other sweep.
+ * two-stream case-study iteration under its compute scaling
+ * (DESIGN.md §16). Cells that share a graph structure — same
+ * (H, SL, TP), different compute scaling — form one work unit that
+ * compiles once through the process-wide sim::GraphCache, then
+ * refills each sibling's durations from the recorded recipe and
+ * replays. Every point is bit-identical to a per-point
+ * CaseStudy::run (the test oracle), and results come back in input
+ * order at any --jobs — the same determinism contract as every other
+ * sweep.
  */
 std::vector<SimulatedEvolutionPoint>
 runSimulatedEvolutionStudy(const SystemConfig &base,
                            const std::vector<EvolutionConfig> &configs,
-                           SweepEngine engine,
                            const exec::RunnerOptions &runner = {},
                            exec::RunReport *report = nullptr);
 

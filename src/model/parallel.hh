@@ -127,10 +127,6 @@ struct ParallelPlan
     bool operator==(const ParallelPlan &) const = default;
 };
 
-/** Pre-redesign name for the plan; migrate to ParallelPlan. */
-using ParallelConfig [[deprecated("use model::ParallelPlan")]] =
-    ParallelPlan;
-
 } // namespace twocs::model
 
 #endif // TWOCS_MODEL_PARALLEL_HH

@@ -220,9 +220,6 @@ EventSimulator::compile() const
     tmpl->depOffsets_ = depOffsets_;
     tmpl->depEdges_ = depEdges_;
     tmpl->interner_ = interner_;
-    // Reverse CSR + per-resource FIFO chains for delta-replay's
-    // cone walk; every construction path funnels through here.
-    tmpl->buildReplayIndex();
     // Per-tag dispatch span labels, built exactly once per compile
     // so replay's per-task tracing never concatenates a string.
     tmpl->dispatchLabels_.reserve(interner_->size());

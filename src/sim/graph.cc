@@ -1,8 +1,6 @@
 #include "graph.hh"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 
 #include "obs/obs.hh"
 #include "util/logging.hh"
@@ -74,72 +72,6 @@ GraphTemplate::deps(TaskId id) const
     const std::size_t i = static_cast<std::size_t>(id);
     return { depEdges_.data() + depOffsets_[i],
              depEdges_.data() + depOffsets_[i + 1] };
-}
-
-std::span<const TaskId>
-GraphTemplate::successors(TaskId id) const
-{
-    panicIf(id < 0 ||
-                static_cast<std::size_t>(id) + 1 >=
-                    succOffsets_.size(),
-            "successors() of unknown task ", id);
-    const std::size_t i = static_cast<std::size_t>(id);
-    return { succEdges_.data() + succOffsets_[i],
-             succEdges_.data() + succOffsets_[i + 1] };
-}
-
-TaskId
-GraphTemplate::prevOnResource(TaskId id) const
-{
-    panicIf(id < 0 ||
-                static_cast<std::size_t>(id) >=
-                    prevOnResource_.size(),
-            "prevOnResource() of unknown task ", id);
-    return prevOnResource_[id];
-}
-
-TaskId
-GraphTemplate::nextOnResource(TaskId id) const
-{
-    panicIf(id < 0 ||
-                static_cast<std::size_t>(id) >=
-                    nextOnResource_.size(),
-            "nextOnResource() of unknown task ", id);
-    return nextOnResource_[id];
-}
-
-void
-GraphTemplate::buildReplayIndex()
-{
-    const std::size_t n = numTasks();
-    succOffsets_.assign(n + 1, 0);
-    for (TaskId dep : depEdges_)
-        ++succOffsets_[static_cast<std::size_t>(dep) + 1];
-    for (std::size_t i = 0; i < n; ++i)
-        succOffsets_[i + 1] += succOffsets_[i];
-    succEdges_.resize(depEdges_.size());
-    std::vector<std::uint32_t> cursor(succOffsets_.begin(),
-                                      succOffsets_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::uint32_t e = depOffsets_[i]; e < depOffsets_[i + 1];
-             ++e) {
-            const std::size_t dep =
-                static_cast<std::size_t>(depEdges_[e]);
-            succEdges_[cursor[dep]++] = static_cast<TaskId>(i);
-        }
-    }
-
-    prevOnResource_.assign(n, InvalidTask);
-    nextOnResource_.assign(n, InvalidTask);
-    std::vector<TaskId> last_on(numResources(), InvalidTask);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t r = static_cast<std::size_t>(resources_[i]);
-        prevOnResource_[i] = last_on[r];
-        if (last_on[r] != InvalidTask)
-            nextOnResource_[static_cast<std::size_t>(last_on[r])] =
-                static_cast<TaskId>(i);
-        last_on[r] = static_cast<TaskId>(i);
-    }
 }
 
 const std::string &
@@ -224,7 +156,6 @@ replay(const GraphTemplate &graph,
         scratch.makespan_ =
             std::max(scratch.makespan_, placed[i].end);
     }
-    ++scratch.generation_;
 }
 
 void
@@ -512,208 +443,6 @@ replayBatch(const GraphTemplate &graph,
             }
         }
     }
-}
-
-Seconds
-DeltaScratch::taskStart(TaskId id) const
-{
-    panicIf(id < 0 || static_cast<std::size_t>(id) >= starts_.size(),
-            "taskStart() of unknown task ", id);
-    if (full_)
-        return fullScratch_
-            .placements()[static_cast<std::size_t>(id)]
-            .start;
-    return starts_[static_cast<std::size_t>(id)];
-}
-
-Seconds
-DeltaScratch::taskEnd(TaskId id) const
-{
-    panicIf(id < 0 || static_cast<std::size_t>(id) >= ends_.size(),
-            "taskEnd() of unknown task ", id);
-    if (full_)
-        return fullScratch_
-            .placements()[static_cast<std::size_t>(id)]
-            .end;
-    return ends_[static_cast<std::size_t>(id)];
-}
-
-double
-DeltaScratch::coneFraction() const
-{
-    return graph_ == nullptr || graph_->numTasks() == 0
-               ? 0.0
-               : static_cast<double>(cone_) /
-                     static_cast<double>(graph_->numTasks());
-}
-
-void
-DeltaScratch::rebase(const GraphTemplate &graph,
-                     const ReplayScratch &base)
-{
-    graph_ = &graph;
-    base_ = &base;
-    baseGeneration_ = base.generation();
-    const std::size_t n = graph.numTasks();
-    starts_.resize(n);
-    ends_.resize(n);
-    const std::vector<ScheduledTask> &placed = base.placements();
-    for (std::size_t i = 0; i < n; ++i) {
-        starts_[i] = placed[i].start;
-        ends_[i] = placed[i].end;
-    }
-    stamp_.assign(n, 0);
-    epoch_ = 0;
-    heap_.clear();
-    undo_.clear();
-    baseMakespan_ = base.makespan();
-    fullScratch_.bind(graph);
-    fullDurations_ = graph.baseDurations();
-}
-
-void
-DeltaScratch::restore()
-{
-    // A fallback query undoes its partial walk before replaying, so
-    // starts_/ends_ always hold the base placements plus at most the
-    // latest incremental query's cone — the undo log covers it.
-    for (const Undo &u : undo_) {
-        starts_[static_cast<std::size_t>(u.id)] = u.start;
-        ends_[static_cast<std::size_t>(u.id)] = u.end;
-    }
-    undo_.clear();
-}
-
-Seconds
-replayDelta(const GraphTemplate &graph, const ReplayScratch &base,
-            TaskId task, Seconds new_duration, DeltaScratch &scratch)
-{
-    const std::size_t n = graph.numTasks();
-    panicIf(task < 0 || static_cast<std::size_t>(task) >= n,
-            "replayDelta() of unknown task ", task);
-    panicIf(base.boundTemplate() != &graph,
-            "replayDelta() base replay is not bound to this "
-            "template");
-
-    if (scratch.graph_ != &graph || scratch.base_ != &base ||
-        scratch.baseGeneration_ != base.generation())
-        scratch.rebase(graph, base);
-    else
-        scratch.restore();
-
-    if (++scratch.epoch_ == 0) {
-        // uint32 epoch wrapped: reset the stamps once and restart.
-        std::fill(scratch.stamp_.begin(), scratch.stamp_.end(), 0);
-        scratch.epoch_ = 1;
-    }
-    const std::uint32_t epoch = scratch.epoch_;
-    scratch.cone_ = 0;
-    scratch.full_ = false;
-
-    const std::size_t limit = std::max<std::size_t>(
-        1, static_cast<std::size_t>(scratch.crossoverFraction *
-                                    static_cast<double>(n)));
-
-    std::vector<TaskId> &heap = scratch.heap_;
-    heap.clear();
-    const auto push = [&](TaskId t) {
-        if (t == InvalidTask)
-            return;
-        std::uint32_t &stamp =
-            scratch.stamp_[static_cast<std::size_t>(t)];
-        if (stamp == epoch)
-            return;
-        stamp = epoch;
-        heap.push_back(t);
-        std::push_heap(heap.begin(), heap.end(),
-                       std::greater<TaskId>());
-    };
-    push(task);
-
-    Seconds changed_max = -std::numeric_limits<Seconds>::infinity();
-    bool holder_shrunk = false;
-    bool fell_back = false;
-
-    // Frontier walk in increasing task-id order: every pushed id is
-    // greater than the id it was pushed from (deps point backwards,
-    // FIFO heirs forwards), so by the time a task pops, all of its
-    // inputs hold their final values.
-    while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(),
-                      std::greater<TaskId>());
-        const TaskId i = heap.back();
-        heap.pop_back();
-        if (++scratch.cone_ > limit) {
-            fell_back = true;
-            break;
-        }
-        const std::size_t ti = static_cast<std::size_t>(i);
-        const TaskId prev = graph.prevOnResource(i);
-        Seconds ready =
-            prev == InvalidTask
-                ? 0.0
-                : scratch.ends_[static_cast<std::size_t>(prev)];
-        for (TaskId dep : graph.deps(i))
-            ready = std::max(
-                ready,
-                scratch.ends_[static_cast<std::size_t>(dep)]);
-        const Seconds dur =
-            i == task ? new_duration : graph.baseDuration(i);
-        const Seconds end = ready + dur;
-        if (ready == scratch.starts_[ti] && end == scratch.ends_[ti])
-            continue; // placement bitwise unchanged: prune here
-        scratch.undo_.push_back({ i, scratch.starts_[ti],
-                                  scratch.ends_[ti] });
-        if (scratch.ends_[ti] == scratch.baseMakespan_ &&
-            end < scratch.ends_[ti])
-            holder_shrunk = true;
-        scratch.starts_[ti] = ready;
-        scratch.ends_[ti] = end;
-        changed_max = std::max(changed_max, end);
-        for (TaskId s : graph.successors(i))
-            push(s);
-        push(graph.nextOnResource(i));
-    }
-
-    if (fell_back) {
-        // The cone crossed the crossover threshold: a plain forward
-        // pass is cheaper than finishing the walk. Undo the partial
-        // cone, replay once with the perturbed vector, and adopt its
-        // placements wholesale.
-        for (const DeltaScratch::Undo &u : scratch.undo_) {
-            scratch.starts_[static_cast<std::size_t>(u.id)] = u.start;
-            scratch.ends_[static_cast<std::size_t>(u.id)] = u.end;
-        }
-        scratch.undo_.clear();
-        heap.clear();
-        scratch.full_ = true;
-        scratch.fullDurations_[static_cast<std::size_t>(task)] =
-            new_duration;
-        replay(graph, scratch.fullDurations_, scratch.fullScratch_);
-        scratch.fullDurations_[static_cast<std::size_t>(task)] =
-            graph.baseDuration(task);
-        // starts_/ends_ stay at the base placements; taskStart() /
-        // taskEnd() read the fallback pass's placements directly
-        // while full_ is set, so no wholesale copy is needed.
-        scratch.makespan_ = scratch.fullScratch_.makespan();
-        return scratch.makespan_;
-    }
-
-    if (scratch.undo_.empty()) {
-        scratch.makespan_ = scratch.baseMakespan_;
-    } else if (holder_shrunk) {
-        // A task that attained the base makespan got faster: rescan.
-        // The fold starts at 0.0 and runs in task order, exactly
-        // like the sequential pass.
-        Seconds m = 0.0;
-        for (const Seconds end : scratch.ends_)
-            m = std::max(m, end);
-        scratch.makespan_ = m;
-    } else {
-        scratch.makespan_ = std::max(scratch.baseMakespan_,
-                                     changed_max);
-    }
-    return scratch.makespan_;
 }
 
 } // namespace twocs::sim

@@ -15,19 +15,16 @@
  * allocations and no re-validation — a what-if sweep is a graph
  * *replay* problem, not a graph *construction* problem.
  *
- * Three replay engines share the template (DESIGN.md §15):
+ * Two replay engines share the template (DESIGN.md §15):
  *
  *  - replay(): one duration vector, one forward pass. The oracle
- *    every other engine is gated bit-identical against.
+ *    the batch engine is gated bit-identical against, and the
+ *    what-if query engine ("this operator 5% slower, new makespan?").
  *  - replayBatch(): N duration vectors advanced through one forward
  *    pass over the CSR arrays. Durations and placements are stored
  *    structure-of-arrays (lane-major contiguous doubles), so the
  *    inner max/add loop runs over adjacent lanes — the Monte Carlo
  *    engines amortize the graph walk across a whole lane block.
- *  - replayDelta(): re-simulates only the downstream cone of one
- *    perturbed task against a cached base replay, falling back to a
- *    full pass when the cone crosses a size threshold — the what-if
- *    query engine ("this operator 5% slower, new makespan?").
  *
  * Thread contract: a GraphTemplate is immutable after compile and
  * may be replayed concurrently from any number of threads, each with
@@ -67,16 +64,12 @@ struct ScheduledTask
 class GraphTemplate;
 class ReplayScratch;
 class BatchScratch;
-class DeltaScratch;
 void replay(const GraphTemplate &graph,
             std::span<const Seconds> durations,
             ReplayScratch &scratch);
 void replayBatch(const GraphTemplate &graph,
                  std::span<const Seconds> durations_soa,
                  std::size_t lanes, BatchScratch &scratch);
-Seconds replayDelta(const GraphTemplate &graph,
-                    const ReplayScratch &base, TaskId task,
-                    Seconds new_duration, DeltaScratch &scratch);
 
 /**
  * An immutable, validated task graph in structure-of-arrays layout
@@ -112,18 +105,6 @@ class GraphTemplate
     /** Dependencies of one task (a view into the CSR edges array). */
     std::span<const TaskId> deps(TaskId id) const;
 
-    /** Tasks that depend on `id` (the reverse-CSR edges, built once
-     *  at compile for delta-replay's cone walk). */
-    std::span<const TaskId> successors(TaskId id) const;
-
-    /** The task that runs immediately before/after `id` on its
-     *  resource's FIFO, or InvalidTask at the chain's ends. Together
-     *  with deps()/successors() these span the full replay
-     *  recurrence: a task's start depends on its graph deps *and* on
-     *  its predecessor on the same stream. */
-    TaskId prevOnResource(TaskId id) const;
-    TaskId nextOnResource(TaskId id) const;
-
     /** The label/tag intern table shared with the builder. */
     const util::StringInterner &interner() const { return *interner_; }
     const std::shared_ptr<const util::StringInterner> &
@@ -148,10 +129,6 @@ class GraphTemplate
                             std::span<const Seconds>, std::size_t,
                             BatchScratch &);
 
-    /** Derive the reverse-CSR successor arrays and the per-resource
-     *  FIFO chains from the forward arrays (compile-time only). */
-    void buildReplayIndex();
-
     std::vector<std::string> resourceNames_;
     std::vector<util::StringInterner::Id> labels_;
     std::vector<util::StringInterner::Id> tags_;
@@ -161,13 +138,6 @@ class GraphTemplate
      *  depEdges_[depOffsets_[i] .. depOffsets_[i + 1]). */
     std::vector<std::uint32_t> depOffsets_;
     std::vector<TaskId> depEdges_;
-    /** Reverse CSR: tasks depending on i live in
-     *  succEdges_[succOffsets_[i] .. succOffsets_[i + 1]). */
-    std::vector<std::uint32_t> succOffsets_;
-    std::vector<TaskId> succEdges_;
-    /** Per-resource FIFO chains (InvalidTask at the ends). */
-    std::vector<TaskId> prevOnResource_;
-    std::vector<TaskId> nextOnResource_;
     /** Indexed by interned id; built once at compile. */
     std::vector<std::string> dispatchLabels_;
     std::shared_ptr<const util::StringInterner> interner_;
@@ -203,11 +173,6 @@ class ReplayScratch
      *  first bind/replay). */
     const GraphTemplate *boundTemplate() const { return bound_; }
 
-    /** Replay count into this scratch; bumps on every replay(), so
-     *  a consumer caching derived state (DeltaScratch's base copy)
-     *  can detect that the base placements changed. */
-    std::uint64_t generation() const { return generation_; }
-
     /** Start/end of every task, in task-id order (valid after a
      *  replay; reused — copy out what must outlive the next one). */
     const std::vector<ScheduledTask> &placements() const
@@ -231,7 +196,6 @@ class ReplayScratch
     std::vector<Seconds> busyTotals_;
     Seconds makespan_ = 0.0;
     const GraphTemplate *bound_ = nullptr;
-    std::uint64_t generation_ = 0;
 };
 
 /**
@@ -270,78 +234,6 @@ class BatchScratch
 };
 
 /**
- * Cached state for replayDelta(): a copy of the base replay's
- * placements plus the frontier worklist. One scratch serves any
- * number of what-if queries against one (template, base replay)
- * pair; it re-syncs automatically when the pair — or the base
- * scratch's generation — changes.
- */
-class DeltaScratch
-{
-  public:
-    /**
-     * Cone-size fraction of the graph above which replayDelta()
-     * abandons the frontier walk and falls back to one full forward
-     * pass. The walk's per-task bookkeeping (frontier heap, undo
-     * log) costs a small multiple of the plain pass's per-task cost,
-     * so the default keeps the wasted walk on a fallback query
-     * bounded to a few percent of the pass it ends up paying anyway,
-     * while still answering genuinely small cones incrementally.
-     */
-    double crossoverFraction = 0.0625;
-
-    /** Makespan of the latest what-if query. */
-    Seconds makespan() const { return makespan_; }
-    /** Makespan of the cached base replay. */
-    Seconds baseMakespan() const { return baseMakespan_; }
-
-    /** Start/end of one task under the latest query's perturbation
-     *  (tasks outside the cone keep their base placement). Served
-     *  from the fallback pass's placements after a crossover. */
-    Seconds taskStart(TaskId id) const;
-    Seconds taskEnd(TaskId id) const;
-
-    /** Tasks visited by the latest query's cone walk. */
-    std::size_t coneSize() const { return cone_; }
-    /** coneSize() over the graph's task count. */
-    double coneFraction() const;
-    /** Whether the latest query crossed over to a full replay. */
-    bool usedFullReplay() const { return full_; }
-
-  private:
-    friend Seconds replayDelta(const GraphTemplate &,
-                               const ReplayScratch &, TaskId, Seconds,
-                               DeltaScratch &);
-
-    struct Undo
-    {
-        TaskId id;
-        Seconds start, end;
-    };
-
-    void rebase(const GraphTemplate &graph, const ReplayScratch &base);
-    void restore();
-
-    const GraphTemplate *graph_ = nullptr;
-    const ReplayScratch *base_ = nullptr;
-    std::uint64_t baseGeneration_ = 0;
-
-    std::vector<Seconds> starts_, ends_;
-    std::vector<std::uint32_t> stamp_;
-    std::uint32_t epoch_ = 0;
-    std::vector<TaskId> heap_;
-    std::vector<Undo> undo_;
-
-    Seconds makespan_ = 0.0;
-    Seconds baseMakespan_ = 0.0;
-    std::size_t cone_ = 0;
-    bool full_ = false;
-
-    ReplayScratch fullScratch_;
-    std::vector<Seconds> fullDurations_;
-};
-
-/**
  * Run `graph` with the given per-task durations (empty span selects
  * the template's base durations) into `scratch`. Dependencies were
  * validated at compile time, so this is a single forward pass — no
@@ -365,23 +257,6 @@ void replay(const GraphTemplate &graph,
 void replayBatch(const GraphTemplate &graph,
                  std::span<const Seconds> durations_soa,
                  std::size_t lanes, BatchScratch &scratch);
-
-/**
- * Answer "what is the makespan if `task` takes `new_duration`
- * instead?" against a cached base replay, touching only the tasks
- * whose placement actually changes. `base` must hold a replay of
- * the template's **base durations** (the resident what-if baseline);
- * the walk re-simulates the perturbed task's downstream cone —
- * successors plus same-resource FIFO heirs — in task-id order,
- * pruning wherever a recomputed placement is bitwise unchanged, and
- * falls back to one full forward pass when the cone exceeds
- * scratch.crossoverFraction of the graph. The returned makespan
- * (and every placement readable from the scratch) is bit-identical
- * to a full replay() with the one perturbed duration.
- */
-Seconds replayDelta(const GraphTemplate &graph,
-                    const ReplayScratch &base, TaskId task,
-                    Seconds new_duration, DeltaScratch &scratch);
 
 } // namespace twocs::sim
 

@@ -21,7 +21,7 @@
  * serialized-comm projection, optionally `"ground_truth": true` for
  * the full simulated iteration), `analyze` (zoo-model iteration
  * breakdown), `slack` (overlapped DP-comm analysis), `memory`
- * (per-device footprint / minimum TP), `perturb` (delta-replay
+ * (per-device footprint / minimum TP), `perturb` (replayed
  * what-if over the case-study graph: "this task `scale`x slower,
  * new makespan?") and `stats` (service counter snapshot). Parsing
  * is strict: malformed JSON, unknown fields,

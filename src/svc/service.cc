@@ -3,7 +3,6 @@
 #include <chrono>
 #include <fstream>
 #include <istream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -141,30 +140,6 @@ struct QueryService::SystemEntry
     }
 };
 
-/**
- * One case-study graph resident for delta-replay what-ifs: the
- * compiled two-stream template, a base replay at template durations
- * (the reference placements every perturbation diffs against) and
- * the delta scratch carrying the cone walk's arena. Workers mutate
- * the scratch, so evaluate() serializes perturb queries on `mu`;
- * response bytes depend only on the query and the deterministic
- * graph, so the determinism contract is unaffected.
- */
-struct QueryService::PerturbEntry
-{
-    std::shared_ptr<const sim::GraphTemplate> graph;
-    sim::ReplayScratch base;
-    sim::DeltaScratch delta;
-    std::mutex mu;
-
-    explicit PerturbEntry(std::shared_ptr<const sim::GraphTemplate> g)
-        : graph(std::move(g))
-    {
-        base.bind(*graph);
-        sim::replay(*graph, {}, base);
-    }
-};
-
 QueryService::QueryService(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cacheCapacity)
@@ -222,46 +197,8 @@ QueryService::systemFor(const Query &query)
     return *it->second;
 }
 
-QueryService::PerturbEntry &
-QueryService::perturbFor(const Query &query, const SystemEntry &system)
-{
-    // System key (as systemFor) plus the graph-shaping parameters.
-    std::string key = query.device;
-    key += '|';
-    key += json::number(query.flopScale);
-    key += '|';
-    key += json::number(query.bwScale);
-    key += '|';
-    key += query.inNetworkReduction ? '1' : '0';
-    key += "|h=" + std::to_string(query.hidden);
-    key += "|sl=" + std::to_string(query.seqLen);
-    key += "|b=" + std::to_string(query.batch);
-    key += "|tp=" + std::to_string(query.tpDegree);
-    key += "|dp=" + std::to_string(query.dpDegree);
-
-    auto it = perturbs_.find(key);
-    if (it == perturbs_.end()) {
-        TWOCS_OBS_SPAN(obs::Category::Svc, "svc.perturb.compile");
-        core::CaseStudyConfig cfg;
-        cfg.hidden = query.hidden;
-        cfg.seqLen = query.seqLen;
-        cfg.batch = query.batch;
-        cfg.tpDegree = query.tpDegree;
-        cfg.dpDegree = query.dpDegree;
-        cfg.system = system.system;
-        const core::CaseStudy study;
-        it = perturbs_
-                 .emplace(std::move(key),
-                          std::make_unique<PerturbEntry>(
-                              study.compileGraph(cfg)))
-                 .first;
-    }
-    return *it->second;
-}
-
 std::string
-QueryService::evaluate(const Query &query, const SystemEntry &entry,
-                       PerturbEntry *perturb)
+QueryService::evaluate(const Query &query, const SystemEntry &entry)
 {
     switch (query.kind) {
       case QueryKind::Project: {
@@ -359,10 +296,18 @@ QueryService::evaluate(const Query &query, const SystemEntry &entry,
         return out;
       }
       case QueryKind::Perturb: {
-        panicIf(perturb == nullptr,
-                "perturb query reached evaluate() without its "
-                "resident graph entry");
-        const sim::GraphTemplate &graph = *perturb->graph;
+        core::CaseStudyConfig cfg;
+        cfg.hidden = query.hidden;
+        cfg.seqLen = query.seqLen;
+        cfg.batch = query.batch;
+        cfg.tpDegree = query.tpDegree;
+        cfg.dpDegree = query.dpDegree;
+        cfg.system = entry.system;
+        // Resolved through the bounded, process-wide GraphCache; the
+        // shared_ptr pins the template even if it is evicted mid-use.
+        const std::shared_ptr<const sim::GraphTemplate> compiled =
+            core::CaseStudy().compileGraph(cfg);
+        const sim::GraphTemplate &graph = *compiled;
         const auto tasks =
             static_cast<std::int64_t>(graph.numTasks());
         fatalIf(query.perturbTask >= tasks, "perturb.task ",
@@ -371,27 +316,22 @@ QueryService::evaluate(const Query &query, const SystemEntry &entry,
                 tasks, " tasks (0..", tasks - 1, ")");
         const auto task =
             static_cast<sim::TaskId>(query.perturbTask);
-        const Seconds new_duration =
-            graph.baseDuration(task) * query.perturbScale;
-        Seconds perturbed = 0.0;
-        Seconds base_makespan = 0.0;
-        std::int64_t cone_tasks = 0;
-        double cone_fraction = 0.0;
-        bool full_replay = false;
-        {
-            // The delta scratch is shared mutable state; perturb
-            // queries against one entry serialize here while other
-            // workers keep evaluating unrelated queries.
-            std::lock_guard<std::mutex> lock(perturb->mu);
-            perturbed =
-                sim::replayDelta(graph, perturb->base, task,
-                                 new_duration, perturb->delta);
-            base_makespan = perturb->delta.baseMakespan();
-            cone_tasks = static_cast<std::int64_t>(
-                perturb->delta.coneSize());
-            cone_fraction = perturb->delta.coneFraction();
-            full_replay = perturb->delta.usedFullReplay();
-        }
+
+        // One arena per worker thread, rebound per graph (the
+        // explicit reuse opt-in): a base replay, then one full replay
+        // with the single scaled duration.
+        thread_local sim::ReplayScratch scratch;
+        thread_local std::vector<Seconds> durations;
+        scratch.bind(graph);
+        sim::replay(graph, {}, scratch);
+        const Seconds base_makespan = scratch.makespan();
+        const std::vector<Seconds> &base = graph.baseDurations();
+        durations.assign(base.begin(), base.end());
+        durations[static_cast<std::size_t>(task)] =
+            base[static_cast<std::size_t>(task)] * query.perturbScale;
+        sim::replay(graph, durations, scratch);
+        const Seconds perturbed = scratch.makespan();
+
         std::string out = "\"status\":\"ok\",\"kind\":\"perturb\"";
         out += field("hidden", query.hidden);
         out += field("seqlen", query.seqLen);
@@ -404,9 +344,6 @@ QueryService::evaluate(const Query &query, const SystemEntry &entry,
         out += field("base_seconds", base_makespan);
         out += field("perturbed_seconds", perturbed);
         out += field("delta_seconds", perturbed - base_makespan);
-        out += field("cone_tasks", cone_tasks);
-        out += field("cone_fraction", cone_fraction);
-        out += field("full_replay", full_replay);
         return out;
       }
       case QueryKind::Stats:
@@ -473,7 +410,6 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
         std::size_t dupOf = 0;
         std::string key;
         const SystemEntry *system = nullptr;
-        PerturbEntry *perturb = nullptr;
         std::string payload;
         /** Cache-resident bytes (hits and committed misses); when
          *  set, the response body — `payload` stays empty, nothing
@@ -512,8 +448,6 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
                     e.outcome = Outcome::Stats;
                 } else {
                     e.system = &systemFor(e.query);
-                    if (e.query.kind == QueryKind::Perturb)
-                        e.perturb = &perturbFor(e.query, *e.system);
                     e.key = canonicalKey(e.query);
                     if (auto hit = cache_.get(e.key)) {
                         e.outcome = Outcome::CacheHit;
@@ -552,7 +486,7 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
             TWOCS_OBS_SPAN(obs::Category::Svc, "svc.evaluate");
             const auto start = Clock::now();
             try {
-                e.payload = evaluate(e.query, *e.system, e.perturb);
+                e.payload = evaluate(e.query, *e.system);
             } catch (const FatalError &ex) {
                 e.failed = true;
                 e.payload = errorPayload(options_.protoVersion,

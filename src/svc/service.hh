@@ -146,8 +146,6 @@ class QueryService
   private:
     /** One system's resident calibrated analyses. */
     struct SystemEntry;
-    /** One case-study graph resident for delta-replay what-ifs. */
-    struct PerturbEntry;
 
     void processBatch(NumberedLines &&lines, std::ostream &out);
 
@@ -155,19 +153,12 @@ class QueryService
      *  from the sequential phases only. */
     const SystemEntry &systemFor(const Query &query);
 
-    /** Perturb-graph registry lookup, compiling the case-study
-     *  template and its base replay on first sight of a (system,
-     *  hidden, seqlen, batch, tp, dp) configuration. Sequential
-     *  phases only. */
-    PerturbEntry &perturbFor(const Query &query,
-                             const SystemEntry &system);
-
-    /** Per-query evaluation; safe to call from workers. Pure except
-     *  for perturb queries, which serialize on their entry's mutex
-     *  (the delta scratch is shared mutable state). */
+    /** Per-query evaluation; safe to call from workers. Perturb
+     *  queries resolve their case-study template through the
+     *  thread-safe, bounded sim::GraphCache and replay it into a
+     *  thread-local scratch, so no state is shared across workers. */
     static std::string evaluate(const Query &query,
-                                const SystemEntry &system,
-                                PerturbEntry *perturb);
+                                const SystemEntry &system);
 
     /** Deterministic counter snapshot for a `stats` response. */
     std::string statsPayload() const;
@@ -178,7 +169,6 @@ class QueryService
     ShardedLruCache cache_;
     ServiceMetrics metrics_;
     std::map<std::string, std::unique_ptr<SystemEntry>> systems_;
-    std::map<std::string, std::unique_ptr<PerturbEntry>> perturbs_;
     std::unique_ptr<exec::ThreadPool> pool_;
     std::size_t lineNo_ = 0;
 };

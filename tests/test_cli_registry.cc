@@ -145,7 +145,7 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         "  --passes STR            graph pass pipeline (figure 14"
         " only)\n"
         "  --engine STR            figure 12 evaluation engine:"
-        " model|rebuild|cached|delta (default: model)\n"
+        " model|event (default: model)\n"
         "  --parallel STR          3D plan, e.g."
         " tp=8,pp=4,dp=2,zero=1,ep=8\n"
         "  --device STR            hardware catalog device name"
@@ -167,6 +167,18 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         " or all (default: all)\n"
         "  --trace-format STR      trace file format: chrome|folded"
         " (default: chrome)\n");
+}
+
+TEST(CliRegistry, GoldenEngineLineForCluster)
+{
+    // The per-trial rebuild is a test oracle only; the help page
+    // offers the two production trial engines.
+    std::string out;
+    EXPECT_EQ(run({ "twocs", "help", "cluster" }, &out), 0);
+    EXPECT_NE(out.find("\n  --engine STR            trial engine: "
+                       "replay|batched (default: replay)\n"),
+              std::string::npos)
+        << out;
 }
 
 TEST(CliRegistry, BareHelpPrintsUsageAndUnknownTopicFails)
@@ -222,11 +234,12 @@ TEST(CliRegistry, ClusterRejectsLanesWithoutBatchedEngine)
                        "--engine", "replay", "--lanes", "4" },
                      nullptr),
                  FatalError);
-    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
-                       "--engine", "rebuild", "--lanes", "4" },
-                     nullptr),
-                 FatalError);
     EXPECT_THROW(run({ "twocs", "cluster", "--lanes", "4" }, nullptr),
+                 FatalError);
+    // The per-trial rebuild is a test oracle, not a CLI engine.
+    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
+                       "--engine", "rebuild" },
+                     nullptr),
                  FatalError);
     // The flag stays accepted where it means something.
     std::string out;
@@ -237,22 +250,25 @@ TEST(CliRegistry, ClusterRejectsLanesWithoutBatchedEngine)
     EXPECT_NE(out.find("mean iteration"), std::string::npos);
 }
 
-TEST(CliRegistry, SweepEngineFlagIsValidated)
+TEST(CliRegistry, SweepFigure12EngineIsValidated)
 {
     // Unknown engine names and --engine on an analytic figure are
     // configuration errors, not silent fallbacks.
-    EXPECT_THROW(run({ "twocs", "sweep", "--figure", "12", "--engine",
-                       "warp" },
-                     nullptr),
-                 FatalError);
+    // The retired figure-12 engine names are unknown now too.
+    for (const char *engine : { "warp", "rebuild", "cached", "delta" })
+        EXPECT_THROW(run({ "twocs", "sweep", "--figure", "12",
+                           "--engine", engine },
+                         nullptr),
+                     FatalError)
+            << engine;
     EXPECT_THROW(run({ "twocs", "sweep", "--figure", "10", "--engine",
-                       "cached" },
+                       "event" },
                      nullptr),
                  FatalError);
     // The event-engine study rejects --parallel (it runs each model
     // line at its required TP).
     EXPECT_THROW(run({ "twocs", "sweep", "--figure", "12", "--engine",
-                       "delta", "--parallel", "tp=8" },
+                       "event", "--parallel", "tp=8" },
                      nullptr),
                  FatalError);
 }

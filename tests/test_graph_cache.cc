@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the process-wide compiled-graph cache (sim/graph_cache.hh)
- * and the pooled scratch arenas the incremental sweep engines replay
- * through: key equality vs shard hashing, LRU eviction order,
- * concurrent getOrCompile stress, pool reuse under the bind()
- * contract, and the engine bit-identity gate (rebuild vs cached vs
- * delta at several --jobs, cache on and forced-miss).
+ * Tests for the process-wide compiled-graph cache (sim/graph_cache.hh):
+ * key equality vs shard hashing, LRU eviction order, concurrent
+ * getOrCompile stress, and the figure-12 event-path bit-identity gate
+ * (the grouped compile/refill/replay study vs a per-point
+ * CaseStudy::run at several --jobs, cache on and forced-miss).
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/case_study.hh"
 #include "core/sweep.hh"
-#include "exec/scratch_pool.hh"
 #include "sim/engine.hh"
 #include "sim/graph_cache.hh"
 #include "util/logging.hh"
@@ -208,65 +207,6 @@ TEST(GraphCacheConcurrency, StressSharedInstanceUnderEviction)
     EXPECT_LE(stats.entries, 8u);
 }
 
-TEST(ScratchPool, ReusesReleasedArenasPerThread)
-{
-    using Pool = exec::ScratchPool<ReplayScratch>;
-    Pool::clearThreadCache();
-    EXPECT_EQ(Pool::freeCount(), 0u);
-
-    ReplayScratch *first = nullptr;
-    {
-        const Pool::Lease lease = Pool::acquire();
-        first = lease.get();
-        ASSERT_NE(first, nullptr);
-    }
-    EXPECT_EQ(Pool::freeCount(), 1u);
-    {
-        const Pool::Lease lease = Pool::acquire();
-        EXPECT_EQ(lease.get(), first)
-            << "a released arena is recycled, not reallocated";
-        EXPECT_EQ(Pool::freeCount(), 0u);
-    }
-
-    // The free-list is bounded: releasing more leases than kMaxFree
-    // destroys the overflow instead of pinning it.
-    {
-        std::vector<Pool::Lease> burst;
-        for (std::size_t i = 0; i < Pool::kMaxFree + 3; ++i)
-            burst.push_back(Pool::acquire());
-    }
-    EXPECT_EQ(Pool::freeCount(), Pool::kMaxFree);
-    Pool::clearThreadCache();
-    EXPECT_EQ(Pool::freeCount(), 0u);
-}
-
-TEST(ScratchPool, RecycledArenaStillEnforcesBindContract)
-{
-    // A pooled scratch comes back exactly as its last lease left it —
-    // still bound to the previous template. Replaying a different
-    // template without an explicit bind() must panic exactly as it
-    // does for a non-pooled scratch (PR 9 contract), and bind() must
-    // re-admit it.
-    using Pool = exec::ScratchPool<ReplayScratch>;
-    Pool::clearThreadCache();
-    const std::shared_ptr<const GraphTemplate> small = buildChain(3);
-    const std::shared_ptr<const GraphTemplate> big = buildChain(9);
-
-    {
-        const Pool::Lease lease = Pool::acquire();
-        lease->bind(*small);
-        replay(*small, {}, *lease);
-        EXPECT_DOUBLE_EQ(lease->makespan(), 3.0);
-    }
-    const Pool::Lease lease = Pool::acquire();
-    EXPECT_EQ(lease->boundTemplate(), small.get());
-    EXPECT_THROW(replay(*big, {}, *lease), PanicError);
-    lease->bind(*big);
-    replay(*big, {}, *lease);
-    EXPECT_DOUBLE_EQ(lease->makespan(), 9.0);
-    Pool::clearThreadCache();
-}
-
 /** Restore the shared cache exactly as a test found it. */
 class SharedCacheGuard
 {
@@ -286,29 +226,43 @@ class SharedCacheGuard
 
 TEST(GraphCacheSweep, EnginesBitIdenticalAcrossJobsAndCapacity)
 {
-    // The incremental-engine gate: rebuild (per-point oracle), cached
-    // and delta must agree bit for bit, at --jobs 1/2/4, with the
-    // cache warm, cleared, and disabled (forced miss). A smaller
-    // flop-scale axis keeps the oracle cheap; it still exercises the
-    // structure-sharing groups the delta engine batches.
+    // The figure-12 gate: the grouped compile-once/refill/replay path
+    // must agree bit for bit with a from-scratch CaseStudy::run per
+    // point, at --jobs 1/2/4, with the cache warm and disabled
+    // (forced miss). A smaller flop-scale axis keeps the oracle cheap;
+    // it still exercises the structure-sharing groups.
     SharedCacheGuard guard;
     const core::SystemConfig sys = test::paperSystem();
     const std::vector<core::EvolutionConfig> configs =
         core::figure12Configs({ 1.0, 2.0 });
 
-    exec::RunnerOptions one_job;
-    one_job.jobs = 1;
-    const std::vector<core::SimulatedEvolutionPoint> oracle =
-        core::runSimulatedEvolutionStudy(
-            sys, configs, core::SweepEngine::Rebuild, one_job);
-    ASSERT_EQ(oracle.size(), configs.size());
+    const core::CaseStudy study;
+    std::vector<core::CaseStudyResult> oracle;
+    for (const core::EvolutionConfig &c : configs) {
+        core::CaseStudyConfig cfg;
+        cfg.hidden = c.hidden;
+        cfg.seqLen = c.seqLen;
+        cfg.tpDegree = static_cast<int>(c.tpDegree);
+        cfg.system = sys;
+        cfg.system.flopScale = sys.flopScale * c.flopScale;
+        oracle.push_back(study.run(cfg));
+    }
 
-    const auto expectIdentical =
-        [&](const std::vector<core::SimulatedEvolutionPoint> &points,
-            const std::string &what) {
+    for (const std::size_t capacity :
+         { GraphCache::kDefaultCapacity, std::size_t{ 0 } }) {
+        GraphCache::instance().setCapacity(capacity);
+        GraphCache::instance().clear();
+        for (const int jobs : { 1, 2, 4 }) {
+            exec::RunnerOptions runner;
+            runner.jobs = jobs;
+            const std::string what = "capacity " +
+                                     std::to_string(capacity) +
+                                     " jobs " + std::to_string(jobs);
+            const std::vector<core::SimulatedEvolutionPoint> points =
+                core::runSimulatedEvolutionStudy(sys, configs, runner);
             ASSERT_EQ(points.size(), oracle.size()) << what;
             for (std::size_t i = 0; i < points.size(); ++i) {
-                const core::CaseStudyResult &a = oracle[i].result;
+                const core::CaseStudyResult &a = oracle[i];
                 const core::CaseStudyResult &b = points[i].result;
                 EXPECT_EQ(a.makespan, b.makespan) << what << " #" << i;
                 EXPECT_EQ(a.computeTime, b.computeTime)
@@ -321,29 +275,9 @@ TEST(GraphCacheSweep, EnginesBitIdenticalAcrossJobsAndCapacity)
                     << what << " #" << i;
                 EXPECT_EQ(a.overlappedCommTime, b.overlappedCommTime)
                     << what << " #" << i;
-                EXPECT_EQ(points[i].config.tag, oracle[i].config.tag)
+                EXPECT_EQ(points[i].config.tag, configs[i].tag)
                     << what << " #" << i;
             }
-        };
-
-    for (const std::size_t capacity :
-         { GraphCache::kDefaultCapacity, std::size_t{ 0 } }) {
-        GraphCache::instance().setCapacity(capacity);
-        GraphCache::instance().clear();
-        for (const int jobs : { 1, 2, 4 }) {
-            exec::RunnerOptions runner;
-            runner.jobs = jobs;
-            const std::string tag = "capacity " +
-                                    std::to_string(capacity) +
-                                    " jobs " + std::to_string(jobs);
-            expectIdentical(
-                core::runSimulatedEvolutionStudy(
-                    sys, configs, core::SweepEngine::Cached, runner),
-                "cached " + tag);
-            expectIdentical(
-                core::runSimulatedEvolutionStudy(
-                    sys, configs, core::SweepEngine::Delta, runner),
-                "delta " + tag);
         }
     }
 }

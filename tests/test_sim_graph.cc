@@ -262,31 +262,6 @@ TEST(GraphReplay, ConcurrentReplaysShareOneTemplate)
         EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
-TEST(GraphTemplate, ReplayIndexCoversDepsAndFifoChains)
-{
-    // The reverse CSR and per-resource FIFO chains that delta-replay
-    // walks, on the diamond: src(a) -> {left(a), right(b)} ->
-    // sink(a).
-    const EventSimulator des = buildDiamond();
-    const std::shared_ptr<const GraphTemplate> g = des.compile();
-
-    ASSERT_EQ(g->successors(0).size(), 2u);
-    EXPECT_EQ(g->successors(0)[0], 1);
-    EXPECT_EQ(g->successors(0)[1], 2);
-    ASSERT_EQ(g->successors(1).size(), 1u);
-    EXPECT_EQ(g->successors(1)[0], 3);
-    EXPECT_TRUE(g->successors(3).empty());
-
-    EXPECT_EQ(g->prevOnResource(0), InvalidTask);
-    EXPECT_EQ(g->nextOnResource(0), 1);
-    EXPECT_EQ(g->prevOnResource(1), 0);
-    EXPECT_EQ(g->nextOnResource(1), 3);
-    EXPECT_EQ(g->prevOnResource(2), InvalidTask);
-    EXPECT_EQ(g->nextOnResource(2), InvalidTask);
-    EXPECT_EQ(g->prevOnResource(3), 1);
-    EXPECT_EQ(g->nextOnResource(3), InvalidTask);
-}
-
 TEST(GraphTemplate, ReplayRejectsScratchBoundElsewhere)
 {
     // The rebinding contract: a scratch still bound to another
@@ -324,8 +299,8 @@ TEST(GraphTemplate, ReplayRejectsScratchBoundElsewhere)
 /**
  * A pseudo-random layered DAG over a few resources: tasks get
  * random durations, random dependencies on earlier tasks, and a
- * random resource — the adversarial shape for the batched and delta
- * walks (irregular fan-in, interleaved FIFO chains).
+ * random resource — the adversarial shape for the batched walk
+ * (irregular fan-in, interleaved FIFO chains).
  */
 std::shared_ptr<const GraphTemplate>
 buildRandomDag(std::uint64_t seed, int num_tasks, int num_resources)
@@ -458,102 +433,6 @@ TEST(BatchReplay, ConcurrentBatchedReplaysShareOneTemplate)
     }
     for (int t = 0; t < kThreads; ++t)
         EXPECT_EQ(mismatches[t], 0) << "thread " << t;
-}
-
-TEST(DeltaReplay, EverySingleTaskPerturbationMatchesOracle)
-{
-    // Exhaustive sweep over a random DAG: perturb each task in turn
-    // (grow and shrink), answer via replayDelta, and compare the
-    // makespan and every placement against a full replay with the
-    // same one-entry change. Run once with the crossover disabled
-    // (pure cone walk) and once with it forced (pure fallback).
-    const std::shared_ptr<const GraphTemplate> g =
-        buildRandomDag(45, 200, 3);
-    const std::size_t n = g->numTasks();
-
-    ReplayScratch base;
-    base.bind(*g);
-    replay(*g, {}, base);
-
-    ReplayScratch oracle;
-    oracle.bind(*g);
-    std::vector<Seconds> durations(n);
-    for (std::size_t i = 0; i < n; ++i)
-        durations[i] = g->baseDuration(i);
-
-    for (const double crossover : { 2.0, 0.0 }) {
-        DeltaScratch delta;
-        delta.crossoverFraction = crossover;
-        for (const double scale : { 1.7, 0.3 }) {
-            for (std::size_t t = 0; t < n; ++t) {
-                const Seconds perturbed =
-                    g->baseDuration(static_cast<TaskId>(t)) * scale;
-                const Seconds fast = replayDelta(
-                    *g, base, static_cast<TaskId>(t), perturbed,
-                    delta);
-                durations[t] = perturbed;
-                replay(*g, durations, oracle);
-                durations[t] =
-                    g->baseDuration(static_cast<TaskId>(t));
-
-                ASSERT_EQ(fast, oracle.makespan())
-                    << "crossover " << crossover << " scale "
-                    << scale << " task " << t;
-                EXPECT_EQ(delta.makespan(), fast);
-                // With the crossover disabled the walk must finish
-                // incrementally; forced to 0 it may still answer a
-                // one-task cone (a sink) without falling back.
-                if (crossover == 2.0)
-                    EXPECT_FALSE(delta.usedFullReplay())
-                        << "crossover " << crossover << " task "
-                        << t;
-                for (std::size_t i = 0; i < n; ++i) {
-                    ASSERT_EQ(
-                        delta.taskStart(static_cast<TaskId>(i)),
-                        oracle.placements()[i].start)
-                        << "crossover " << crossover << " scale "
-                        << scale << " task " << t << " place " << i;
-                    ASSERT_EQ(delta.taskEnd(static_cast<TaskId>(i)),
-                              oracle.placements()[i].end)
-                        << "crossover " << crossover << " scale "
-                        << scale << " task " << t << " place " << i;
-                }
-            }
-        }
-    }
-}
-
-TEST(DeltaReplay, ResyncsWhenTheBaseReplayChanges)
-{
-    // The generation contract: replaying new durations into the base
-    // scratch invalidates the delta cache, which must resync rather
-    // than answer against stale placements.
-    const std::shared_ptr<const GraphTemplate> g =
-        buildRandomDag(46, 50, 2);
-    const std::size_t n = g->numTasks();
-
-    ReplayScratch base;
-    base.bind(*g);
-    replay(*g, {}, base);
-
-    DeltaScratch delta;
-    const Seconds before = replayDelta(
-        *g, base, 0, g->baseDuration(0) * 2.0, delta);
-
-    // Rebase: double every duration and replay into the same
-    // scratch. Delta answers must now be computed against the new
-    // baseline... except replayDelta() requires the base replay to
-    // hold the *template's* base durations, so replay those again.
-    std::vector<Seconds> doubled(n);
-    for (std::size_t i = 0; i < n; ++i)
-        doubled[i] = g->baseDuration(static_cast<TaskId>(i)) * 2.0;
-    replay(*g, doubled, base);
-    replay(*g, {}, base);
-
-    const Seconds after = replayDelta(
-        *g, base, 0, g->baseDuration(0) * 2.0, delta);
-    EXPECT_EQ(before, after);
-    EXPECT_EQ(delta.baseMakespan(), base.makespan());
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "core/amdahl.hh"
 #include "core/case_study.hh"
 #include "sim/graph.hh"
+#include "sim/graph_cache.hh"
 #include "svc/cache.hh"
 #include "svc/protocol.hh"
 #include "svc/service.hh"
@@ -672,47 +673,138 @@ TEST(SvcProtoV3, StatsCountDeprecatedFieldRequests)
 
 // --- proto-v3 perturb queries ---
 
+/** A perturb request line against the default system. */
+std::string
+perturbLine(int hidden, int seqlen, int tp, int dp, std::int64_t task,
+            double scale)
+{
+    std::ostringstream os;
+    os << "{\"kind\": \"perturb\", \"hidden\": " << hidden
+       << ", \"seqlen\": " << seqlen << ", \"parallel\": {\"tp\": "
+       << tp << ", \"dp\": " << dp << "}, \"perturb\": {\"task\": "
+       << task << ", \"scale\": " << json::number(scale) << "}}";
+    return os.str();
+}
+
 TEST(SvcPerturb, ResponseMatchesDeltaReplay)
 {
-    // The serve endpoint must report exactly what the library's
-    // delta-replay computes for the same case-study graph.
+    // Every task of a small case-study graph at two scales: the
+    // served what-if must equal a direct full replay of the one
+    // perturbed (delta) duration, and the base a from-scratch
+    // CaseStudy::run.
     core::CaseStudyConfig cfg;
-    cfg.hidden = 8192;
-    cfg.seqLen = 2048;
+    cfg.hidden = 1024;
+    cfg.seqLen = 512;
     cfg.batch = 1;
-    cfg.tpDegree = 16;
-    cfg.dpDegree = 4;
+    cfg.tpDegree = 2;
+    cfg.dpDegree = 2;
     const core::CaseStudy study;
+    const std::string base_field =
+        "\"base_seconds\":" + json::number(study.run(cfg).makespan);
     const std::shared_ptr<const sim::GraphTemplate> graph =
         study.compileGraph(cfg);
-    sim::ReplayScratch base;
-    base.bind(*graph);
-    sim::replay(*graph, {}, base);
-    sim::DeltaScratch delta;
-    const Seconds expected = sim::replayDelta(
-        *graph, base, 3, graph->baseDuration(3) * 1.5, delta);
+    const std::size_t n = graph->numTasks();
+    ASSERT_GT(n, 0u);
 
     svc::QueryService service;
-    const std::string response = service.handle(
-        "{\"kind\": \"perturb\", \"perturb\": {\"task\": 3, "
-        "\"scale\": 1.5}}");
-    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
-        << response;
-    EXPECT_NE(response.find("\"base_seconds\":" +
-                            json::number(base.makespan())),
-              std::string::npos)
-        << response;
-    EXPECT_NE(response.find("\"perturbed_seconds\":" +
-                            json::number(expected)),
-              std::string::npos)
-        << response;
-    EXPECT_NE(response.find("\"cone_tasks\":"), std::string::npos);
+    sim::ReplayScratch oracle;
+    std::vector<Seconds> durations = graph->baseDurations();
+    for (const double scale : { 0.5, 1.5 }) {
+        for (std::size_t t = 0; t < n; ++t) {
+            durations[t] = graph->baseDurations()[t] * scale;
+            sim::replay(*graph, durations, oracle);
+            durations[t] = graph->baseDurations()[t];
 
-    // Repeats are byte-identical (and cacheable like any query).
-    EXPECT_EQ(response,
-              service.handle(
-                  "{\"kind\": \"perturb\", \"perturb\": {\"task\": "
-                  "3, \"scale\": 1.5}}"));
+            const std::string response = service.handle(perturbLine(
+                1024, 512, 2, 2, static_cast<std::int64_t>(t), scale));
+            ASSERT_NE(response.find("\"status\":\"ok\""),
+                      std::string::npos)
+                << response;
+            EXPECT_NE(response.find("\"perturbed_seconds\":" +
+                                    json::number(oracle.makespan())),
+                      std::string::npos)
+                << "scale " << scale << " task " << t << ": "
+                << response;
+            EXPECT_NE(response.find(base_field), std::string::npos)
+                << response;
+            EXPECT_EQ(response.find("\"cone_"), std::string::npos)
+                << response;
+            EXPECT_EQ(response.find("full_replay"), std::string::npos)
+                << response;
+        }
+    }
+}
+
+TEST(SvcPerturb, GraphResidencyStaysBounded)
+{
+    // Perturb templates live only in the bounded, process-wide graph
+    // cache: more distinct structures than it holds must evict rather
+    // than accumulate, and re-serving them (recompiled after
+    // eviction) must answer byte-identically.
+    sim::GraphCache &cache = sim::GraphCache::instance();
+    struct RestoreCapacity
+    {
+        std::size_t saved;
+        ~RestoreCapacity()
+        {
+            sim::GraphCache::instance().setCapacity(saved);
+            sim::GraphCache::instance().clear();
+        }
+    } restore{ cache.capacity() };
+    cache.setCapacity(8);
+
+    std::ostringstream stream;
+    for (const int hidden : { 1024, 2048, 4096 })
+        for (const int tp : { 2, 4 })
+            for (const int dp : { 1, 2 })
+                stream << perturbLine(hidden, 512, tp, dp, 3, 1.5)
+                       << "\n";
+
+    svc::ServiceOptions options;
+    options.cacheCapacity = 0; // every pass re-evaluates
+    svc::QueryService service(options);
+    std::string passes[2];
+    for (std::string &pass : passes) {
+        std::istringstream in(stream.str());
+        std::ostringstream out;
+        service.serve(in, out);
+        pass = out.str();
+        EXPECT_LE(cache.stats().entries, 8u);
+    }
+    EXPECT_EQ(passes[0], passes[1]);
+    EXPECT_EQ(passes[0].find("\"status\":\"error\""),
+              std::string::npos)
+        << passes[0];
+}
+
+TEST(SvcPerturb, ServeIsByteIdenticalAcrossJobs)
+{
+    // Repeated structures in one batch evaluate concurrently at
+    // --jobs 4, each worker on its own thread-local scratch over a
+    // shared cached template (run under TSan by the preset filter).
+    std::ostringstream stream;
+    for (int round = 0; round < 2; ++round)
+        for (const int tp : { 2, 4 })
+            for (const std::int64_t task : { 0, 5, 17, 40, 1000000 })
+                for (const double scale : { 0.5, 1.5, 2.0 })
+                    stream << perturbLine(2048, 512, tp, 1, task, scale)
+                           << "\n";
+    stream << "{\"kind\": \"stats\"}\n";
+
+    const auto serveAt = [&](int jobs) {
+        svc::ServiceOptions options;
+        options.jobs = jobs;
+        options.cacheCapacity = 16; // hits, misses and evictions
+        svc::QueryService service(options);
+        std::istringstream in(stream.str());
+        std::ostringstream out;
+        service.serve(in, out);
+        return out.str();
+    };
+    const std::string serial = serveAt(1);
+    EXPECT_NE(serial.find("\"status\":\"ok\""), std::string::npos);
+    EXPECT_NE(serial.find("\"status\":\"error\""), std::string::npos);
+    EXPECT_EQ(serveAt(4), serial);
 }
 
 TEST(SvcPerturb, ParseDiagnostics)
