@@ -1,19 +1,18 @@
 /**
  * @file
  * Throughput of the parallel sweep engine on the Table 3 grid: the
- * 196-config serialized study evaluated end to end, comparing the
- * work-stealing chunked parallelFor path against the submit-per-task
- * thread-pool baseline it replaced. This is the headline number of
- * the bench-regression harness — the paper's huge (H, SL, TP) grids
- * make sweep throughput the scaling axis of the reproduction.
+ * 196-config serialized study evaluated end to end on the
+ * work-stealing chunked parallelFor at `--jobs 1` and at `--jobs N`.
+ * This is the headline number of the bench-regression harness — the
+ * paper's huge (H, SL, TP) grids make sweep throughput the scaling
+ * axis of the reproduction.
  *
  * Flags: --jobs N (parallel width, default 4), --bench-json FILE
  * (machine-readable results), plus the usual --trace-* options.
  *
- * The >= 2x work-stealing-vs-baseline claim needs parallel speedup,
- * which needs cores; on a single-core host the claim is reported as
- * an honest WARN (same policy as svc_throughput) and CI asserts the
- * JSON schema only, never timings.
+ * The exit status gates on byte-identical output at both widths;
+ * the parallel speedup needs cores, so it is reported but never
+ * asserted (CI checks the JSON schema only, never timings).
  */
 
 #include <chrono>
@@ -38,15 +37,14 @@ struct Measurement
 };
 
 /** Best-of-`reps` wall-clock throughput of the serialized study
- *  under the given scheduler/jobs. */
+ *  at the given jobs. */
 Measurement
 measure(const core::AmdahlAnalysis &analysis,
         const std::vector<core::SerializedConfig> &configs, int jobs,
-        exec::Scheduler scheduler, int reps = 5)
+        int reps = 5)
 {
     core::SerializedStudyOptions opts;
     opts.runner.jobs = jobs;
-    opts.runner.scheduler = scheduler;
     Measurement m;
     double best = 0.0;
     for (int r = 0; r < reps; ++r) {
@@ -98,8 +96,8 @@ main(int argc, char **argv)
                           bench::benchJsonPath(argc, argv));
 
     bench::banner("sweep_throughput",
-                  "Table 3 serialized study: work stealing vs "
-                  "submit-per-task");
+                  "Table 3 serialized study: work stealing at "
+                  "jobs=1 vs jobs=N");
 
     const core::SystemConfig sys{};
     const core::AmdahlAnalysis analysis(sys);
@@ -110,50 +108,33 @@ main(int argc, char **argv)
     std::printf("grid: %zu configs, host cores: %u, jobs: %d\n",
                 configs.size(), cores, jobs);
 
-    const Measurement serial = measure(analysis, configs, 1,
-                                       exec::Scheduler::WorkStealing);
-    const Measurement stealing = measure(
-        analysis, configs, jobs, exec::Scheduler::WorkStealing);
-    const Measurement baseline = measure(
-        analysis, configs, jobs, exec::Scheduler::SubmitPerTask);
+    const Measurement serial = measure(analysis, configs, 1);
+    const Measurement stealing = measure(analysis, configs, jobs);
 
     TextTable table({ "engine", "jobs", "configs/s", "vs jobs=1" });
-    const auto row = [&](const char *engine, int j, double rate) {
-        table.addRowOf(engine, j, rate,
+    const auto row = [&](int j, double rate) {
+        table.addRowOf("work-stealing", j, rate,
                        rate / serial.configsPerSec);
     };
-    row("work-stealing", 1, serial.configsPerSec);
-    row("work-stealing", jobs, stealing.configsPerSec);
-    row("submit-per-task", jobs, baseline.configsPerSec);
+    row(1, serial.configsPerSec);
+    row(jobs, stealing.configsPerSec);
     bench::show(table);
 
-    bool ok = true;
-    ok &= bench::checkClaim(
-        "work-stealing and submit-per-task outputs byte-identical",
-        samePoints(stealing.points, baseline.points) &&
-            samePoints(stealing.points, serial.points));
-    const double speedup =
-        stealing.configsPerSec / baseline.configsPerSec;
-    char claim[128];
-    std::snprintf(claim, sizeof(claim),
-                  "work stealing >= 2x submit-per-task at jobs=%d "
-                  "(observed %.2fx)",
-                  jobs, speedup);
-    const bool fast = bench::checkClaim(claim, speedup >= 2.0);
-    if (!fast && cores < 2) {
-        std::printf("  note: single-core host; parallel engine "
-                    "comparisons are not meaningful here\n");
+    const bool ok = bench::checkClaim(
+        "jobs=1 and jobs=N outputs byte-identical",
+        samePoints(stealing.points, serial.points));
+    if (cores < 2) {
+        std::printf("  note: single-core host; the jobs=N speedup is "
+                    "not meaningful here\n");
     }
 
     json.set("configs", static_cast<double>(configs.size()));
     json.set("jobs", jobs);
     json.set("configs_per_sec_jobs1", serial.configsPerSec);
     json.set("configs_per_sec_stealing", stealing.configsPerSec);
-    json.set("configs_per_sec_submit", baseline.configsPerSec);
-    json.set("stealing_vs_submit_speedup", speedup);
     if (!json.write())
         return 1;
     // The determinism contract must hold on any host; the speedup
-    // claim is a WARN-only observation (CI never gates on timing).
+    // is an observation only (CI never gates on timing).
     return ok ? 0 : 1;
 }

@@ -4,9 +4,8 @@
 #
 #   1. `tier1`  — full RelWithDebInfo build + the whole ctest suite.
 #   2. `tsan`   — ThreadSanitizer build; runs the concurrency-bearing
-#                 suites (exec ThreadPool/parallelFor/
-#                 ParallelSweepRunner, the svc query service and the
-#                 obs tracer) under TSan.
+#                 suites (exec parallelFor/ParallelSweepRunner, the
+#                 svc query service and the obs tracer) under TSan.
 #   2b. `asan`  — AddressSanitizer + UndefinedBehaviorSanitizer build;
 #                 runs the whole suite (UBSan findings are fatal).
 #   3. obs gate — a traced sweep must produce a trace.json that the

@@ -92,6 +92,36 @@ buildRing(sim::EventSimulator &des, int p, int steps,
     finals = std::move(prev);
 }
 
+/** Fill a result from each device's finish (`finishOf(d)`) and the
+ *  arrival times. The collective lasts from the latest arrival to
+ *  the latest finish. The earliest device is done computing at its
+ *  arrival but cannot finish before finishTime: everything beyond
+ *  its own collective share is stall. */
+template <typename FinishOf>
+void
+assembleResult(RingSimResult &result,
+               const std::vector<Seconds> &arrival_times, int steps,
+               Seconds step_time, FinishOf finishOf)
+{
+    const int p = static_cast<int>(arrival_times.size());
+    result.deviceFinish.resize(p);
+    Seconds latest_arrival = 0.0;
+    Seconds earliest_arrival = 1e300;
+    for (int d = 0; d < p; ++d) {
+        result.deviceFinish[d] = finishOf(d);
+        result.finishTime =
+            std::max(result.finishTime, result.deviceFinish[d]);
+        latest_arrival = std::max(latest_arrival, arrival_times[d]);
+        earliest_arrival =
+            std::min(earliest_arrival, arrival_times[d]);
+    }
+    result.collectiveTime = result.finishTime - latest_arrival;
+    result.maxStallTime = result.finishTime - earliest_arrival -
+                          steps * step_time;
+    if (result.maxStallTime < 0.0)
+        result.maxStallTime = 0.0;
+}
+
 /** Resolve a ring template through the process-wide graph cache.
  *  Keyed by device count AND step count — all-reduce (2(P-1) steps)
  *  and reduce-scatter (P-1) share a P — and by the pass pipeline's
@@ -215,7 +245,6 @@ simulateRingCollective(const hw::Topology &topology, Bytes payload,
 
     RingSimResult result;
     std::vector<sim::TaskId> finals;
-    const sim::ReplayScratch *placed_source = nullptr;
 
     if (options.engine == RingSimEngine::CompiledReplay) {
         const CompiledRing ring =
@@ -235,7 +264,6 @@ simulateRingCollective(const hw::Topology &topology, Bytes payload,
         }
         sim::replay(*ring.graph, *ring.durations, *ring.scratch);
         finals = *ring.finals;
-        placed_source = ring.scratch;
         result.schedule = sim::Schedule(ring.graph,
                                         ring.scratch->placements());
     } else {
@@ -260,28 +288,10 @@ simulateRingCollective(const hw::Topology &topology, Bytes payload,
         }
     }
 
-    result.deviceFinish.resize(p);
-    Seconds latest_arrival = 0.0;
-    Seconds earliest_arrival = 1e300;
-    for (int d = 0; d < p; ++d) {
-        result.deviceFinish[d] =
-            placed_source != nullptr
-                ? placed_source->placements()[finals[d]].end
-                : result.schedule.placement(finals[d]).end;
-        result.finishTime =
-            std::max(result.finishTime, result.deviceFinish[d]);
-        latest_arrival = std::max(latest_arrival, arrival_times[d]);
-        earliest_arrival =
-            std::min(earliest_arrival, arrival_times[d]);
-    }
-    result.collectiveTime = result.finishTime - latest_arrival;
-    // The earliest device is done computing at earliest_arrival but
-    // cannot finish before finishTime: everything beyond its own
-    // collective share is stall.
-    result.maxStallTime = result.finishTime - earliest_arrival -
-                          steps * step_time;
-    if (result.maxStallTime < 0.0)
-        result.maxStallTime = 0.0;
+    assembleResult(result, arrival_times, steps, step_time,
+                   [&](int d) {
+                       return result.schedule.placement(finals[d]).end;
+                   });
     return result;
 }
 
@@ -352,29 +362,12 @@ simulateRingCollectiveBatch(
                          *ring.batch);
 
         for (std::size_t l = 0; l < lanes; ++l) {
-            const std::vector<Seconds> &arrivals =
-                arrival_sets[first + l];
-            RingSimResult &result = results[first + l];
-            result.deviceFinish.resize(p);
-            Seconds latest_arrival = 0.0;
-            Seconds earliest_arrival = 1e300;
-            for (int d = 0; d < p; ++d) {
-                result.deviceFinish[d] =
-                    ring.batch->taskEnd((*ring.finals)[d], l);
-                result.finishTime = std::max(result.finishTime,
-                                             result.deviceFinish[d]);
-                latest_arrival =
-                    std::max(latest_arrival, arrivals[d]);
-                earliest_arrival =
-                    std::min(earliest_arrival, arrivals[d]);
-            }
-            result.collectiveTime =
-                result.finishTime - latest_arrival;
-            result.maxStallTime = result.finishTime -
-                                  earliest_arrival -
-                                  steps * step_time;
-            if (result.maxStallTime < 0.0)
-                result.maxStallTime = 0.0;
+            assembleResult(results[first + l],
+                           arrival_sets[first + l], steps, step_time,
+                           [&](int d) {
+                               return ring.batch->taskEnd(
+                                   (*ring.finals)[d], l);
+                           });
         }
     }
     return results;

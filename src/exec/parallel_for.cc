@@ -2,18 +2,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/thread_pool.hh"
 #include "obs/obs.hh"
 
 namespace twocs::exec {
 
 namespace {
+
+/** Seed of the per-worker victim-selection PRNG. Fixed so a given
+ *  (n, grain, jobs) always probes victims in the same order —
+ *  reports and span counts stay reproducible. */
+constexpr std::uint64_t kVictimSeed = 0x7c05c0de5eedULL;
 
 /** One contiguous slice of the index range. */
 struct Chunk
@@ -115,10 +120,11 @@ struct Engine
         remaining.fetch_sub(1, std::memory_order_acq_rel);
     }
 
-    void workerLoop(std::size_t self, std::uint64_t seed)
+    void workerLoop(std::size_t self)
     {
         ChunkDeque &own = deques[self];
-        std::uint64_t rng = seed + 0x9e3779b97f4a7c15ULL * (self + 1);
+        std::uint64_t rng =
+            kVictimSeed + 0x9e3779b97f4a7c15ULL * (self + 1);
         Chunk chunk;
         while (remaining.load(std::memory_order_acquire) > 0) {
             if (own.popBottom(chunk)) {
@@ -152,6 +158,13 @@ struct Engine
 
 } // namespace
 
+int
+defaultThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
 namespace detail {
 
 std::size_t
@@ -173,9 +186,8 @@ parallelForImpl(std::size_t n, const ParallelForOptions &options,
         return;
 
     const int jobs = std::max(
-        1, std::min<int>(options.jobs <= 0
-                             ? ThreadPool::defaultThreads()
-                             : options.jobs,
+        1, std::min<int>(options.jobs <= 0 ? defaultThreads()
+                                           : options.jobs,
                          static_cast<int>(std::min<std::size_t>(
                              n, 1u << 16))));
     const std::size_t grain =
@@ -222,18 +234,18 @@ parallelForImpl(std::size_t n, const ParallelForOptions &options,
         std::vector<std::jthread> helpers;
         helpers.reserve(workers - 1);
         for (std::size_t w = 1; w < workers; ++w) {
-            helpers.emplace_back([&engine, w, seed = options.seed] {
+            helpers.emplace_back([&engine, w] {
 #ifndef TWOCS_OBS_DISABLE
                 if (obs::Tracer::mask() != 0) {
                     obs::Tracer::setThreadName(
                         "exec.steal-" + std::to_string(w));
                 }
 #endif
-                engine.workerLoop(w, seed);
+                engine.workerLoop(w);
             });
         }
         // The calling thread is worker 0.
-        engine.workerLoop(0, options.seed);
+        engine.workerLoop(0);
         // jthreads join here; workerLoop only returns once every
         // chunk has completed, so joining is prompt.
     }

@@ -13,38 +13,34 @@
  * of the stealing order — `--jobs 1` and `--jobs N` output stays
  * byte-identical even though the interleaving is not.
  *
- * This is the allocation-lean fast path the ParallelSweepRunner maps
- * studies through: no per-task std::function, no shared queue mutex,
- * no condition variables on the hot path — one heap allocation per
- * call for the chunk arrays, then only atomics. The bounded-queue
- * ThreadPool (thread_pool.hh) remains for open-ended producers such
- * as the query service's batch fan-out, where tasks arrive over time
- * rather than as a known index range.
+ * This is the codebase's one executor: the ParallelSweepRunner maps
+ * studies through it and the query service fans each batch's misses
+ * out over it. No per-task std::function, no shared queue mutex, no
+ * condition variables on the hot path — one heap allocation per call
+ * for the chunk arrays, then only atomics.
  */
 
 #ifndef TWOCS_EXEC_PARALLEL_FOR_HH
 #define TWOCS_EXEC_PARALLEL_FOR_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <type_traits>
 
 namespace twocs::exec {
 
+/** hardware_concurrency() with a floor of one thread. */
+int defaultThreads();
+
 /** Knobs of one parallelFor() call. */
 struct ParallelForOptions
 {
     /** Workers (including the calling thread); <= 0 selects
-     *  ThreadPool::defaultThreads(). */
+     *  defaultThreads(). */
     int jobs = 0;
     /** Indices per chunk; 0 selects a heuristic that targets a few
      *  chunks per worker (stealing slack without per-index cost). */
     std::size_t grain = 0;
-    /** Seed of the per-worker victim-selection PRNG. Fixed by
-     *  default so a given (n, grain, jobs) always probes victims in
-     *  the same order — reports and span counts stay reproducible. */
-    std::uint64_t seed = 0x7c05c0de5eedULL;
 };
 
 namespace detail {
@@ -86,16 +82,6 @@ parallelFor(std::size_t n, const ParallelForOptions &options,
         },
         const_cast<void *>(
             static_cast<const void *>(std::addressof(body))));
-}
-
-/** Convenience (range, grain, body) spelling with default jobs. */
-template <typename Body>
-void
-parallelFor(std::size_t n, std::size_t grain, Body &&body)
-{
-    ParallelForOptions options;
-    options.grain = grain;
-    parallelFor(n, options, std::forward<Body>(body));
 }
 
 } // namespace twocs::exec

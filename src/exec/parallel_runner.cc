@@ -28,7 +28,7 @@ percentile(std::vector<Seconds> xs, double q)
 int
 RunnerOptions::effectiveJobs() const
 {
-    return jobs <= 0 ? ThreadPool::defaultThreads() : jobs;
+    return jobs <= 0 ? defaultThreads() : jobs;
 }
 
 RunnerOptions
@@ -85,7 +85,6 @@ RunReport::writeJson(std::ostream &os) const
        << ",\n"
        << "  \"task_seconds_p95\": " << json::number(latencyP95())
        << ",\n"
-       << "  \"queue_high_water\": " << queueHighWater << ",\n"
        << "  \"failures\": [";
     for (std::size_t i = 0; i < failures.size(); ++i) {
         os << (i == 0 ? "\n" : ",\n")

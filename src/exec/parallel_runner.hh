@@ -6,12 +6,12 @@
  * sensitivity tornado, cluster jitter trials, the figure benches —
  * maps a vector of configurations through a pure evaluation functor.
  * ParallelSweepRunner executes that map on the chunked work-stealing
- * exec::parallelFor (or, as a measured baseline, one
- * ThreadPool::submit per config) and aggregates results **in input
- * order regardless of completion order**, so `--jobs 1` and
- * `--jobs N` produce byte-identical output. Each map() call additionally captures a structured
- * RunReport (wall time, per-config latency percentiles, thread
- * count, task failures) that can be emitted as JSON via `--report`.
+ * exec::parallelFor and aggregates results **in input order
+ * regardless of completion order**, so `--jobs 1` and `--jobs N`
+ * produce byte-identical output. Each map() call additionally
+ * captures a structured RunReport (wall time, per-config latency
+ * percentiles, thread count, task failures) that can be emitted as
+ * JSON via `--report`.
  *
  * Determinism contract: the functor must be a pure function of the
  * configuration it receives (no shared mutable state, no global
@@ -34,23 +34,10 @@
 #include <vector>
 
 #include "exec/parallel_for.hh"
-#include "exec/thread_pool.hh"
 #include "obs/obs.hh"
 #include "util/units.hh"
 
 namespace twocs::exec {
-
-/** How map() schedules its tasks onto worker threads. */
-enum class Scheduler
-{
-    /** Chunked work-stealing parallelFor: no per-task allocation,
-     *  no shared queue. The default, and the fast path. */
-    WorkStealing,
-    /** One ThreadPool::submit per config: the historical engine,
-     *  kept as the measured baseline for the bench-regression
-     *  harness (bench/sweep_throughput). */
-    SubmitPerTask,
-};
 
 /** Execution knobs shared by the CLI and the bench drivers. */
 struct RunnerOptions
@@ -62,10 +49,6 @@ struct RunnerOptions
     std::string reportPath;
     /** Study label recorded in the report. */
     std::string study = "study";
-    /** Task-scheduling engine; see Scheduler. */
-    Scheduler scheduler = Scheduler::WorkStealing;
-    /** Work-stealing chunk size; 0 selects the grain heuristic. */
-    std::size_t grain = 0;
 
     int effectiveJobs() const;
 
@@ -97,9 +80,6 @@ struct RunReport
     std::vector<Seconds> taskSeconds;
     /** Failed tasks, sorted by input index. */
     std::vector<TaskFailure> failures;
-    /** Deepest the ThreadPool queue got (SubmitPerTask runs only;
-     *  the work-stealing path has no queue to fill, so 0). */
-    std::size_t queueHighWater = 0;
 
     /** Nearest-rank percentiles of taskSeconds (0 when empty). */
     Seconds latencyP50() const;
@@ -113,8 +93,8 @@ void maybeWriteReport(const RunnerOptions &options,
                       const RunReport &report);
 
 /**
- * Maps a configuration vector through an evaluation functor on a
- * ThreadPool; see the file comment for the determinism contract.
+ * Maps a configuration vector through an evaluation functor on
+ * parallelFor; see the file comment for the determinism contract.
  */
 class ParallelSweepRunner
 {
@@ -168,9 +148,9 @@ class ParallelSweepRunner
         const std::string task_label = options_.study + ".task";
         std::mutex failures_mutex;
         auto runOne = [&](std::size_t i) {
-            // Exactly one span per task on every path (inline,
-            // work-stealing, submit-per-task), so per-label span
-            // counts are jobs- and scheduler-invariant.
+            // Exactly one span per task on every path (inline or
+            // work-stealing), so per-label span counts are
+            // jobs-invariant.
             TWOCS_OBS_SPAN(obs::Category::Exec, task_label);
             const auto task_start = Clock::now();
             try {
@@ -184,27 +164,14 @@ class ParallelSweepRunner
             report_.taskSeconds[i] = elapsed(task_start);
         };
 
-        if (options_.scheduler == Scheduler::SubmitPerTask &&
-            jobs > 1) {
-            // Baseline engine: one heap-allocated closure and one
-            // bounded-queue handoff per config.
-            ThreadPool pool(jobs);
-            for (std::size_t i = 0; i < configs.size(); ++i)
-                pool.submit([&runOne, i] { runOne(i); });
-            pool.drain();
-            report_.queueHighWater = pool.queueHighWater();
-        } else {
-            // Fast path: chunked work stealing, zero per-task
-            // allocations. Results land in per-index slots, so
-            // output is identical no matter who steals what. At
-            // jobs == 1 parallelFor degenerates to the inline serial
-            // loop (same evaluation order as the historical
-            // studies) while still emitting the same spans.
-            ParallelForOptions pf;
-            pf.jobs = jobs;
-            pf.grain = options_.grain;
-            parallelFor(configs.size(), pf, runOne);
-        }
+        // Chunked work stealing, zero per-task allocations.
+        // Results land in per-index slots, so output is identical no
+        // matter who steals what. At jobs == 1 parallelFor
+        // degenerates to the inline serial loop (same evaluation
+        // order as the historical studies) while still emitting the
+        // same spans.
+        parallelFor(configs.size(), ParallelForOptions{ .jobs = jobs },
+                    runOne);
 
         report_.wallTime = elapsed(wall_start);
         std::sort(report_.failures.begin(), report_.failures.end(),

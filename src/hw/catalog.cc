@@ -109,7 +109,10 @@ allDevices()
 DeviceSpec
 deviceByName(const std::string &name)
 {
-    for (const DeviceSpec &d : allDevices()) {
+    // Built once: the catalog is immutable, and the query service
+    // resolves a device on every request.
+    static const std::vector<DeviceSpec> catalog = allDevices();
+    for (const DeviceSpec &d : catalog) {
         if (d.name == name)
             return d;
     }

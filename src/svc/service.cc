@@ -11,7 +11,7 @@
 #include "core/case_study.hh"
 #include "core/slack.hh"
 #include "core/system_config.hh"
-#include "exec/thread_pool.hh"
+#include "exec/parallel_for.hh"
 #include "hw/catalog.hh"
 #include "model/layer_graph.hh"
 #include "model/memory.hh"
@@ -159,16 +159,7 @@ QueryService::~QueryService() = default;
 int
 QueryService::effectiveJobs() const
 {
-    return options_.jobs <= 0 ? exec::ThreadPool::defaultThreads()
-                              : options_.jobs;
-}
-
-exec::ThreadPool &
-QueryService::pool()
-{
-    if (!pool_)
-        pool_ = std::make_unique<exec::ThreadPool>(effectiveJobs());
-    return *pool_;
+    return options_.jobs <= 0 ? exec::defaultThreads() : options_.jobs;
 }
 
 const QueryService::SystemEntry &
@@ -475,38 +466,34 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
         }
     }
 
-    // Phase 2: evaluate the distinct misses — inline at one job (the
-    // historical sequential order), fanned out over the pool
-    // otherwise. Workers only touch their own entry. The svc.evaluate
-    // span is the task's only instrumentation on both paths, so span
-    // counts are jobs-invariant.
+    // Phase 2: evaluate the distinct misses on parallelFor — the
+    // inline arrival-order loop at one job (or one miss), work
+    // stolen otherwise. Workers only touch their own entry. The
+    // svc.evaluate span is the task's only svc instrumentation on
+    // every path, so span counts are jobs-invariant.
     {
         TWOCS_OBS_SPAN(obs::Category::Svc, "svc.batch.evaluate");
-        const auto runOne = [this](BatchEntry &e) {
-            TWOCS_OBS_SPAN(obs::Category::Svc, "svc.evaluate");
-            const auto start = Clock::now();
-            try {
-                e.payload = evaluate(e.query, *e.system);
-            } catch (const FatalError &ex) {
-                e.failed = true;
-                e.payload = errorPayload(options_.protoVersion,
-                                         "eval_error", ex.what());
-            }
-            e.seconds += elapsed(start);
-        };
-        if (effectiveJobs() == 1) {
-            for (BatchEntry &e : entries) {
-                if (e.outcome == Outcome::Compute)
-                    runOne(e);
-            }
-        } else {
-            exec::ThreadPool &workers = pool();
-            for (BatchEntry &e : entries) {
-                if (e.outcome == Outcome::Compute)
-                    workers.submit([&e, &runOne] { runOne(e); });
-            }
-            workers.drain();
+        std::vector<BatchEntry *> misses;
+        for (BatchEntry &e : entries) {
+            if (e.outcome == Outcome::Compute)
+                misses.push_back(&e);
         }
+        exec::parallelFor(
+            misses.size(),
+            exec::ParallelForOptions{ .jobs = effectiveJobs() },
+            [this, &misses](std::size_t i) {
+                BatchEntry &e = *misses[i];
+                TWOCS_OBS_SPAN(obs::Category::Svc, "svc.evaluate");
+                const auto start = Clock::now();
+                try {
+                    e.payload = evaluate(e.query, *e.system);
+                } catch (const FatalError &ex) {
+                    e.failed = true;
+                    e.payload = errorPayload(options_.protoVersion,
+                                             "eval_error", ex.what());
+                }
+                e.seconds += elapsed(start);
+            });
     }
 
     // Phase 3 (sequential, arrival order): resolve duplicates,

@@ -19,7 +19,7 @@
  *  - a **batching scheduler**: requests are drained in fixed-size
  *    batches; within a batch, cache hits and in-batch duplicates are
  *    resolved in arrival order, the remaining distinct misses fan
- *    out over an exec::ThreadPool, and responses are committed in
+ *    out over exec::parallelFor, and responses are committed in
  *    arrival order.
  *
  * Determinism contract (§7 of DESIGN.md): for a given input stream
@@ -46,10 +46,6 @@
 #include "svc/cache.hh"
 #include "svc/metrics.hh"
 #include "svc/protocol.hh"
-
-namespace twocs::exec {
-class ThreadPool;
-}
 
 namespace twocs::svc {
 
@@ -163,13 +159,10 @@ class QueryService
     /** Deterministic counter snapshot for a `stats` response. */
     std::string statsPayload() const;
 
-    exec::ThreadPool &pool();
-
     ServiceOptions options_;
     ShardedLruCache cache_;
     ServiceMetrics metrics_;
     std::map<std::string, std::unique_ptr<SystemEntry>> systems_;
-    std::unique_ptr<exec::ThreadPool> pool_;
     std::size_t lineNo_ = 0;
 };
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the parallel study-execution engine: the ThreadPool, the
- * ParallelSweepRunner's deterministic aggregation contract (`--jobs 1`
- * and `--jobs N` agree byte-for-byte), the RunReport observability
- * record, and the CLI surface that exposes them.
+ * Tests for the parallel study-execution engine: the work-stealing
+ * parallelFor, the ParallelSweepRunner's deterministic aggregation
+ * contract (`--jobs 1` and `--jobs N` agree byte-for-byte), the
+ * RunReport observability record, and the CLI surface that exposes
+ * them.
  */
 
 #include <atomic>
@@ -14,104 +15,17 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
-#include <thread>
-
 #include "cli/commands.hh"
 #include "core/cluster_sim.hh"
 #include "core/sensitivity.hh"
 #include "core/sweep.hh"
 #include "exec/parallel_for.hh"
 #include "exec/parallel_runner.hh"
-#include "exec/thread_pool.hh"
 #include "test_common.hh"
 #include "util/logging.hh"
 
 namespace twocs {
 namespace {
-
-// --- thread pool ---
-
-TEST(ThreadPool, RunsEveryTask)
-{
-    std::atomic<int> count{ 0 };
-    {
-        // Tiny queue so submit() exercises the bounded-capacity
-        // blocking path.
-        exec::ThreadPool pool(4, 4);
-        for (int i = 0; i < 200; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        pool.drain();
-        EXPECT_EQ(count.load(), 200);
-    }
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, DrainRethrowsFirstTaskException)
-{
-    exec::ThreadPool pool(2);
-    std::atomic<int> ran{ 0 };
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.submit([] { throw std::runtime_error("task boom"); });
-    pool.submit([&] { ran.fetch_add(1); });
-    try {
-        pool.drain();
-        FAIL() << "drain() should rethrow the task exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "task boom");
-    }
-    EXPECT_EQ(ran.load(), 2); // the failure does not cancel siblings
-}
-
-TEST(ThreadPool, DestructorFinishesSubmittedWork)
-{
-    std::atomic<int> count{ 0 };
-    {
-        exec::ThreadPool pool(3);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        // No drain(): the destructor must still run everything.
-    }
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ThreadCountSelection)
-{
-    EXPECT_GE(exec::ThreadPool::defaultThreads(), 1);
-    EXPECT_EQ(exec::ThreadPool(3).numThreads(), 3);
-    EXPECT_EQ(exec::ThreadPool(0).numThreads(),
-              exec::ThreadPool::defaultThreads());
-}
-
-TEST(ThreadPool, BackpressureCountersSeeTheFullQueue)
-{
-    exec::ThreadPool pool(1, 2);
-    std::promise<void> release;
-    std::shared_future<void> gate = release.get_future().share();
-    // Park the only worker, then overfill the bounded queue: the
-    // last submit() must block and be counted as a blocked producer.
-    pool.submit([gate] { gate.wait(); });
-    pool.submit([] {});
-    pool.submit([] {});
-    std::thread unblocker([&release] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        release.set_value();
-    });
-    pool.submit([] {}); // queue is full until the gate opens
-    pool.drain();
-    unblocker.join();
-    EXPECT_EQ(pool.queueHighWater(), 2u);
-    EXPECT_GE(pool.blockedProducers(), 1u);
-}
-
-TEST(ThreadPool, IdlePoolReportsNoBackpressure)
-{
-    exec::ThreadPool pool(2);
-    pool.submit([] {});
-    pool.drain();
-    EXPECT_LE(pool.queueHighWater(), 1u);
-    EXPECT_EQ(pool.blockedProducers(), 0u);
-}
 
 // --- work-stealing parallelFor ---
 
@@ -119,13 +33,15 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderAdversarialShapes)
 {
     // Ranges and grains chosen to hit every boundary: empty, single,
     // primes (chunks never divide evenly), grain > range, and a
-    // grain so large one chunk holds everything.
+    // grain so large one chunk holds everything. jobs 0 selects
+    // defaultThreads(), which never drops below one worker.
+    EXPECT_GE(exec::defaultThreads(), 1);
     const std::size_t ranges[] = { 0, 1, 2, 3, 97, 196, 256 };
     const std::size_t grains[] = { 0, 1, 2, 3, 5, 7, 64, 997,
                                    std::size_t{ 1 } << 40 };
     for (const std::size_t n : ranges) {
         for (const std::size_t grain : grains) {
-            for (const int jobs : { 1, 2, 3, 8 }) {
+            for (const int jobs : { 0, 1, 2, 3, 8 }) {
                 std::vector<std::atomic<int>> hits(n);
                 exec::ParallelForOptions o;
                 o.jobs = jobs;
@@ -358,44 +274,6 @@ TEST(ParallelSweepRunner, JobsClampToTaskCount)
     EXPECT_EQ(runner.lastReport().jobs, 3);
 }
 
-TEST(ParallelSweepRunner, SubmitPerTaskBaselineMatchesWorkStealing)
-{
-    // The two engines must be observationally identical on results;
-    // only their scheduling (and the bench numbers) differ.
-    std::vector<int> configs(53);
-    std::iota(configs.begin(), configs.end(), 0);
-    const auto runWith = [&](exec::Scheduler scheduler) {
-        exec::RunnerOptions o;
-        o.jobs = 4;
-        o.scheduler = scheduler;
-        exec::ParallelSweepRunner runner(o);
-        return runner.map(configs,
-                          [](const int &i) { return 7 * i - 2; });
-    };
-    EXPECT_EQ(runWith(exec::Scheduler::WorkStealing),
-              runWith(exec::Scheduler::SubmitPerTask));
-}
-
-TEST(ParallelSweepRunner, QueueHighWaterSurfacesOnBaselineOnly)
-{
-    std::vector<int> configs(40);
-    const auto reportWith = [&](exec::Scheduler scheduler) {
-        exec::RunnerOptions o;
-        o.jobs = 4;
-        o.scheduler = scheduler;
-        exec::ParallelSweepRunner runner(o);
-        runner.map(configs, [](const int &i) { return i; });
-        return runner.lastReport();
-    };
-    // Submit-per-task funnels every config through the bounded
-    // queue; work stealing never touches it.
-    EXPECT_GE(reportWith(exec::Scheduler::SubmitPerTask)
-                  .queueHighWater,
-              1u);
-    EXPECT_EQ(reportWith(exec::Scheduler::WorkStealing).queueHighWater,
-              0u);
-}
-
 TEST(RunReport, JsonHasDocumentedSchema)
 {
     exec::RunReport r;
@@ -419,8 +297,6 @@ TEST(RunReport, JsonHasDocumentedSchema)
     EXPECT_NE(json.find("\"task_seconds_p50\": 0.5"),
               std::string::npos);
     EXPECT_NE(json.find("\"task_seconds_p95\": 0.75"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"queue_high_water\": 0"),
               std::string::npos);
     EXPECT_NE(json.find("{ \"index\": 1, \"message\": \"bad\\nrow\" }"),
               std::string::npos)

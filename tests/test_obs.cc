@@ -348,9 +348,9 @@ TEST(ObsDeterminism, SweepSpanCountsAreJobsInvariant)
     const auto parallel = tracedSweep("4");
     // Identical analysis bytes AND per-label span-count equality:
     // the task body owns the one span per task on every path, so the
-    // counts match label for label whether the run was inline,
-    // work-stolen, or pooled (the "exec.parallel_for" umbrella span
-    // is emitted once per map() call at any jobs count).
+    // counts match label for label whether the run was inline or
+    // work-stolen (the "exec.parallel_for" umbrella span is emitted
+    // once per map() call at any jobs count).
     EXPECT_EQ(serial.first, parallel.first);
     EXPECT_EQ(serial.second, parallel.second);
     EXPECT_EQ(serial.second.at("cmd.sweep"), 1u);
@@ -378,10 +378,11 @@ TEST(ObsDeterminism, OneTraceCoversExecSvcSimAndComm)
     service.handle(
         "{\"kind\": \"project\", \"hidden\": 4096, \"tp\": 8}");
     comm::simulateRingCollective(hw::Topology::singleNode(hw::mi210(), 4), 1e6, std::vector<Seconds>(4, 0.0));
-    // The exec layer's own span ("exec.parallel_for"): neither the
-    // pool workers nor the scheduler emit per-task spans anymore,
-    // so cover the category with an explicit parallel loop.
-    exec::parallelFor(4, std::size_t{ 1 }, [](std::size_t) {});
+    // The exec layer's own span ("exec.parallel_for"): the runner
+    // emits no per-task exec spans, so cover the category with an
+    // explicit parallel loop.
+    exec::parallelFor(4, exec::ParallelForOptions{ .grain = 1 },
+                      [](std::size_t) {});
     obs::Tracer::disable();
 
     const obs::TraceSnapshot snap = obs::Tracer::snapshot();
