@@ -87,6 +87,23 @@ BM_ProfileIteration(benchmark::State &state)
 BENCHMARK(BM_ProfileIteration);
 
 void
+BM_IterationTotals(benchmark::State &state)
+{
+    // The same role sums as BM_ProfileIteration, folded along the
+    // periodic shape instead of over materialised records.
+    model::ParallelPlan par;
+    par.tpDegree = 8;
+    par.dpDegree = 4;
+    const model::LayerGraphBuilder g(model::bertLarge(), par);
+    const profiling::IterationProfiler p = sys().profiler();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(p.iterationTotals(g));
+    state.SetItemsProcessed(state.iterations() *
+                            g.iterationShape().opCount());
+}
+BENCHMARK(BM_IterationTotals);
+
+void
 BM_OperatorModelProjection(benchmark::State &state)
 {
     core::AmdahlAnalysis analysis(sys());

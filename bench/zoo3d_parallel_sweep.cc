@@ -12,8 +12,11 @@
  * double the wire volume; a pipeline boundary send moves
  * precision * B * SL * H bytes) that
  * make the lowering a refactoring of the communication volume rather
- * than a change to it.
+ * than a change to it. `zoo_study_ms` is the wall time of one
+ * runParallelZooStudy() call (CI checks the key, never its value).
  */
+
+#include <chrono>
 
 #include "bench_common.hh"
 
@@ -36,8 +39,12 @@ main(int argc, char **argv)
                             "parallel plans");
 
     const core::SystemConfig system;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
     const std::vector<core::ZooStudyPoint> points =
         core::runParallelZooStudy(system, runner);
+    const std::chrono::duration<double, std::milli> study_ms =
+        Clock::now() - start;
 
     TextTable t({ "Model", "Plan", "Devices", "Compute(s)",
                   "SerComm(s)", "DpComm(s)", "CommFrac" });
@@ -102,6 +109,7 @@ main(int argc, char **argv)
 
     report.set("zoo_models", static_cast<double>(points.size()));
     report.set("zoo_max_comm_fraction", max_frac);
+    report.set("zoo_study_ms", study_ms.count());
     report.set("collective_lowering_zero2_wire_ratio", zero2_ratio);
     report.set("collective_lowering_zero3_wire_ratio", zero3_ratio);
     report.set("collective_lowering_pp_p2p_bytes", p2p.bytesOnWire);

@@ -25,10 +25,11 @@
 #                 collected under build-tier1/bench-artifacts/ as the
 #                 perf-trajectory artifact to upload.
 #   5. 3D-parallelism gate — the zoo3d_parallel_sweep bench must emit
-#                 the collective_lowering_* schema keys, `twocs sweep
-#                 --figure 12` under a full `--parallel` plan (flat
-#                 and hierarchical topology) and `--engine event` must
-#                 be byte-identical across --jobs.
+#                 the collective_lowering_* and zoo_study_ms schema
+#                 keys, `twocs sweep --figure 2` (the zoo study),
+#                 `twocs sweep --figure 12` under a full `--parallel`
+#                 plan (flat and hierarchical topology) and `--engine
+#                 event` must be byte-identical across --jobs.
 #   6. loopback serve smoke — `twocs serve --listen` with a 2-deep
 #                 shard queue is saturated over TCP by the
 #                 svc_throughput --connect driver: every request must
@@ -138,6 +139,11 @@ grep -q '"collective_lowering_zero2_wire_ratio"' "${zoo_json}"
 grep -q '"collective_lowering_zero3_wire_ratio"' "${zoo_json}"
 grep -q '"collective_lowering_pp_p2p_bytes"' "${zoo_json}"
 grep -q '"collective_lowering_ar_wire_bytes"' "${zoo_json}"
+grep -q '"zoo_study_ms"' "${zoo_json}"
+
+echo "== tier-1: figure-2 zoo sweep byte-identical across --jobs =="
+f2_one="$("${twocs}" sweep --figure 2 --jobs 1)"
+[ "${f2_one}" = "$("${twocs}" sweep --figure 2 --jobs 4)" ]
 
 echo "== tier-1: batched trial engine byte-identical to replay at any --jobs =="
 cluster_flags="--trials 8 --jitter 0.05 --tp 4"

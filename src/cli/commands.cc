@@ -146,17 +146,17 @@ cmdAnalyze(const Args &args)
         hp = hp.withBatchSize(args.getInt("batch", hp.batchSize));
 
     const model::LayerGraphBuilder graph(hp, par, precisionFrom(args));
-    const profiling::Profile p =
-        sys.profiler().profileIteration(graph);
+    const profiling::RoleTotals p =
+        sys.profiler().iterationTotals(graph);
 
     TextTable t({ "component", "time", "share" });
-    const Seconds total = p.totalTime();
+    const Seconds total = p.total;
     auto row = [&](const char *name, Seconds s) {
         t.addRowOf(name, formatSeconds(s), formatPercent(s / total));
     };
-    row("forward compute", p.timeByRole(model::OpRole::FwdCompute));
-    row("backward compute", p.timeByRole(model::OpRole::BwdCompute));
-    row("optimizer", p.timeByRole(model::OpRole::OptimizerStep));
+    row("forward compute", p.time(model::OpRole::FwdCompute));
+    row("backward compute", p.time(model::OpRole::BwdCompute));
+    row("optimizer", p.time(model::OpRole::OptimizerStep));
     row("serialized comm (TP/EP)", p.serializedCommTime());
     row("DP gradient comm", p.dpCommTime());
     t.print(std::cout);

@@ -99,7 +99,7 @@ AmdahlAnalysis::evaluateDirect(std::int64_t hidden,
 {
     const model::LayerGraphBuilder graph =
         makeGraph(hidden, seq_len, batch, plan);
-    const profiling::Profile prof = profiler_.profileIteration(graph);
+    const profiling::RoleTotals prof = profiler_.iterationTotals(graph);
 
     AmdahlPoint p;
     p.hidden = hidden;

@@ -20,11 +20,11 @@ profilingCostStudy(const SystemConfig &system,
     // One baseline training iteration (TP = 1, single device).
     model::ParallelPlan base_par;
     const model::LayerGraphBuilder base_graph(baseline, base_par);
-    const profiling::Profile base_profile =
-        profiler.profileIteration(base_graph);
+    const profiling::RoleTotals base_totals =
+        profiler.iterationTotals(base_graph);
     result.ledger.recordExecuted("baseline iteration (" + baseline.name +
                                      ")",
-                                 base_profile.totalTime(), repetitions);
+                                 base_totals.total, repetitions);
 
     // The all-reduce calibration sweep (8 payload sizes, 4 GPUs).
     for (Bytes s = 1.0 * 1024 * 1024; s <= 128.0 * 1024 * 1024;
@@ -40,11 +40,11 @@ profilingCostStudy(const SystemConfig &system,
     for (const SerializedConfig &c : serializedConfigs(space)) {
         const model::LayerGraphBuilder graph =
             analysis.makeGraph(c.hidden, c.seqLen, 1, c.tpDegree);
-        const profiling::Profile p = profiler.profileIteration(graph);
+        const profiling::RoleTotals p = profiler.iterationTotals(graph);
         result.ledger.recordAvoided("H=" + std::to_string(c.hidden) +
                                         " SL=" + std::to_string(c.seqLen) +
                                         " TP=" + std::to_string(c.tpDegree),
-                                    p.totalTime(), repetitions);
+                                    p.total, repetitions);
         ++result.configsAvoided;
     }
 
@@ -52,10 +52,10 @@ profilingCostStudy(const SystemConfig &system,
 
     // --- ROI speedup: skip the forward pass for the slack study. ---
     const Seconds fwd =
-        base_profile.timeByRole(model::OpRole::FwdCompute);
+        base_totals.time(model::OpRole::FwdCompute);
     const Seconds bwd =
-        base_profile.timeByRole(model::OpRole::BwdCompute) +
-        base_profile.timeByRole(model::OpRole::OptimizerStep);
+        base_totals.time(model::OpRole::BwdCompute) +
+        base_totals.time(model::OpRole::OptimizerStep);
     result.roiSpeedup = (fwd + bwd) / bwd;
 
     return result;

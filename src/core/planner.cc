@@ -1,6 +1,8 @@
 #include "planner.hh"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "analytic/pipeline.hh"
 #include "profiling/profiler.hh"
@@ -17,6 +19,33 @@ LayoutPlanner::LayoutPlanner(SystemConfig system, model::Hyperparams hp,
     hp_.validate();
 }
 
+LayoutPlanner::LayerCost
+LayoutPlanner::costLayer(int tp, int dp, bool recompute) const
+{
+    model::ParallelPlan par;
+    par.tpDegree = tp;
+    par.dpDegree = dp;
+    const model::LayerGraphBuilder graph(
+        hp_.withCompatibleHeads(tp), par, precision_,
+        /*include_optimizer=*/true, /*fuse_elementwise=*/true,
+        recompute);
+    const profiling::Profile layer =
+        system_.profiler().profileLayer(graph, 0);
+
+    LayerCost cost;
+    cost.time = layer.totalTime();
+    cost.serializedCommTime = layer.serializedCommTime();
+    if (dp > 1) {
+        // The layer profile already holds the backward GEMMs and the
+        // DP all-reduces the slack ROI isolates.
+        const profiling::SlackRoi slack =
+            profiling::layerSlackRoiFromRecords(layer.records());
+        cost.slackDpCommTime = slack.dpCommTime;
+        cost.slackBackpropTime = slack.backpropComputeTime;
+    }
+    return cost;
+}
+
 LayoutCandidate
 LayoutPlanner::evaluate(int tp, int dp, int pp, bool recompute,
                         const PlannerOptions &options) const
@@ -26,7 +55,15 @@ LayoutPlanner::evaluate(int tp, int dp, int pp, bool recompute,
     fatalIf(pp > hp_.numLayers,
             "pipeline stages (", pp, ") exceed layer count (",
             hp_.numLayers, ")");
+    return assemble(tp, dp, pp, recompute,
+                    costLayer(tp, dp, recompute), options);
+}
 
+LayoutCandidate
+LayoutPlanner::assemble(int tp, int dp, int pp, bool recompute,
+                        const LayerCost &layer,
+                        const PlannerOptions &options) const
+{
     LayoutCandidate c;
     c.tpDegree = tp;
     c.dpDegree = dp;
@@ -51,13 +88,7 @@ LayoutPlanner::evaluate(int tp, int dp, int pp, bool recompute,
                          system_.effectiveDevice().memCapacity;
 
     // --- One micro-batch through one stage. ---
-    const profiling::IterationProfiler profiler = system_.profiler();
-    const model::LayerGraphBuilder graph(
-        hp, par, precision_, /*include_optimizer=*/true,
-        /*fuse_elementwise=*/true, recompute);
-    const profiling::Profile layer = profiler.profileLayer(graph, 0);
-    const Seconds stage_micro_time =
-        layer.totalTime() * stage_hp.numLayers;
+    const Seconds stage_micro_time = layer.time * stage_hp.numLayers;
 
     // --- Pipeline fill/drain and p2p hops. ---
     analytic::PipelineConfig pipe;
@@ -69,18 +100,16 @@ LayoutPlanner::evaluate(int tp, int dp, int pp, bool recompute,
     c.iterationTime = analytic::pipelineIterationTime(
         stage_micro_time, pipe, pipe_cost.p2pTimePerTransfer);
 
-    c.serializedCommTime = layer.serializedCommTime() *
+    c.serializedCommTime = layer.serializedCommTime *
                            stage_hp.numLayers * options.microBatches;
 
     // --- DP gradient traffic hidden by backprop slack. ---
     if (dp > 1) {
-        profiling::RoiExtractor roi(profiler);
-        const profiling::SlackRoi slack = roi.layerSlackRoi(graph);
         // Gradients all-reduce once per iteration; the hiding budget
         // is the whole backward pass (all micro-batches).
         const Seconds dp_comm =
-            slack.dpCommTime * stage_hp.numLayers;
-        const Seconds hiding_budget = slack.backpropComputeTime *
+            layer.slackDpCommTime * stage_hp.numLayers;
+        const Seconds hiding_budget = layer.slackBackpropTime *
                                       stage_hp.numLayers *
                                       options.microBatches;
         c.exposedDpCommTime = std::max(0.0, dp_comm - hiding_budget);
@@ -102,6 +131,9 @@ LayoutPlanner::enumerate(const PlannerOptions &options) const
     for (int tp = 1; tp <= options.maxTpDegree; tp *= 2) {
         if (hp_.hidden % tp != 0 || hp_.fcDim % tp != 0)
             continue;
+        // The layer profile does not depend on pp: take it once per
+        // (dp, recompute) and share it across pipeline depths.
+        std::map<std::pair<int, bool>, LayerCost> layers;
         for (int pp = 1; pp <= options.maxPipelineStages; pp *= 2) {
             if (pp > hp_.numLayers)
                 break;
@@ -109,8 +141,13 @@ LayoutPlanner::enumerate(const PlannerOptions &options) const
                  dp *= 2) {
                 for (int rc = 0; rc <= (options.allowRecompute ? 1 : 0);
                      ++rc) {
-                    const LayoutCandidate c =
-                        evaluate(tp, dp, pp, rc != 0, options);
+                    const bool recompute = rc != 0;
+                    const auto [it, fresh] =
+                        layers.try_emplace({ dp, recompute });
+                    if (fresh)
+                        it->second = costLayer(tp, dp, recompute);
+                    const LayoutCandidate c = assemble(
+                        tp, dp, pp, recompute, it->second, options);
                     if (c.fitsInMemory)
                         out.push_back(c);
                 }

@@ -95,6 +95,26 @@ class LayoutPlanner
                              const PlannerOptions &options = {}) const;
 
   private:
+    /** What evaluate() needs from one layer's profile. It depends on
+     *  (tp, dp, recompute) only, so enumerate() shares it across
+     *  every pipeline depth. */
+    struct LayerCost
+    {
+        /** Forward + backward of one layer (serialized view). */
+        Seconds time = 0.0;
+        Seconds serializedCommTime = 0.0;
+        /** DP slack ROI; only set when dp > 1. */
+        Seconds slackDpCommTime = 0.0;
+        Seconds slackBackpropTime = 0.0;
+    };
+
+    LayerCost costLayer(int tp, int dp, bool recompute) const;
+
+    /** evaluate() with the layer profile already taken. */
+    LayoutCandidate assemble(int tp, int dp, int pp, bool recompute,
+                             const LayerCost &layer,
+                             const PlannerOptions &options) const;
+
     SystemConfig system_;
     model::Hyperparams hp_;
     hw::Precision precision_;

@@ -23,8 +23,8 @@ precisionStudy(const SystemConfig &system, std::int64_t hidden,
     points.reserve(precisions.size());
     for (hw::Precision prec : precisions) {
         const model::LayerGraphBuilder graph(hp, par, prec);
-        const profiling::Profile profile =
-            profiler.profileIteration(graph);
+        const profiling::RoleTotals profile =
+            profiler.iterationTotals(graph);
         PrecisionPoint p;
         p.precision = prec;
         p.computeTime = profile.computeTime();

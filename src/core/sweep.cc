@@ -227,8 +227,8 @@ runParallelZooStudy(const SystemConfig &system,
         runner.map(zoo, [&](const model::ParallelZooEntry &e) {
             const model::Hyperparams &hp = model::zooModel(e.model).hp;
             const model::LayerGraphBuilder graph(hp, e.plan);
-            const profiling::Profile prof =
-                profiler.profileIteration(graph);
+            const profiling::RoleTotals prof =
+                profiler.iterationTotals(graph);
 
             ZooStudyPoint p;
             p.model = e.model;

@@ -48,19 +48,6 @@ subLayerName(SubLayer sub)
     panic("unknown sub-layer");
 }
 
-bool
-TrainingOp::isComm() const
-{
-    return role == OpRole::TpAllReduceFwd ||
-           role == OpRole::TpAllReduceBwd ||
-           role == OpRole::DpAllReduce ||
-           role == OpRole::DpReduceScatter ||
-           role == OpRole::DpAllGather ||
-           role == OpRole::ZeroParamAllGather ||
-           role == OpRole::EpAllToAll || role == OpRole::PpSendFwd ||
-           role == OpRole::PpSendBwd;
-}
-
 LayerGraphBuilder::LayerGraphBuilder(Hyperparams hp, ParallelPlan par,
                                      hw::Precision precision,
                                      bool include_optimizer,
@@ -484,39 +471,61 @@ LayerGraphBuilder::backwardLayerOps(int layer, bool final_micro) const
     return ops;
 }
 
-std::vector<TrainingOp>
-LayerGraphBuilder::iterationOps() const
+std::size_t
+IterationShape::opCount() const
+{
+    const std::size_t micro = static_cast<std::size_t>(microBatches);
+    const std::size_t layers = static_cast<std::size_t>(stageLayers);
+    return micro * layers * ops(Part::Forward).size() +
+           (micro - 1) * layers * ops(Part::Backward).size() +
+           layers * ops(Part::FinalBackward).size() +
+           micro * (ops(Part::PpSendFwd).size() +
+                    ops(Part::PpSendBwd).size());
+}
+
+IterationShape
+LayerGraphBuilder::iterationShape() const
 {
     // One device's stream: its pipeline stage's layers, once per
     // micro-batch. With pp == 1 this is the whole model once — the
     // paper's original iteration.
-    const int stage_layers = hp_.numLayers / par_.ppDegree;
-    const bool pipelined = par_.ppDegree > 1;
+    using Part = IterationShape::Part;
+    IterationShape shape;
+    shape.microBatches = par_.microBatches;
+    shape.stageLayers = hp_.numLayers / par_.ppDegree;
+    auto part = [&](Part p) -> std::vector<TrainingOp> & {
+        return shape.parts[static_cast<std::size_t>(p)];
+    };
 
+    part(Part::Forward) = forwardLayerOps(0);
+    if (shape.microBatches > 1)
+        part(Part::Backward) = backwardLayerOps(0, false);
+    part(Part::FinalBackward) = backwardLayerOps(0, true);
+    if (par_.ppDegree > 1) {
+        // Each micro-batch's activations cross to the next stage,
+        // and its input gradient returns upstream.
+        push(part(Part::PpSendFwd),
+             commOp(OpRole::PpSendFwd, SubLayer::FeedForward, 0,
+                    ppBoundaryBytes()));
+        push(part(Part::PpSendBwd),
+             commOp(OpRole::PpSendBwd, SubLayer::Attention, 0,
+                    ppBoundaryBytes()));
+    }
+    return shape;
+}
+
+std::vector<TrainingOp>
+LayerGraphBuilder::iterationOps() const
+{
+    const IterationShape shape = iterationShape();
     std::vector<TrainingOp> ops;
-    for (int micro = 0; micro < par_.microBatches; ++micro) {
-        for (int l = 0; l < stage_layers; ++l) {
-            auto layer_ops = forwardLayerOps(l);
-            ops.insert(ops.end(), layer_ops.begin(), layer_ops.end());
+    ops.reserve(shape.opCount());
+    shape.walk([&](IterationShape::Part part, int layer) {
+        for (const TrainingOp &op : shape.ops(part)) {
+            ops.push_back(op);
+            ops.back().layerIndex = layer;
         }
-        if (pipelined) {
-            // The micro-batch's activations cross to the next stage.
-            push(ops, commOp(OpRole::PpSendFwd, SubLayer::FeedForward,
-                             stage_layers - 1, ppBoundaryBytes()));
-        }
-    }
-    for (int micro = 0; micro < par_.microBatches; ++micro) {
-        const bool final_micro = micro == par_.microBatches - 1;
-        for (int l = stage_layers - 1; l >= 0; --l) {
-            auto layer_ops = backwardLayerOps(l, final_micro);
-            ops.insert(ops.end(), layer_ops.begin(), layer_ops.end());
-        }
-        if (pipelined) {
-            // The micro-batch's input gradient returns upstream.
-            push(ops, commOp(OpRole::PpSendBwd, SubLayer::Attention, 0,
-                             ppBoundaryBytes()));
-        }
-    }
+    });
     return ops;
 }
 

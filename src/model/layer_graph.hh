@@ -20,7 +20,11 @@
 #ifndef TWOCS_MODEL_LAYER_GRAPH_HH
 #define TWOCS_MODEL_LAYER_GRAPH_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/kernels.hh"
@@ -57,6 +61,47 @@ enum class OpRole
 
 std::string opRoleName(OpRole role);
 
+/** Number of OpRole values (OptimizerStep stays the last one). */
+inline constexpr std::size_t numOpRoles =
+    static_cast<std::size_t>(OpRole::OptimizerStep) + 1;
+
+/** Dense index of a role, for per-role arrays. */
+constexpr std::size_t
+roleIndex(OpRole role)
+{
+    return static_cast<std::size_t>(role);
+}
+
+/** The role groups every time breakdown reports, each listed in the
+ *  order its per-role sums are added. Compute: kernels on the
+ *  critical path. */
+inline constexpr std::array<OpRole, 3> computeRoles = {
+    OpRole::FwdCompute, OpRole::BwdCompute, OpRole::OptimizerStep
+};
+
+/** Serialized communication: TP all-reduces, MoE all-to-alls,
+ *  pipeline boundary sends and ZeRO-3 parameter all-gathers all sit
+ *  on the critical path (Sections 2.3.3 and 6.1.1, plus the
+ *  3D-parallelism lowering). */
+inline constexpr std::array<OpRole, 6> serializedCommRoles = {
+    OpRole::TpAllReduceFwd, OpRole::TpAllReduceBwd, OpRole::EpAllToAll,
+    OpRole::PpSendFwd,      OpRole::PpSendBwd,
+    OpRole::ZeroParamAllGather
+};
+
+/** Overlappable DP gradient communication. */
+inline constexpr std::array<OpRole, 3> dpCommRoles = {
+    OpRole::DpAllReduce, OpRole::DpReduceScatter, OpRole::DpAllGather
+};
+
+/** Every role outside computeRoles is a collective or a send. */
+constexpr bool
+isCommRole(OpRole role)
+{
+    return std::find(computeRoles.begin(), computeRoles.end(), role) ==
+           computeRoles.end();
+}
+
 /** Which sub-layer an operator belongs to. */
 enum class SubLayer
 {
@@ -79,16 +124,101 @@ struct TrainingOp
     /** Collective payload bytes; valid for all-reduce roles. */
     Bytes commBytes = 0.0;
 
-    bool isComm() const;
+    bool isComm() const { return isCommRole(role); }
     bool isCompute() const { return !isComm(); }
 
     /** Only DP gradient collectives (all-reduce, or the ZeRO
      *  reduce-scatter + all-gather pair) may overlap compute. */
     bool overlappable() const
     {
-        return role == OpRole::DpAllReduce ||
-               role == OpRole::DpReduceScatter ||
-               role == OpRole::DpAllGather;
+        return std::find(dpCommRoles.begin(), dpCommRoles.end(),
+                         role) != dpCommRoles.end();
+    }
+};
+
+/**
+ * The periodic structure of one device's training iteration. Every
+ * layer of a pipeline stage emits the same operators, so the stream
+ * is a few layer-0 templates, each repeated with its own layer
+ * index:
+ *   - per micro-batch, the forward template once per stage layer
+ *     (ascending), then the PpSendFwd part;
+ *   - per micro-batch, the backward template once per stage layer
+ *     (descending; the last micro-batch uses the final form, which
+ *     carries the DP collectives and the optimizer step), then the
+ *     PpSendBwd part.
+ * walk() is the one definition of that order: iterationOps() expands
+ * it into ops, and the profiler and the operator model cost each
+ * template once and fold along it.
+ */
+struct IterationShape
+{
+    /** Which template a stretch of the stream repeats. */
+    enum class Part
+    {
+        Forward,
+        Backward,      //!< gradient-accumulation form (not the last micro)
+        FinalBackward, //!< last micro-batch: DP collectives + optimizer
+        PpSendFwd,     //!< one op per micro-batch; empty when pp == 1
+        PpSendBwd,     //!< one op per micro-batch; empty when pp == 1
+    };
+    static constexpr std::size_t numParts = 5;
+
+    /** Layer-0 templates, indexed by Part. */
+    std::array<std::vector<TrainingOp>, numParts> parts;
+    int microBatches = 1;
+    int stageLayers = 1;
+
+    const std::vector<TrainingOp> &ops(Part part) const
+    {
+        return parts[static_cast<std::size_t>(part)];
+    }
+
+    /** Ops in the expanded stream. */
+    std::size_t opCount() const;
+
+    /** Call visit(part, layer_index) once per template repetition,
+     *  in issue order. */
+    template <typename Visit>
+    void walk(Visit &&visit) const
+    {
+        for (int micro = 0; micro < microBatches; ++micro) {
+            for (int l = 0; l < stageLayers; ++l)
+                visit(Part::Forward, l);
+            visit(Part::PpSendFwd, stageLayers - 1);
+        }
+        for (int micro = 0; micro < microBatches; ++micro) {
+            const Part bwd = micro == microBatches - 1
+                                 ? Part::FinalBackward
+                                 : Part::Backward;
+            for (int l = stageLayers - 1; l >= 0; --l)
+                visit(bwd, l);
+            visit(Part::PpSendBwd, 0);
+        }
+    }
+
+    /**
+     * Cost every template op once with cost(op), then call
+     * sink(role, seconds) for every op of the expanded stream in
+     * issue order. Costs do not depend on the layer index, so any
+     * fold in `sink` matches the same fold over costed
+     * iterationOps() bit for bit.
+     */
+    template <typename Cost, typename Sink>
+    void foldCosts(Cost &&cost, Sink &&sink) const
+    {
+        std::array<std::vector<std::pair<OpRole, Seconds>>, numParts>
+            costed;
+        for (std::size_t p = 0; p < numParts; ++p) {
+            costed[p].reserve(parts[p].size());
+            for (const TrainingOp &op : parts[p])
+                costed[p].emplace_back(op.role, cost(op));
+        }
+        walk([&](Part part, int) {
+            for (const auto &[role, t] :
+                 costed[static_cast<std::size_t>(part)])
+                sink(role, t);
+        });
     }
 };
 
@@ -145,6 +275,10 @@ class LayerGraphBuilder
      * paper's original all-layer stream.
      */
     std::vector<TrainingOp> iterationOps() const;
+
+    /** The periodic shape iterationOps() expands: layer-0 templates
+     *  plus the micro-batch and stage-layer repeat counts. */
+    IterationShape iterationShape() const;
 
     /**
      * Forward-only operator stream over all layers: the inference

@@ -1,5 +1,7 @@
 #include "operator_model.hh"
 
+#include <array>
+
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -168,33 +170,23 @@ OperatorScalingModel::projectIteration(
     const model::LayerGraphBuilder &target) const
 {
     ProjectedBreakdown pb;
-    for (const model::TrainingOp &op : target.iterationOps()) {
-        const Seconds t = projectOp(op);
-        switch (op.role) {
-          case model::OpRole::FwdCompute:
-            pb.fwdCompute += t;
-            break;
-          case model::OpRole::BwdCompute:
-            pb.bwdCompute += t;
-            break;
-          case model::OpRole::OptimizerStep:
-            pb.optimizer += t;
-            break;
-          case model::OpRole::TpAllReduceFwd:
-          case model::OpRole::TpAllReduceBwd:
-          case model::OpRole::EpAllToAll:
-          case model::OpRole::PpSendFwd:
-          case model::OpRole::PpSendBwd:
-          case model::OpRole::ZeroParamAllGather:
-            pb.serializedComm += t;
-            break;
-          case model::OpRole::DpAllReduce:
-          case model::OpRole::DpReduceScatter:
-          case model::OpRole::DpAllGather:
-            pb.dpComm += t;
-            break;
-        }
-    }
+    std::array<Seconds *, model::numOpRoles> bucket{};
+    bucket[model::roleIndex(model::OpRole::FwdCompute)] = &pb.fwdCompute;
+    bucket[model::roleIndex(model::OpRole::BwdCompute)] = &pb.bwdCompute;
+    bucket[model::roleIndex(model::OpRole::OptimizerStep)] =
+        &pb.optimizer;
+    for (model::OpRole role : model::serializedCommRoles)
+        bucket[model::roleIndex(role)] = &pb.serializedComm;
+    for (model::OpRole role : model::dpCommRoles)
+        bucket[model::roleIndex(role)] = &pb.dpComm;
+
+    // Each bucket sums its ops in issue order, as a fold over
+    // projectOp() of every iterationOps() entry would.
+    target.iterationShape().foldCosts(
+        [&](const model::TrainingOp &op) { return projectOp(op); },
+        [&](model::OpRole role, Seconds t) {
+            *bucket[model::roleIndex(role)] += t;
+        });
     return pb;
 }
 

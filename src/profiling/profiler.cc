@@ -4,20 +4,6 @@
 
 namespace twocs::profiling {
 
-bool
-ProfileRecord::isComm() const
-{
-    return role == model::OpRole::TpAllReduceFwd ||
-           role == model::OpRole::TpAllReduceBwd ||
-           role == model::OpRole::DpAllReduce ||
-           role == model::OpRole::DpReduceScatter ||
-           role == model::OpRole::DpAllGather ||
-           role == model::OpRole::ZeroParamAllGather ||
-           role == model::OpRole::EpAllToAll ||
-           role == model::OpRole::PpSendFwd ||
-           role == model::OpRole::PpSendBwd;
-}
-
 comm::CollectiveDesc
 collectiveDescFor(const model::TrainingOp &op,
                   const model::ParallelPlan &par)
@@ -63,60 +49,42 @@ collectiveDescFor(const model::TrainingOp &op,
     return desc;
 }
 
+namespace {
+
+Seconds
+sumRoles(const RoleTotals &totals, const auto &roles)
+{
+    Seconds t = 0.0;
+    for (model::OpRole role : roles)
+        t += totals.time(role);
+    return t;
+}
+
+} // namespace
+
+Seconds
+RoleTotals::computeTime() const
+{
+    return sumRoles(*this, model::computeRoles);
+}
+
+Seconds
+RoleTotals::serializedCommTime() const
+{
+    return sumRoles(*this, model::serializedCommRoles);
+}
+
+Seconds
+RoleTotals::dpCommTime() const
+{
+    return sumRoles(*this, model::dpCommRoles);
+}
+
 void
 Profile::add(ProfileRecord record)
 {
+    totals_.add(record.role, record.duration);
     records_.push_back(std::move(record));
-}
-
-Seconds
-Profile::totalTime() const
-{
-    Seconds t = 0.0;
-    for (const auto &r : records_)
-        t += r.duration;
-    return t;
-}
-
-Seconds
-Profile::timeByRole(model::OpRole role) const
-{
-    Seconds t = 0.0;
-    for (const auto &r : records_) {
-        if (r.role == role)
-            t += r.duration;
-    }
-    return t;
-}
-
-Seconds
-Profile::computeTime() const
-{
-    return timeByRole(model::OpRole::FwdCompute) +
-           timeByRole(model::OpRole::BwdCompute) +
-           timeByRole(model::OpRole::OptimizerStep);
-}
-
-Seconds
-Profile::serializedCommTime() const
-{
-    // TP all-reduces, MoE all-to-alls, pipeline boundary sends and
-    // ZeRO-3 parameter all-gathers all sit on the critical path
-    // (Sections 2.3.3 and 6.1.1, plus the 3D-parallelism lowering).
-    return timeByRole(model::OpRole::TpAllReduceFwd) +
-           timeByRole(model::OpRole::TpAllReduceBwd) +
-           timeByRole(model::OpRole::EpAllToAll) +
-           timeByRole(model::OpRole::PpSendFwd) +
-           timeByRole(model::OpRole::PpSendBwd) +
-           timeByRole(model::OpRole::ZeroParamAllGather);
-}
-
-Seconds
-Profile::dpCommTime() const
-{
-    return timeByRole(model::OpRole::DpAllReduce) +
-           timeByRole(model::OpRole::DpReduceScatter) +
-           timeByRole(model::OpRole::DpAllGather);
 }
 
 std::vector<ProfileRecord>
@@ -147,6 +115,15 @@ IterationProfiler::IterationProfiler(hw::KernelCostModel kernel_model,
 {
 }
 
+Seconds
+IterationProfiler::opDuration(const model::TrainingOp &op,
+                              const model::ParallelPlan &par) const
+{
+    return op.isComm() ? collectiveModel_.cost(collectiveDescFor(op, par))
+                             .total
+                       : kernelModel_.cost(op.kernel);
+}
+
 ProfileRecord
 IterationProfiler::profileOp(const model::TrainingOp &op,
                              const model::ParallelPlan &par) const
@@ -156,15 +133,12 @@ IterationProfiler::profileOp(const model::TrainingOp &op,
     r.role = op.role;
     r.subLayer = op.subLayer;
     r.layerIndex = op.layerIndex;
+    r.duration = opDuration(op, par);
 
     if (op.isComm()) {
-        const comm::CollectiveCost c =
-            collectiveModel_.cost(collectiveDescFor(op, par));
-        r.duration = c.total;
         r.bytes = op.commBytes;
         r.elems = 0;
     } else {
-        r.duration = kernelModel_.cost(op.kernel);
         r.flops = op.kernel.flops();
         r.bytes = op.kernel.bytes();
         r.kernelKind = op.kernel.kind;
@@ -189,6 +163,18 @@ IterationProfiler::profileIteration(
     const model::LayerGraphBuilder &graph) const
 {
     return profileOps(graph.iterationOps(), graph.parallel());
+}
+
+RoleTotals
+IterationProfiler::iterationTotals(
+    const model::LayerGraphBuilder &graph) const
+{
+    const model::ParallelPlan &par = graph.parallel();
+    RoleTotals totals;
+    graph.iterationShape().foldCosts(
+        [&](const model::TrainingOp &op) { return opDuration(op, par); },
+        [&](model::OpRole role, Seconds t) { totals.add(role, t); });
+    return totals;
 }
 
 Profile

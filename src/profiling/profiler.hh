@@ -15,6 +15,7 @@
 #ifndef TWOCS_PROFILING_PROFILER_HH
 #define TWOCS_PROFILING_PROFILER_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,7 @@ struct ProfileRecord
     hw::GemmDims gemm;
     std::int64_t elems = 0;
 
-    bool isComm() const;
+    bool isComm() const { return model::isCommRole(role); }
 };
 
 /**
@@ -53,6 +54,37 @@ struct ProfileRecord
  */
 comm::CollectiveDesc collectiveDescFor(const model::TrainingOp &op,
                                        const model::ParallelPlan &par);
+
+/**
+ * Per-role time sums plus the running total, each accumulated in
+ * issue order. The group sums add their per-role sums in the order
+ * of model::computeRoles / serializedCommRoles / dpCommRoles, so a
+ * Profile and IterationProfiler::iterationTotals() agree bit for bit.
+ */
+struct RoleTotals
+{
+    std::array<Seconds, model::numOpRoles> byRole{};
+    /** Sum of every duration (serialized execution time). */
+    Seconds total = 0.0;
+
+    void add(model::OpRole role, Seconds duration)
+    {
+        byRole[model::roleIndex(role)] += duration;
+        total += duration;
+    }
+
+    Seconds time(model::OpRole role) const
+    {
+        return byRole[model::roleIndex(role)];
+    }
+
+    /** Sum over the compute roles (fwd + bwd + optimizer). */
+    Seconds computeTime() const;
+    /** Sum over the serialized communication roles. */
+    Seconds serializedCommTime() const;
+    /** Sum over the overlappable DP gradient roles. */
+    Seconds dpCommTime() const;
+};
 
 /** A recorded execution (an iteration, a layer, or an ROI). */
 class Profile
@@ -68,19 +100,20 @@ class Profile
     std::size_t size() const { return records_.size(); }
 
     /** Sum of all record durations (serialized execution time). */
-    Seconds totalTime() const;
+    Seconds totalTime() const { return totals_.total; }
 
     /** Sum of durations for records with the given role. */
-    Seconds timeByRole(model::OpRole role) const;
+    Seconds timeByRole(model::OpRole role) const
+    {
+        return totals_.time(role);
+    }
 
-    /** Sum over the compute roles (fwd + bwd + optimizer). */
-    Seconds computeTime() const;
-
-    /** Sum over the serialized TP all-reduce roles. */
-    Seconds serializedCommTime() const;
-
-    /** Sum over the overlappable DP all-reduce role. */
-    Seconds dpCommTime() const;
+    Seconds computeTime() const { return totals_.computeTime(); }
+    Seconds serializedCommTime() const
+    {
+        return totals_.serializedCommTime();
+    }
+    Seconds dpCommTime() const { return totals_.dpCommTime(); }
 
     /** All records with a given label, in issue order. */
     std::vector<ProfileRecord> byLabel(const std::string &label) const;
@@ -91,6 +124,7 @@ class Profile
 
   private:
     std::vector<ProfileRecord> records_;
+    RoleTotals totals_;
 };
 
 /** Runs operator streams against the simulated hardware. */
@@ -120,11 +154,22 @@ class IterationProfiler
     /** Profile a full training iteration of the model. */
     Profile profileIteration(const model::LayerGraphBuilder &graph) const;
 
+    /**
+     * The role sums of profileIteration(graph), bit for bit, without
+     * materialising the stream: costs each op of the iteration's
+     * layer templates once and folds along the periodic shape.
+     */
+    RoleTotals iterationTotals(const model::LayerGraphBuilder &graph) const;
+
     /** Profile only one layer's forward + backward (cheap baseline). */
     Profile profileLayer(const model::LayerGraphBuilder &graph,
                          int layer_index) const;
 
   private:
+    /** Duration of one operator, as profileOp() records it. */
+    Seconds opDuration(const model::TrainingOp &op,
+                       const model::ParallelPlan &par) const;
+
     hw::KernelCostModel kernelModel_;
     comm::CollectiveModel collectiveModel_;
 };

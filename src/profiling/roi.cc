@@ -25,30 +25,27 @@ RoiExtractor::RoiExtractor(IterationProfiler profiler)
 {
 }
 
-SlackRoi
-RoiExtractor::slackRoi(const model::LayerGraphBuilder &graph,
-                       model::SubLayer sub, int layer_index) const
-{
-    const model::ParallelPlan &par = graph.parallel();
-    fatalIf(par.dpDegree < 2,
-            "slack ROI needs a data-parallel setup (dpDegree >= 2)");
+namespace {
 
+/** One sub-layer's share of layerSlackRoiFromRecords(). */
+SlackRoi
+slackRoiFromRecords(const std::vector<ProfileRecord> &records,
+                    model::SubLayer sub)
+{
     SlackRoi roi;
-    for (const model::TrainingOp &op :
-         graph.backwardLayerOps(layer_index)) {
-        if (op.subLayer != sub)
+    for (const ProfileRecord &r : records) {
+        if (r.subLayer != sub)
             continue;
-        if (op.role == model::OpRole::BwdCompute &&
-            op.kernel.kind == hw::KernelKind::Gemm) {
+        if (r.role == model::OpRole::BwdCompute &&
+            r.kernelKind == hw::KernelKind::Gemm) {
             // The paper's slack ROI pairs the weight-gradient (WG)
             // and error (IG) GEMMs against the gradient all-reduce
             // (Section 3.4, Eq. 7); non-GEMM backward kernels are
             // not part of the extracted region.
-            roi.backpropComputeTime +=
-                profiler_.profileOp(op, par).duration;
-        } else if (op.role == model::OpRole::DpAllReduce) {
-            roi.dpCommTime += profiler_.profileOp(op, par).duration;
-            roi.gradientBytes += op.commBytes;
+            roi.backpropComputeTime += r.duration;
+        } else if (r.role == model::OpRole::DpAllReduce) {
+            roi.dpCommTime += r.duration;
+            roi.gradientBytes += r.bytes;
         }
     }
     fatalIf(roi.gradientBytes <= 0.0,
@@ -56,14 +53,36 @@ RoiExtractor::slackRoi(const model::LayerGraphBuilder &graph,
     return roi;
 }
 
+/** Cost only the ops of a layer's backward pass that some slack ROI
+ *  reads: backward GEMMs and DP gradient all-reduces. */
+std::vector<ProfileRecord>
+slackRecords(const IterationProfiler &profiler,
+             const model::LayerGraphBuilder &graph, int layer_index)
+{
+    const model::ParallelPlan &par = graph.parallel();
+    fatalIf(par.dpDegree < 2,
+            "slack ROI needs a data-parallel setup (dpDegree >= 2)");
+
+    std::vector<ProfileRecord> records;
+    for (const model::TrainingOp &op :
+         graph.backwardLayerOps(layer_index)) {
+        if ((op.role == model::OpRole::BwdCompute &&
+             op.kernel.kind == hw::KernelKind::Gemm) ||
+            op.role == model::OpRole::DpAllReduce)
+            records.push_back(profiler.profileOp(op, par));
+    }
+    return records;
+}
+
+} // namespace
+
 SlackRoi
-RoiExtractor::layerSlackRoi(const model::LayerGraphBuilder &graph,
-                            int layer_index) const
+layerSlackRoiFromRecords(const std::vector<ProfileRecord> &records)
 {
     const SlackRoi attn =
-        slackRoi(graph, model::SubLayer::Attention, layer_index);
+        slackRoiFromRecords(records, model::SubLayer::Attention);
     const SlackRoi fc =
-        slackRoi(graph, model::SubLayer::FeedForward, layer_index);
+        slackRoiFromRecords(records, model::SubLayer::FeedForward);
 
     SlackRoi sum;
     sum.backpropComputeTime =
@@ -71,6 +90,22 @@ RoiExtractor::layerSlackRoi(const model::LayerGraphBuilder &graph,
     sum.dpCommTime = attn.dpCommTime + fc.dpCommTime;
     sum.gradientBytes = attn.gradientBytes + fc.gradientBytes;
     return sum;
+}
+
+SlackRoi
+RoiExtractor::slackRoi(const model::LayerGraphBuilder &graph,
+                       model::SubLayer sub, int layer_index) const
+{
+    return slackRoiFromRecords(
+        slackRecords(profiler_, graph, layer_index), sub);
+}
+
+SlackRoi
+RoiExtractor::layerSlackRoi(const model::LayerGraphBuilder &graph,
+                            int layer_index) const
+{
+    return layerSlackRoiFromRecords(
+        slackRecords(profiler_, graph, layer_index));
 }
 
 } // namespace twocs::profiling

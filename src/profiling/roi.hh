@@ -33,6 +33,17 @@ struct SlackRoi
     Seconds remainingSlack() const;
 };
 
+/**
+ * A layer's slack ROI folded from already-costed records: per
+ * sub-layer (attention, then feed-forward), its backward GEMMs
+ * against its DP gradient all-reduces, in record order. Forward
+ * records never match, so a profileLayer() profile of the layer gives
+ * exactly RoiExtractor::layerSlackRoi(). fatal() when a sub-layer
+ * has no DP all-reduce.
+ */
+SlackRoi layerSlackRoiFromRecords(
+    const std::vector<ProfileRecord> &records);
+
 /** Extracts and profiles ROIs on the simulated hardware. */
 class RoiExtractor
 {

@@ -236,8 +236,8 @@ QueryService::evaluate(const Query &query, const SystemEntry &entry)
         query.plan.validate(hp);
         const model::LayerGraphBuilder graph(
             hp, query.plan, precisionFromName(query.precision));
-        const profiling::Profile p =
-            entry.system.profiler().profileIteration(graph);
+        const profiling::RoleTotals p =
+            entry.system.profiler().iterationTotals(graph);
         std::string out = "\"status\":\"ok\",\"kind\":\"analyze\"";
         out += field("model", query.model);
         out += field("tp", std::int64_t{ query.tpDegree });
@@ -245,15 +245,15 @@ QueryService::evaluate(const Query &query, const SystemEntry &entry)
         if (planBeyondTpDp(query.plan))
             out += field("parallel", query.plan.summary());
         out += field("fwd_compute_seconds",
-                     p.timeByRole(model::OpRole::FwdCompute));
+                     p.time(model::OpRole::FwdCompute));
         out += field("bwd_compute_seconds",
-                     p.timeByRole(model::OpRole::BwdCompute));
+                     p.time(model::OpRole::BwdCompute));
         out += field("optimizer_seconds",
-                     p.timeByRole(model::OpRole::OptimizerStep));
+                     p.time(model::OpRole::OptimizerStep));
         out += field("serialized_comm_seconds",
                      p.serializedCommTime());
         out += field("dp_comm_seconds", p.dpCommTime());
-        out += field("iteration_seconds", p.totalTime());
+        out += field("iteration_seconds", p.total);
         return out;
       }
       case QueryKind::Memory: {
