@@ -11,35 +11,33 @@
  * from the config, so output is byte-identical for any jobs count.
  *
  * With `--bench-json FILE` the binary instead times the Monte Carlo
- * trial engines against each other — TrialEngine::Rebuild (graph
- * construction per trial) vs the default compiled-template replay —
- * verifies they agree bit for bit, and emits the regression
- * harness's trials/sec numbers.
+ * trial loop (ClusterSim::runTrials: compile once, replay per trial)
+ * against one from-scratch ClusterSim::run() per trial, verifies
+ * they agree bit for bit, and emits the regression harness's
+ * trials/sec numbers.
  */
 
 #include <chrono>
 
 #include "bench_common.hh"
 #include "core/cluster_sim.hh"
-#include "sim/graph.hh"
+#include "util/rng.hh"
 
 using namespace twocs;
 
 namespace {
 
-/** Trials/sec of one engine over `num_trials` jittered trials. */
+/** Best-of-three trials/sec of `trials` (a callable running
+ *  `num_trials` trials and returning their summary). */
+template <typename Trials>
 double
-measureTrialsPerSec(const core::ClusterSim &sim,
-                    const core::ClusterSimConfig &cfg, int num_trials,
-                    const exec::RunnerOptions &runner,
-                    core::TrialEngine engine, int lane_width = 8)
+measureTrialsPerSec(int num_trials, Trials &&trials)
 {
     using Clock = std::chrono::steady_clock;
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         const auto start = Clock::now();
-        const core::ClusterTrialSummary summary = sim.runTrials(
-            cfg, num_trials, runner, engine, lane_width);
+        const core::ClusterTrialSummary summary = trials();
         const std::chrono::duration<double> elapsed =
             Clock::now() - start;
         (void)summary;
@@ -48,98 +46,30 @@ measureTrialsPerSec(const core::ClusterSim &sim,
     return best;
 }
 
-/**
- * Replay-stage speedup: replayBatch vs one replay() per trial over
- * the same pre-generated duration vectors, so the measured section
- * is exactly the graph walk both ways — the primitive the batched
- * engine contributes. Also verifies the two walks agree bit for bit
- * on every lane's makespan. Returns batched-rate / sequential-rate
- * and sets `identical`.
- */
-double
-measureReplayStageSpeedup(const sim::GraphTemplate &graph,
-                          int num_trials, int lane_width,
-                          bool &identical)
+/** One from-scratch run() per trial, seeded and aggregated like
+ *  runTrials() and mapped over the same runner — the rebuild
+ *  baseline the compiled replay is measured against. */
+core::ClusterTrialSummary
+rebuildPerTrial(const core::ClusterSim &sim,
+                const core::ClusterSimConfig &cfg, int num_trials,
+                const exec::RunnerOptions &runner)
 {
-    using Clock = std::chrono::steady_clock;
-    const std::size_t n = graph.numTasks();
-    const std::size_t lanes = static_cast<std::size_t>(lane_width);
-    const std::vector<Seconds> &base = graph.baseDurations();
-
-    // Deterministic per-trial duration scaling, generated up front —
-    // the timed sections below are exactly the two graph walks.
-    const auto duration = [&](int trial, std::size_t task) {
-        return base[task] * (1.0 + 0.01 * static_cast<double>(trial));
-    };
-    std::vector<std::vector<Seconds>> trial_durations(
-        static_cast<std::size_t>(num_trials));
-    for (int t = 0; t < num_trials; ++t) {
-        trial_durations[static_cast<std::size_t>(t)].resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            trial_durations[static_cast<std::size_t>(t)][i] =
-                duration(t, i);
+    std::vector<core::ClusterSimConfig> trials(
+        static_cast<std::size_t>(num_trials), cfg);
+    for (int i = 0; i < num_trials; ++i)
+        trials[static_cast<std::size_t>(i)].seed =
+            splitmixSeed(cfg.seed, static_cast<std::uint64_t>(i));
+    core::ClusterTrialSummary summary;
+    summary.trials = exec::ParallelSweepRunner(runner).map(
+        trials,
+        [&](const core::ClusterSimConfig &c) { return sim.run(c); });
+    for (const core::ClusterSimResult &r : summary.trials) {
+        summary.meanIterationTime += r.iterationTime;
+        summary.worstIterationTime =
+            std::max(summary.worstIterationTime, r.iterationTime);
     }
-    struct SoaBlock
-    {
-        std::size_t first = 0;
-        std::size_t lanes = 0;
-        std::vector<Seconds> soa;
-    };
-    std::vector<SoaBlock> blocks;
-    for (int first = 0; first < num_trials; first += lane_width) {
-        SoaBlock block;
-        block.first = static_cast<std::size_t>(first);
-        block.lanes = std::min(
-            lanes, static_cast<std::size_t>(num_trials - first));
-        block.soa.resize(n * block.lanes);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t l = 0; l < block.lanes; ++l)
-                block.soa[i * block.lanes + l] =
-                    duration(first + static_cast<int>(l), i);
-        }
-        blocks.push_back(std::move(block));
-    }
-
-    sim::ReplayScratch scratch;
-    scratch.bind(graph);
-    double seq_best = 0.0;
-    std::vector<Seconds> seq_makespans(
-        static_cast<std::size_t>(num_trials));
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto start = Clock::now();
-        for (int t = 0; t < num_trials; ++t) {
-            sim::replay(
-                graph,
-                trial_durations[static_cast<std::size_t>(t)],
-                scratch);
-            seq_makespans[static_cast<std::size_t>(t)] =
-                scratch.makespan();
-        }
-        const std::chrono::duration<double> elapsed =
-            Clock::now() - start;
-        seq_best = std::max(seq_best, num_trials / elapsed.count());
-    }
-
-    sim::BatchScratch batch;
-    double batch_best = 0.0;
-    identical = true;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto start = Clock::now();
-        for (const SoaBlock &block : blocks) {
-            batch.bind(graph, block.lanes);
-            sim::replayBatch(graph, block.soa, block.lanes, batch);
-            for (std::size_t l = 0; l < block.lanes; ++l) {
-                identical = identical &&
-                            batch.makespan(l) ==
-                                seq_makespans[block.first + l];
-            }
-        }
-        const std::chrono::duration<double> elapsed =
-            Clock::now() - start;
-        batch_best =
-            std::max(batch_best, num_trials / elapsed.count());
-    }
-    return batch_best / seq_best;
+    summary.meanIterationTime /= static_cast<double>(num_trials);
+    return summary;
 }
 
 /** Whether two trial summaries agree bit for bit. */
@@ -173,62 +103,30 @@ benchJsonMain(const std::string &json_path,
     cfg.computeJitter = 0.05;
     const int num_trials = 32;
 
-    const core::ClusterTrialSummary rebuilt = sim.runTrials(
-        cfg, num_trials, runner, core::TrialEngine::Rebuild);
-    const core::ClusterTrialSummary replayed = sim.runTrials(
-        cfg, num_trials, runner, core::TrialEngine::CompiledReplay);
-    // Odd lane width on purpose: the last block is a partial lane.
-    const core::ClusterTrialSummary batched = sim.runTrials(
-        cfg, num_trials, runner, core::TrialEngine::BatchedReplay, 5);
+    const core::ClusterTrialSummary rebuilt =
+        rebuildPerTrial(sim, cfg, num_trials, runner);
+    const core::ClusterTrialSummary replayed =
+        sim.runTrials(cfg, num_trials, runner);
     const bool identical = summariesIdentical(rebuilt, replayed);
-    bench::checkClaim("compiled replay reproduces the rebuild "
-                      "engine bit for bit",
+    bench::checkClaim("compiled replay reproduces one rebuilt run() "
+                      "per trial bit for bit",
                       identical);
-    const bool batch_identical =
-        summariesIdentical(replayed, batched);
-    bench::checkClaim("batched SoA replay reproduces the sequential "
-                      "engines bit for bit",
-                      batch_identical);
 
     bench::BenchJson json("cluster_jitter", json_path);
-    const double rebuild_rate =
-        measureTrialsPerSec(sim, cfg, num_trials, runner,
-                            core::TrialEngine::Rebuild);
-    const double replay_rate =
-        measureTrialsPerSec(sim, cfg, num_trials, runner,
-                            core::TrialEngine::CompiledReplay);
-    const double batched_rate =
-        measureTrialsPerSec(sim, cfg, num_trials, runner,
-                            core::TrialEngine::BatchedReplay, 8);
-
-    // The replay-stage comparison isolates replayBatch vs per-trial
-    // replay(); the end-to-end engine rates above also carry each
-    // trial's jitter draws, which both engines pay identically.
-    const std::shared_ptr<const sim::GraphTemplate> graph =
-        sim.compileIteration(cfg);
-    bool stage_identical = false;
-    const double stage_speedup = measureReplayStageSpeedup(
-        *graph, 128, 16, stage_identical);
-    bench::checkClaim("replayBatch reproduces per-trial replay() bit "
-                      "for bit on the replay stage",
-                      stage_identical);
+    const double rebuild_rate = measureTrialsPerSec(num_trials, [&] {
+        return rebuildPerTrial(sim, cfg, num_trials, runner);
+    });
+    const double replay_rate = measureTrialsPerSec(num_trials, [&] {
+        return sim.runTrials(cfg, num_trials, runner);
+    });
 
     std::printf("Monte Carlo trials: %.0f/sec rebuilt, %.0f/sec "
-                "replayed (%.1fx), %.0f/sec batched end-to-end "
-                "(%.2fx over replay); replay stage alone %.1fx "
-                "batched over sequential\n",
+                "replayed (%.1fx)\n",
                 rebuild_rate, replay_rate,
-                replay_rate / rebuild_rate, batched_rate,
-                batched_rate / replay_rate, stage_speedup);
+                replay_rate / rebuild_rate);
     json.set("trials_per_sec_rebuild", rebuild_rate);
     json.set("trials_per_sec_replay", replay_rate);
-    json.set("trials_per_sec_batched", batched_rate);
-    json.set("batch_speedup", stage_speedup);
-    json.set("batch_engine_speedup", batched_rate / replay_rate);
-    return json.write() && identical && batch_identical &&
-                   stage_identical
-               ? 0
-               : 1;
+    return json.write() && identical ? 0 : 1;
 }
 
 } // namespace

@@ -9,10 +9,9 @@
  * idle".
  *
  * With `--bench-json FILE` the binary instead times the ring
- * engines against each other — RingSimEngine::Rebuild (graph built
- * per call) vs the default per-P compiled-template replay —
- * verifies they agree bit for bit, and emits the regression
- * harness's sims/sec numbers.
+ * simulation (one compiled-template replay per arrival vector) and
+ * emits the regression harness's sims/sec number. Its bit-identity
+ * against a from-scratch ring build is gated in the ring tests.
  */
 
 #include <chrono>
@@ -25,29 +24,6 @@
 using namespace twocs;
 
 namespace {
-
-/** Ring simulations/sec for one engine over rotating arrivals. */
-double
-measureSimsPerSec(const hw::Topology &topo, Bytes payload,
-                  const std::vector<std::vector<Seconds>> &arrivals,
-                  comm::RingSimEngine engine)
-{
-    using Clock = std::chrono::steady_clock;
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto start = Clock::now();
-        for (const std::vector<Seconds> &a : arrivals) {
-            const comm::RingSimResult r = comm::simulateRingCollective(topo, payload, a, { {}, engine });
-            (void)r;
-        }
-        const std::chrono::duration<double> elapsed =
-            Clock::now() - start;
-        best = std::max(
-            best, static_cast<double>(arrivals.size()) /
-                      elapsed.count());
-    }
-    return best;
-}
 
 int
 benchJsonMain(const std::string &json_path)
@@ -66,76 +42,25 @@ benchJsonMain(const std::string &json_path)
             t = 10e-3 * rng.noiseFactor(0.2);
     }
 
-    bool identical = true;
-    for (const std::vector<Seconds> &a : arrivals) {
-        const comm::RingSimResult replayed =
-            comm::simulateRingCollective(topo, payload, a, { {}, comm::RingSimEngine::CompiledReplay });
-        const comm::RingSimResult rebuilt =
-            comm::simulateRingCollective(topo, payload, a, { {}, comm::RingSimEngine::Rebuild });
-        identical = identical &&
-                    replayed.finishTime == rebuilt.finishTime &&
-                    replayed.collectiveTime ==
-                        rebuilt.collectiveTime &&
-                    replayed.maxStallTime == rebuilt.maxStallTime &&
-                    replayed.deviceFinish == rebuilt.deviceFinish;
-    }
-    bench::checkClaim("compiled ring replay reproduces the rebuild "
-                      "engine bit for bit",
-                      identical);
-
-    // The SoA-batched path over the same arrival vectors: one
-    // replayBatch block walk instead of 64 sequential replays.
-    const std::vector<comm::RingSimResult> batched_results =
-        comm::simulateRingCollectiveBatch(topo, payload, arrivals);
-    bool batch_identical =
-        batched_results.size() == arrivals.size();
-    for (std::size_t i = 0;
-         i < arrivals.size() && batch_identical; ++i) {
-        const comm::RingSimResult replayed =
-            comm::simulateRingCollective(
-                topo, payload, arrivals[i],
-                { {}, comm::RingSimEngine::CompiledReplay });
-        batch_identical =
-            batched_results[i].finishTime == replayed.finishTime &&
-            batched_results[i].collectiveTime ==
-                replayed.collectiveTime &&
-            batched_results[i].maxStallTime ==
-                replayed.maxStallTime &&
-            batched_results[i].deviceFinish == replayed.deviceFinish;
-    }
-    bench::checkClaim("batched ring replay reproduces the "
-                      "per-vector engine bit for bit",
-                      batch_identical);
-
     bench::BenchJson json("straggler_study", json_path);
-    const double rebuild_rate = measureSimsPerSec(
-        topo, payload, arrivals, comm::RingSimEngine::Rebuild);
-    const double replay_rate = measureSimsPerSec(
-        topo, payload, arrivals, comm::RingSimEngine::CompiledReplay);
     using Clock = std::chrono::steady_clock;
-    double batched_rate = 0.0;
+    double replay_rate = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         const auto start = Clock::now();
-        const std::vector<comm::RingSimResult> results =
-            comm::simulateRingCollectiveBatch(topo, payload,
-                                              arrivals);
+        for (const std::vector<Seconds> &a : arrivals) {
+            const comm::RingSimResult r =
+                comm::simulateRingCollective(topo, payload, a);
+            (void)r;
+        }
         const std::chrono::duration<double> elapsed =
             Clock::now() - start;
-        (void)results;
-        batched_rate = std::max(
-            batched_rate, static_cast<double>(arrivals.size()) /
-                              elapsed.count());
+        replay_rate = std::max(
+            replay_rate, static_cast<double>(arrivals.size()) /
+                             elapsed.count());
     }
-    std::printf("Ring simulations: %.0f/sec rebuilt, %.0f/sec "
-                "replayed (%.1fx), %.0f/sec batched (%.1fx over "
-                "replay)\n",
-                rebuild_rate, replay_rate,
-                replay_rate / rebuild_rate, batched_rate,
-                batched_rate / replay_rate);
-    json.set("sims_per_sec_rebuild", rebuild_rate);
+    std::printf("Ring simulations: %.0f/sec replayed\n", replay_rate);
     json.set("sims_per_sec_replay", replay_rate);
-    json.set("sims_per_sec_batched", batched_rate);
-    return json.write() && identical && batch_identical ? 0 : 1;
+    return json.write() ? 0 : 1;
 }
 
 } // namespace

@@ -62,7 +62,7 @@ makeWorkload(std::size_t requests, double skew, std::uint64_t seed)
         os << "{\"kind\": \"project\", \"ground_truth\": true"
            << ", \"hidden\": " << c.hidden
            << ", \"seqlen\": " << c.seqLen
-           << ", \"tp\": " << c.tpDegree << "}\n";
+           << ", \"parallel\": {\"tp\": " << c.tpDegree << "}}\n";
     }
     return os.str();
 }

@@ -18,10 +18,10 @@
 #                 valid JSON carrying the twocs-bench-1 schema
 #                 fields. Only schema presence is asserted — never
 #                 timings, so a loaded CI host cannot flake the gate.
-#                 (The replay benches do assert bit-identity of the
-#                 compiled-replay vs rebuild engines — and of the
-#                 batched-SoA path vs the sequential oracle — which is
-#                 host-independent.) The BENCH_*.json files are
+#                 (cluster_jitter does assert bit-identity of the
+#                 compiled-replay trials vs one rebuilt run() per
+#                 trial, which is host-independent.) The BENCH_*.json
+#                 files are
 #                 collected under build-tier1/bench-artifacts/ as the
 #                 perf-trajectory artifact to upload.
 #   5. 3D-parallelism gate — the zoo3d_parallel_sweep bench must emit
@@ -104,8 +104,6 @@ grep -q '"schema": "twocs-bench-1"' "${cj_json}"
 grep -q '"bench": "cluster_jitter"' "${cj_json}"
 grep -q '"trials_per_sec_rebuild"' "${cj_json}"
 grep -q '"trials_per_sec_replay"' "${cj_json}"
-grep -q '"trials_per_sec_batched"' "${cj_json}"
-grep -q '"batch_speedup"' "${cj_json}"
 
 ss_json="${artifacts}/BENCH_straggler_study.json"
 rm -f "${ss_json}"
@@ -113,9 +111,7 @@ build-tier1/bench/straggler_study --bench-json "${ss_json}"
 "${twocs}" validate --trace "${ss_json}"
 grep -q '"schema": "twocs-bench-1"' "${ss_json}"
 grep -q '"bench": "straggler_study"' "${ss_json}"
-grep -q '"sims_per_sec_rebuild"' "${ss_json}"
 grep -q '"sims_per_sec_replay"' "${ss_json}"
-grep -q '"sims_per_sec_batched"' "${ss_json}"
 
 svc_json="${artifacts}/BENCH_svc_throughput.json"
 rm -f "${svc_json}"
@@ -145,16 +141,10 @@ echo "== tier-1: figure-2 zoo sweep byte-identical across --jobs =="
 f2_one="$("${twocs}" sweep --figure 2 --jobs 1)"
 [ "${f2_one}" = "$("${twocs}" sweep --figure 2 --jobs 4)" ]
 
-echo "== tier-1: batched trial engine byte-identical to replay at any --jobs =="
+echo "== tier-1: Monte Carlo cluster trials byte-identical across --jobs =="
 cluster_flags="--trials 8 --jitter 0.05 --tp 4"
-seq_out="$("${twocs}" cluster ${cluster_flags} --engine replay --jobs 1)"
-[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} \
-    --engine batched --lanes 4 --jobs 1)" ]
-[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} \
-    --engine batched --lanes 4 --jobs 4)" ]
-# An odd lane width leaves a partial tail block; output must not care.
-[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} \
-    --engine batched --lanes 3 --jobs 4)" ]
+seq_out="$("${twocs}" cluster ${cluster_flags} --jobs 1)"
+[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} --jobs 4)" ]
 
 echo "== tier-1: 3D-plan sweeps byte-identical across --jobs =="
 plan="tp=8,pp=4,dp=2,zero=1"
@@ -174,10 +164,9 @@ echo "== tier-1: figure-12 event sweep byte-identical across --jobs =="
 f12_event="$("${twocs}" sweep --figure 12 --engine event --jobs 1)"
 [ "${f12_event}" = "$("${twocs}" sweep --figure 12 --engine event \
     --jobs 4)" ]
-# --lanes outside the batched trial engine is a configuration error.
-if "${twocs}" cluster --trials 4 --engine replay --lanes 4 \
-    > /dev/null 2>&1; then
-    echo "cluster accepted --lanes without --engine batched"
+# The batched trial engine is gone: --engine is an unknown option.
+if "${twocs}" cluster --trials 4 --engine batched > /dev/null 2>&1; then
+    echo "cluster accepted the removed --engine batched"
     exit 1
 fi
 

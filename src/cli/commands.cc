@@ -293,27 +293,8 @@ cmdCluster(const Args &args)
     fatalIf(trials < 1, "option --trials expects a positive count, got ",
             trials);
     if (trials > 1) {
-        const std::string engine_name = args.get("engine", "replay");
-        core::TrialEngine engine = core::TrialEngine::CompiledReplay;
-        if (engine_name == "replay")
-            engine = core::TrialEngine::CompiledReplay;
-        else if (engine_name == "batched")
-            engine = core::TrialEngine::BatchedReplay;
-        else
-            fatal("option --engine expects replay|batched, got '",
-                  engine_name, "'");
-        fatalIf(args.has("lanes") &&
-                    engine != core::TrialEngine::BatchedReplay,
-                "option --lanes requires --engine batched (SoA lane "
-                "width has no effect on --engine ",
-                engine_name, ")");
-        const int lanes = static_cast<int>(args.getInt("lanes", 8));
-        fatalIf(lanes < 1,
-                "option --lanes expects a positive lane width, got ",
-                lanes);
-        const core::ClusterTrialSummary summary = sim.runTrials(
-            cfg, trials, runnerFrom(args, "cluster_trials"), engine,
-            lanes);
+        const core::ClusterTrialSummary summary =
+            sim.runTrials(cfg, trials, runnerFrom(args, "cluster_trials"));
         TextTable t({ "trial (seed)", "iteration", "comm/device",
                       "stall/device", "stall fraction" });
         for (int i = 0; i < trials; ++i) {
@@ -333,9 +314,6 @@ cmdCluster(const Args &args)
         return 0;
     }
 
-    fatalIf(args.has("lanes"),
-            "option --lanes requires --engine batched with --trials "
-            "> 1; a single run replays one trial without SoA lanes");
     const core::ClusterSimResult r = sim.run(cfg);
     TextTable t({ "quantity", "value" });
     t.addRowOf("iteration (explicit group)",
@@ -662,7 +640,6 @@ cmdServe(const Args &args)
             "size, got ", batch);
     options.batchCapacity = static_cast<std::size_t>(batch);
     options.metricsPath = args.get("metrics");
-    options.protoVersion = static_cast<int>(args.getInt("proto", 2));
 
     const std::int64_t maxLine = args.getInt(
         "max-line-bytes",
@@ -926,10 +903,6 @@ buildRegistry()
                         "base RNG seed" },
                       { "trials", FlagType::Int, "1",
                         "independent jittered trials" },
-                      { "engine", FlagType::String, "replay",
-                        "trial engine: replay|batched" },
-                      { "lanes", FlagType::Int, "8",
-                        "SoA lane width for --engine batched" },
                       { "passes", FlagType::String, "",
                         "graph pass pipeline, e.g. fuse,dce" } },
                     parallel, system, runner, trace }),
@@ -1006,8 +979,6 @@ buildRegistry()
                         "requests drained per batch" },
                       { "metrics", FlagType::String, "",
                         "write service metrics JSON here" },
-                      { "proto", FlagType::Int, "2",
-                        "response protocol: 3, 2, or 1 for legacy" },
                       { "listen", FlagType::Int, "",
                         "serve over TCP on 127.0.0.1:PORT "
                         "(0 = ephemeral)" },

@@ -38,9 +38,6 @@ struct CompiledRing
     const std::vector<int> *fillDevice = nullptr;
     sim::ReplayScratch *scratch = nullptr;
     std::vector<Seconds> *durations = nullptr;
-    /** Batched-replay buffers (simulateRingCollectiveBatch). */
-    sim::BatchScratch *batch = nullptr;
-    std::vector<Seconds> *durationsSoa = nullptr;
 };
 
 /** Per-thread replay buffers, shared across every ring key the
@@ -54,28 +51,23 @@ struct RingBuffers
     std::shared_ptr<const sim::GraphTemplate> bound;
     sim::ReplayScratch scratch;
     std::vector<Seconds> durations;
-    sim::BatchScratch batch;
-    std::vector<Seconds> durationsSoa;
 };
 
 /** Build the stepped ring graph: arrival task per device, then
  *  step s on device d depending on its own and its upstream
- *  neighbour's previous step. The template path passes placeholder
- *  durations (zero arrivals, unit steps) that replay scales; the
- *  rebuild path bakes the real ones in. */
+ *  neighbour's previous step. Durations are placeholders (zero
+ *  arrivals, unit steps) that replay scales. */
 void
 buildRing(sim::EventSimulator &des, int p, int steps,
-          const std::vector<Seconds> &arrival_times,
-          Seconds step_time, std::vector<sim::TaskId> &finals)
+          std::vector<sim::TaskId> &finals)
 {
     std::vector<sim::ResourceId> comm(p);
     std::vector<sim::TaskId> arrive(p);
     for (int d = 0; d < p; ++d) {
         comm[d] = des.addResource("dev" + std::to_string(d));
-        // Arrival modelled as a zero-successor task of length
-        // arrival_times[d] on the device's stream.
-        arrive[d] = des.addTask("arrive", "arrive", comm[d],
-                                arrival_times[d]);
+        // Arrival modelled as a zero-successor task on the device's
+        // stream whose replayed length is the device's arrival time.
+        arrive[d] = des.addTask("arrive", "arrive", comm[d], 0.0);
     }
 
     std::vector<sim::TaskId> prev = arrive;
@@ -84,42 +76,12 @@ buildRing(sim::EventSimulator &des, int p, int steps,
         for (int d = 0; d < p; ++d) {
             const int upstream = (d + p - 1) % p;
             cur[d] = des.addTask("step" + std::to_string(s),
-                                 "ring_step", comm[d], step_time,
+                                 "ring_step", comm[d], 1.0,
                                  { prev[d], prev[upstream] });
         }
         prev = std::move(cur);
     }
     finals = std::move(prev);
-}
-
-/** Fill a result from each device's finish (`finishOf(d)`) and the
- *  arrival times. The collective lasts from the latest arrival to
- *  the latest finish. The earliest device is done computing at its
- *  arrival but cannot finish before finishTime: everything beyond
- *  its own collective share is stall. */
-template <typename FinishOf>
-void
-assembleResult(RingSimResult &result,
-               const std::vector<Seconds> &arrival_times, int steps,
-               Seconds step_time, FinishOf finishOf)
-{
-    const int p = static_cast<int>(arrival_times.size());
-    result.deviceFinish.resize(p);
-    Seconds latest_arrival = 0.0;
-    Seconds earliest_arrival = 1e300;
-    for (int d = 0; d < p; ++d) {
-        result.deviceFinish[d] = finishOf(d);
-        result.finishTime =
-            std::max(result.finishTime, result.deviceFinish[d]);
-        latest_arrival = std::max(latest_arrival, arrival_times[d]);
-        earliest_arrival =
-            std::min(earliest_arrival, arrival_times[d]);
-    }
-    result.collectiveTime = result.finishTime - latest_arrival;
-    result.maxStallTime = result.finishTime - earliest_arrival -
-                          steps * step_time;
-    if (result.maxStallTime < 0.0)
-        result.maxStallTime = 0.0;
 }
 
 /** Resolve a ring template through the process-wide graph cache.
@@ -141,8 +103,7 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
         sim::GraphCache::instance().getOrCompile(key, [&] {
             sim::EventSimulator des;
             std::vector<sim::TaskId> base_finals;
-            buildRing(des, p, steps, std::vector<Seconds>(p, 0.0),
-                      1.0, base_finals);
+            buildRing(des, p, steps, base_finals);
             const std::shared_ptr<const sim::GraphTemplate> base =
                 des.compile();
             auto aux = std::make_shared<RingAux>();
@@ -191,8 +152,6 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
     ring.fillDevice = &ring.aux->fillDevice;
     ring.scratch = &buffers.scratch;
     ring.durations = &buffers.durations;
-    ring.batch = &buffers.batch;
-    ring.durationsSoa = &buffers.durationsSoa;
     return ring;
 }
 
@@ -240,137 +199,48 @@ simulateRingCollective(const hw::Topology &topology, Bytes payload,
     const int steps = options.collective == RingCollective::AllReduce
                           ? 2 * (p - 1)
                           : p - 1;
-    const bool rewritten =
-        options.passes != nullptr && !options.passes->empty();
+
+    const CompiledRing ring = compiledRingFor(p, steps, options.passes);
+    // Duration fill mirrors the template's placeholders: an arrival
+    // task takes its device's arrival time; a ring step takes its
+    // base duration (1.0, or the fused step count after pass
+    // rewriting) times the step time.
+    const std::vector<Seconds> &base = ring.graph->baseDurations();
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        (*ring.durations)[i] =
+            (*ring.fillDevice)[i] >= 0
+                ? arrival_times[static_cast<std::size_t>(
+                      (*ring.fillDevice)[i])]
+                : base[i] * step_time;
+    }
+    sim::replay(*ring.graph, *ring.durations, *ring.scratch);
 
     RingSimResult result;
-    std::vector<sim::TaskId> finals;
+    result.schedule =
+        sim::Schedule(ring.graph, ring.scratch->placements());
 
-    if (options.engine == RingSimEngine::CompiledReplay) {
-        const CompiledRing ring =
-            compiledRingFor(p, steps, options.passes);
-        // Duration fill mirrors the template's placeholders: an
-        // arrival task takes its device's arrival time; a ring step
-        // takes its base duration (1.0, or the fused step count
-        // after pass rewriting) times the step time.
-        const std::vector<Seconds> &base =
-            ring.graph->baseDurations();
-        for (std::size_t i = 0; i < base.size(); ++i) {
-            (*ring.durations)[i] =
-                (*ring.fillDevice)[i] >= 0
-                    ? arrival_times[static_cast<std::size_t>(
-                          (*ring.fillDevice)[i])]
-                    : base[i] * step_time;
-        }
-        sim::replay(*ring.graph, *ring.durations, *ring.scratch);
-        finals = *ring.finals;
-        result.schedule = sim::Schedule(ring.graph,
-                                        ring.scratch->placements());
-    } else {
-        sim::EventSimulator des;
-        buildRing(des, p, steps, arrival_times, step_time, finals);
-        TWOCS_OBS_INSTANT(obs::Category::Comm, "comm.ring.built",
-                          std::to_string(steps) + " steps of " +
-                              std::to_string(p) + " transfers");
-        if (rewritten) {
-            // Rebuild-with-passes stays a valid cross-check: the
-            // real durations are baked in, so the rewrite (which
-            // sums them through fusions) needs no scaling.
-            const sim::GraphBuilder::Compiled compiled =
-                options.passes->rewrite(*des.compile(), finals);
-            finals = compiled.terminals;
-            sim::ReplayScratch scratch;
-            sim::replay(*compiled.graph, {}, scratch);
-            result.schedule = sim::Schedule(compiled.graph,
-                                            scratch.placements());
-        } else {
-            result.schedule = des.run();
-        }
+    // The collective lasts from the latest arrival to the latest
+    // finish. The earliest device is done computing at its arrival
+    // but cannot finish before finishTime: everything beyond its own
+    // collective share is stall.
+    result.deviceFinish.resize(p);
+    Seconds latest_arrival = 0.0;
+    Seconds earliest_arrival = 1e300;
+    for (int d = 0; d < p; ++d) {
+        result.deviceFinish[d] =
+            result.schedule.placement((*ring.finals)[d]).end;
+        result.finishTime =
+            std::max(result.finishTime, result.deviceFinish[d]);
+        latest_arrival = std::max(latest_arrival, arrival_times[d]);
+        earliest_arrival =
+            std::min(earliest_arrival, arrival_times[d]);
     }
-
-    assembleResult(result, arrival_times, steps, step_time,
-                   [&](int d) {
-                       return result.schedule.placement(finals[d]).end;
-                   });
+    result.collectiveTime = result.finishTime - latest_arrival;
+    result.maxStallTime = result.finishTime - earliest_arrival -
+                          steps * step_time;
+    if (result.maxStallTime < 0.0)
+        result.maxStallTime = 0.0;
     return result;
-}
-
-std::vector<RingSimResult>
-simulateRingCollectiveBatch(
-    const hw::Topology &topology, Bytes payload,
-    const std::vector<std::vector<Seconds>> &arrival_sets,
-    const RingSimOptions &options)
-{
-    std::vector<RingSimResult> results(arrival_sets.size());
-    if (arrival_sets.empty())
-        return results;
-
-    if (options.engine == RingSimEngine::Rebuild) {
-        // The byte-identity reference: one full build per vector.
-        for (std::size_t i = 0; i < arrival_sets.size(); ++i)
-            results[i] = simulateRingCollective(
-                topology, payload, arrival_sets[i], options);
-        return results;
-    }
-
-    const int p = static_cast<int>(arrival_sets.front().size());
-    TWOCS_OBS_SPAN(obs::Category::Comm, "comm.ring.batch", [&] {
-        return "devices=" + std::to_string(p) +
-               " lanes=" + std::to_string(arrival_sets.size());
-    });
-    fatalIf(p < 2, "ring simulation needs >= 2 devices");
-    fatalIf(payload <= 0.0, "ring simulation needs a payload");
-    for (const std::vector<Seconds> &arrivals : arrival_sets) {
-        fatalIf(static_cast<int>(arrivals.size()) != p,
-                "every arrival vector in a batch must have the same "
-                "device count");
-        for (Seconds t : arrivals)
-            fatalIf(t < 0.0, "arrival times must be non-negative");
-    }
-
-    const Seconds step_time =
-        ringStepTime(topology, payload, p, options.linkParams);
-    const int steps = options.collective == RingCollective::AllReduce
-                          ? 2 * (p - 1)
-                          : p - 1;
-    const CompiledRing ring =
-        compiledRingFor(p, steps, options.passes);
-    const std::vector<Seconds> &base = ring.graph->baseDurations();
-    const std::size_t n = base.size();
-
-    // Lane blocks bound the SoA buffer: ring graphs are tiny, so 32
-    // lanes keep a block well inside cache while amortizing the
-    // graph walk.
-    constexpr std::size_t MaxLanes = 32;
-    for (std::size_t first = 0; first < arrival_sets.size();
-         first += MaxLanes) {
-        const std::size_t lanes =
-            std::min(MaxLanes, arrival_sets.size() - first);
-        ring.durationsSoa->resize(n * lanes);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t l = 0; l < lanes; ++l) {
-                (*ring.durationsSoa)[i * lanes + l] =
-                    (*ring.fillDevice)[i] >= 0
-                        ? arrival_sets[first + l]
-                                      [static_cast<std::size_t>(
-                                          (*ring.fillDevice)[i])]
-                        : base[i] * step_time;
-            }
-        }
-        ring.batch->bind(*ring.graph, lanes);
-        sim::replayBatch(*ring.graph, *ring.durationsSoa, lanes,
-                         *ring.batch);
-
-        for (std::size_t l = 0; l < lanes; ++l) {
-            assembleResult(results[first + l],
-                           arrival_sets[first + l], steps, step_time,
-                           [&](int d) {
-                               return ring.batch->taskEnd(
-                                   (*ring.finals)[d], l);
-                           });
-        }
-    }
-    return results;
 }
 
 } // namespace twocs::comm

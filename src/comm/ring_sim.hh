@@ -13,13 +13,13 @@
  *
  * The ring's shape depends only on the device count and the step
  * count (2(P-1) for all-reduce, P-1 for the reduce-scatter-only
- * ZeRO-style variant), so the default engine compiles each distinct
- * (P, steps) graph once per thread and replays it per arrival-time
- * vector with zero graph construction; RingSimEngine::Rebuild keeps
- * the historical build-from-scratch path as the byte-identity
- * reference. A sim::PassPipeline can rewrite the ring graph (e.g.
- * fusing step chains) before replay; rewritten variants are cached
- * separately per pipeline.
+ * ZeRO-style variant), so each distinct (P, steps) graph is
+ * compiled once into the shared sim::GraphCache and replayed per
+ * arrival-time vector with zero graph construction. The tests keep
+ * an independent from-scratch build of the same ring as the
+ * bit-identity oracle. A sim::PassPipeline can rewrite the ring
+ * graph (e.g. fusing step chains) before replay; rewritten variants
+ * are cached separately per pipeline.
  */
 
 #ifndef TWOCS_COMM_RING_SIM_HH
@@ -33,19 +33,6 @@
 #include "sim/passes.hh"
 
 namespace twocs::comm {
-
-/** How simulateRingCollective obtains its task graph. */
-enum class RingSimEngine
-{
-    /** Compile the ring template once per (device count, step
-     *  count, pipeline) per thread, replay it per arrival vector.
-     *  The default. */
-    CompiledReplay,
-    /** Rebuild the EventSimulator graph from scratch on every call
-     *  — the historical path, kept as the measured baseline and the
-     *  byte-identity reference for the replay tests. */
-    Rebuild,
-};
 
 /** Which ring collective to run (fixes the step count). */
 enum class RingCollective
@@ -77,7 +64,6 @@ struct RingSimResult
 struct RingSimOptions
 {
     hw::LinkEfficiencyParams linkParams;
-    RingSimEngine engine = RingSimEngine::CompiledReplay;
     RingCollective collective = RingCollective::AllReduce;
     /** Optional graph rewrite applied between build and replay
      *  (not owned; nullptr or an empty pipeline = the reference
@@ -111,23 +97,6 @@ Seconds ringStepTime(const hw::Topology &topology, Bytes payload,
 RingSimResult simulateRingCollective(
     const hw::Topology &topology, Bytes payload,
     const std::vector<Seconds> &arrival_times,
-    const RingSimOptions &options = {});
-
-/**
- * simulateRingCollective over many arrival vectors at once: all sets
- * must have the same device count, and the compiled ring template is
- * advanced through sim::replayBatch in structure-of-arrays lane
- * blocks instead of one graph walk per vector — the straggler-study
- * path for thousands of jittered arrival draws. Results are
- * bit-identical to calling simulateRingCollective per vector, except
- * that the per-result `schedule` is left empty (batched replay keeps
- * only ends; use the single-shot API when a trace export is needed).
- * RingSimEngine::Rebuild falls back to per-vector calls and keeps
- * the full schedules — the byte-identity reference.
- */
-std::vector<RingSimResult> simulateRingCollectiveBatch(
-    const hw::Topology &topology, Bytes payload,
-    const std::vector<std::vector<Seconds>> &arrival_sets,
     const RingSimOptions &options = {});
 
 } // namespace twocs::comm

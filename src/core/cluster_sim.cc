@@ -25,8 +25,8 @@ validateConfig(const ClusterSimConfig &config)
 
 /**
  * Build the iteration graph for one TP group. When `rng` is non-null
- * every compute task's duration is perturbed in place (the legacy
- * rebuild-per-trial path); with a null rng the graph carries base
+ * every compute task's duration is perturbed in place (run()'s
+ * from-scratch path); with a null rng the graph carries base
  * durations, ready to be compiled into a template whose replay
  * applies the same noise factors to the same tasks in the same
  * order — the two paths are bit-identical by construction.
@@ -122,7 +122,7 @@ buildIteration(const ClusterSimConfig &config,
     }
 }
 
-/** Aggregate one simulated iteration exactly the way the legacy
+/** Aggregate one simulated iteration exactly the way run()'s
  *  Schedule-based path does: same per-resource sums in the same
  *  order, so replay and rebuild agree to the last bit. */
 template <typename BusyFn>
@@ -148,7 +148,7 @@ aggregate(Seconds makespan, int p,
 }
 
 /** Tasks that draw a noise factor during replay, in increasing task
- *  id order: exactly the tasks the legacy rebuild path perturbs, in
+ *  id order: exactly the tasks run()'s rebuild path perturbs, in
  *  the order it draws for them. An index list instead of a mask so
  *  the per-trial fill is a bulk copy plus the draws, not a branchy
  *  pass over every task. */
@@ -167,7 +167,7 @@ jitterIndices(const sim::GraphTemplate &graph)
 }
 
 /** One jittered replay of a compiled iteration graph, aggregated
- *  exactly like the legacy path. Resource ids are the builder's:
+ *  exactly like run()'s rebuild path. Resource ids are the builder's:
  *  compute d and comm d interleave as 2d / 2d + 1. */
 ClusterSimResult
 replayTrial(const sim::GraphTemplate &graph,
@@ -281,11 +281,9 @@ ClusterSim::compileIteration(const ClusterSimConfig &config) const
 
 ClusterTrialSummary
 ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
-                      const exec::RunnerOptions &runner_options,
-                      TrialEngine engine, int lane_width) const
+                      const exec::RunnerOptions &runner_options) const
 {
     fatalIf(num_trials < 1, "need at least one trial");
-    fatalIf(lane_width < 1, "need a lane width of >= 1");
     validateConfig(config);
 
     std::vector<ClusterSimConfig> trials(
@@ -293,8 +291,7 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
     for (int i = 0; i < num_trials; ++i) {
         // splitmix-derived per-trial seeds: config.seed + i would
         // make base seeds s and s + 1 share almost all of their
-        // trial streams. Both engines read trials[i].seed, so they
-        // stay bit-identical at any jobs count.
+        // trial streams.
         trials[i].seed =
             splitmixSeed(config.seed, static_cast<std::uint64_t>(i));
     }
@@ -304,101 +301,24 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
         options.study = "cluster_trials";
     exec::ParallelSweepRunner runner(options);
 
+    // Compile once; each trial only fills a duration vector and
+    // replays. Resource ids are the builder's: compute d and comm d
+    // interleave as 2d / 2d + 1.
+    const std::shared_ptr<const sim::GraphTemplate> graph =
+        compileIteration(config);
+    const std::vector<std::uint32_t> jitterable = jitterIndices(*graph);
+
     ClusterTrialSummary summary;
-    if (engine == TrialEngine::CompiledReplay) {
-        // Compile once; each trial only fills a duration vector and
-        // replays. Resource ids are the builder's: compute d and
-        // comm d interleave as 2d / 2d + 1.
-        const std::shared_ptr<const sim::GraphTemplate> graph =
-            compileIteration(config);
-        const std::vector<std::uint32_t> jitterable =
-            jitterIndices(*graph);
-
-        summary.trials = runner.map(
-            trials, [&](const ClusterSimConfig &c) {
-                // One arena per worker thread, reused across the
-                // trials that worker executes: the per-trial work is
-                // a duration fill + one allocation-free replay.
-                thread_local sim::ReplayScratch scratch;
-                thread_local std::vector<Seconds> durations;
-                return replayTrial(*graph, jitterable, c, scratch,
-                                   durations);
-            });
-    } else if (engine == TrialEngine::BatchedReplay) {
-        // Compile once, advance lane_width trials per SoA forward
-        // pass. Blocks parallelize like trials did; within a block
-        // each lane draws its trial's jitter stream in task order —
-        // the exact sequential draws — so the engines agree bit for
-        // bit at any jobs count and any lane width.
-        const std::shared_ptr<const sim::GraphTemplate> graph =
-            compileIteration(config);
-        const std::vector<std::uint32_t> jitterable =
-            jitterIndices(*graph);
-        const std::vector<Seconds> &base = graph->baseDurations();
-        const std::size_t n = base.size();
-        const int p = config.tpDegree;
-
-        const int blocks =
-            (num_trials + lane_width - 1) / lane_width;
-        std::vector<int> block_ids(static_cast<std::size_t>(blocks));
-        for (int b = 0; b < blocks; ++b)
-            block_ids[static_cast<std::size_t>(b)] = b;
-
-        const std::vector<std::vector<ClusterSimResult>> per_block =
-            runner.map(block_ids, [&](int b) {
-                const int first = b * lane_width;
-                const std::size_t lanes = static_cast<std::size_t>(
-                    std::min(lane_width, num_trials - first));
-                thread_local sim::BatchScratch scratch;
-                thread_local std::vector<Seconds> soa;
-                soa.resize(n * lanes);
-                // Broadcast the base durations across the lanes,
-                // then overwrite only the jitterable rows — each
-                // lane draws its trial's stream in task order, the
-                // exact sequential draws.
-                for (std::size_t i = 0; i < n; ++i) {
-                    Seconds *row = soa.data() + i * lanes;
-                    for (std::size_t l = 0; l < lanes; ++l)
-                        row[l] = base[i];
-                }
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    Rng rng(trials[static_cast<std::size_t>(first) + l]
-                                .seed);
-                    for (const std::uint32_t i : jitterable)
-                        soa[i * lanes + l] =
-                            base[i] *
-                            rng.noiseFactor(config.computeJitter);
-                }
-                scratch.bind(*graph, lanes);
-                sim::replayBatch(*graph, soa, lanes, scratch);
-
-                thread_local std::vector<sim::ResourceId> compute,
-                    comm;
-                compute.resize(p);
-                comm.resize(p);
-                for (int d = 0; d < p; ++d) {
-                    compute[d] = 2 * d;
-                    comm[d] = 2 * d + 1;
-                }
-                std::vector<ClusterSimResult> results(lanes);
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    results[l] = aggregate(
-                        scratch.makespan(l), p, compute, comm,
-                        [&](sim::ResourceId r) {
-                            return scratch.busyTotal(r, l);
-                        });
-                }
-                return results;
-            });
-        summary.trials.reserve(static_cast<std::size_t>(num_trials));
-        for (const std::vector<ClusterSimResult> &block : per_block)
-            summary.trials.insert(summary.trials.end(), block.begin(),
-                                  block.end());
-    } else {
-        summary.trials = runner.map(
-            trials,
-            [this](const ClusterSimConfig &c) { return run(c); });
-    }
+    summary.trials =
+        runner.map(trials, [&](const ClusterSimConfig &c) {
+            // One arena per worker thread, reused across the trials
+            // that worker executes: the per-trial work is a duration
+            // fill + one allocation-free replay.
+            thread_local sim::ReplayScratch scratch;
+            thread_local std::vector<Seconds> durations;
+            return replayTrial(*graph, jitterable, c, scratch,
+                               durations);
+        });
 
     for (const ClusterSimResult &r : summary.trials) {
         summary.meanIterationTime += r.iterationTime;

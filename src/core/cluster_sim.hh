@@ -16,8 +16,9 @@
  * per-iteration layer graph once (sim::GraphTemplate) and maps
  * jittered duration vectors over the trials, one replay-scratch
  * arena per worker thread — a trial allocates nothing and
- * re-validates nothing. TrialEngine::Rebuild keeps the historical
- * build-per-trial path as the byte-identity reference.
+ * re-validates nothing. run() still builds the graph from scratch,
+ * and the tests hold runTrials() bit-identical to one run() per
+ * trial.
  */
 
 #ifndef TWOCS_CORE_CLUSTER_SIM_HH
@@ -99,27 +100,6 @@ struct ClusterTrialSummary
     Seconds worstIterationTime = 0.0;
 };
 
-/** How runTrials() obtains each trial's task graph. */
-enum class TrialEngine
-{
-    /** Compile the iteration graph once, replay a jittered duration
-     *  vector per trial (zero per-trial allocation). The default. */
-    CompiledReplay,
-    /** Rebuild the EventSimulator graph on every trial — the
-     *  historical path, kept as the byte-identity oracle for the
-     *  replay tests (not selectable from the CLI). */
-    Rebuild,
-    /**
-     * Compile once, then advance trials through sim::replayBatch in
-     * lane blocks of runTrials' lane_width: one structure-of-arrays
-     * forward pass per block instead of one graph walk per trial,
-     * parallelized over blocks. Bit-identical to the other engines
-     * at any jobs count and any lane width (each lane reproduces
-     * its trial's sequential op order exactly).
-     */
-    BatchedReplay,
-};
-
 /** Runs the explicit group simulation. */
 class ClusterSim
 {
@@ -136,18 +116,13 @@ class ClusterSim
      * config.seed + i, so adjacent base seeds do not share almost
      * all of their trial streams — in parallel across runner.jobs
      * worker threads. Results are aggregated in trial order, so any
-     * jobs count (and any engine) produces identical output.
-     * lane_width only affects TrialEngine::BatchedReplay: trials are
-     * grouped into SoA blocks of that many duration lanes (the tail
-     * block may be narrower).
+     * jobs count produces identical output, bit-identical to calling
+     * run() once per trial with the same seed.
      */
     ClusterTrialSummary runTrials(const ClusterSimConfig &config,
                                   int num_trials,
                                   const exec::RunnerOptions &runner =
-                                      {},
-                                  TrialEngine engine =
-                                      TrialEngine::CompiledReplay,
-                                  int lane_width = 8) const;
+                                      {}) const;
 
     /**
      * Freeze the iteration graph for `config` (base durations, no

@@ -342,9 +342,7 @@ Server::processFrames(Connection &conn, bool atEof)
             netMetrics_.recordOverlong();
             enqueueResponse(
                 conn, conn.nextSeq++,
-                overlongResponseLine(options_.service.protoVersion,
-                                     conn.lineNo,
-                                     frame.droppedBytes,
+                overlongResponseLine(conn.lineNo, frame.droppedBytes,
                                      options_.maxLineBytes));
             continue;
         }

@@ -69,7 +69,7 @@ struct ServerOptions
      *  Tests shrink it so backpressure is reachable without
      *  megabytes of responses. */
     int sendBufferBytes = 0;
-    /** Per-shard service knobs (jobs, cache capacity, proto). */
+    /** Per-shard service knobs (jobs, cache capacity, batch). */
     svc::ServiceOptions service;
     /** When non-empty, the aggregated metrics JSON is written here
      *  after the drain completes. */

@@ -113,8 +113,7 @@ ShardPool::overloadedResponse(const std::string &line) const
         "server overloaded: shard queue full; retry in " +
         std::to_string(options_.retryAfterMs) + " ms";
     return svc::errorResponseLine(
-        options_.service.protoVersion, svc::tryExtractIdJson(line),
-        "overloaded", message,
+        svc::tryExtractIdJson(line), "overloaded", message,
         "\"retry_after_ms\":" + std::to_string(options_.retryAfterMs));
 }
 

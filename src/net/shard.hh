@@ -98,7 +98,7 @@ struct ShardPoolOptions
     ShedPolicy shedPolicy = ShedPolicy::Reject;
     /** Advertised in `overloaded` errors as `retry_after_ms`. */
     std::int64_t retryAfterMs = 50;
-    /** Per-shard service knobs (jobs, cache capacity, proto). */
+    /** Per-shard service knobs (jobs, cache capacity, batch). */
     svc::ServiceOptions service;
 };
 

@@ -9,16 +9,15 @@
 namespace twocs::net {
 
 std::string
-overlongResponseLine(int proto, std::size_t lineNo,
-                     std::size_t droppedBytes, std::size_t capBytes)
+overlongResponseLine(std::size_t lineNo, std::size_t droppedBytes,
+                     std::size_t capBytes)
 {
     const std::string message =
         "line " + std::to_string(lineNo) + ": request line of " +
         std::to_string(droppedBytes) +
         " bytes exceeds --max-line-bytes " +
         std::to_string(capBytes) + "; dropped to the next newline";
-    return svc::errorResponseLine(proto, "", "line_too_long",
-                                  message);
+    return svc::errorResponseLine("", "line_too_long", message);
 }
 
 StreamStats
@@ -47,9 +46,8 @@ serveStream(svc::QueryService &service, std::istream &in,
             // Arrival order: everything queued before this line
             // must answer before its error does.
             flushBatch();
-            out << overlongResponseLine(
-                       service.options().protoVersion, lineNo,
-                       frame.droppedBytes, maxLineBytes)
+            out << overlongResponseLine(lineNo, frame.droppedBytes,
+                                        maxLineBytes)
                 << "\n";
             return;
         }

@@ -46,7 +46,7 @@ StreamStats serveStream(svc::QueryService &service, std::istream &in,
  * The deterministic `line_too_long` response both serve paths emit
  * for a line dropped by the framer's cap.
  */
-std::string overlongResponseLine(int proto, std::size_t lineNo,
+std::string overlongResponseLine(std::size_t lineNo,
                                  std::size_t droppedBytes,
                                  std::size_t capBytes);
 

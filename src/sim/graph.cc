@@ -201,142 +201,6 @@ BatchScratch::taskEnd(TaskId id, std::size_t lane) const
     return ends_[static_cast<std::size_t>(id) * lanes_ + lane];
 }
 
-namespace {
-
-/**
- * The lane-interleaved replay recurrence with a compile-time lane
- * width: the `ready` and makespan rows live in registers and every
- * lane loop fully unrolls, which is where the batch engine's
- * throughput comes from. The computation is op-for-op the dynamic
- * loop below — specializing the trip count changes no FP semantics.
- */
-template <std::size_t L>
-[[gnu::always_inline]] inline void
-replayBatchLanesImpl(std::size_t n, const ResourceId *res,
-                     const std::uint32_t *offsets, const TaskId *edges,
-                     const Seconds *__restrict soa,
-                     Seconds *__restrict ends,
-                     Seconds *__restrict resource_free,
-                     Seconds *__restrict busy,
-                     Seconds *__restrict makespans)
-{
-    Seconds ms[L];
-    for (std::size_t l = 0; l < L; ++l)
-        ms[l] = makespans[l];
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t r = static_cast<std::size_t>(res[i]);
-        Seconds *__restrict rf_row = resource_free + r * L;
-        Seconds ready[L];
-        for (std::size_t l = 0; l < L; ++l)
-            ready[l] = rf_row[l];
-        for (std::uint32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-            const Seconds *__restrict dep_row =
-                ends + static_cast<std::size_t>(edges[e]) * L;
-            for (std::size_t l = 0; l < L; ++l)
-                ready[l] = std::max(ready[l], dep_row[l]);
-        }
-        Seconds *__restrict end_row = ends + i * L;
-        Seconds *__restrict busy_row = busy + r * L;
-        const Seconds *__restrict dur_row = soa + i * L;
-        for (std::size_t l = 0; l < L; ++l) {
-            const Seconds end = ready[l] + dur_row[l];
-            end_row[l] = end;
-            rf_row[l] = end;
-            busy_row[l] += end - ready[l];
-            ms[l] = std::max(ms[l], end);
-        }
-    }
-    for (std::size_t l = 0; l < L; ++l)
-        makespans[l] = ms[l];
-}
-
-template <std::size_t L>
-void
-replayBatchLanes(std::size_t n, const ResourceId *res,
-                 const std::uint32_t *offsets, const TaskId *edges,
-                 const Seconds *__restrict soa,
-                 Seconds *__restrict ends,
-                 Seconds *__restrict resource_free,
-                 Seconds *__restrict busy,
-                 Seconds *__restrict makespans)
-{
-    replayBatchLanesImpl<L>(n, res, offsets, edges, soa, ends,
-                            resource_free, busy, makespans);
-}
-
-#if defined(__x86_64__) && defined(__GNUC__)
-// Wider-vector clones of the same body, selected at runtime. Only
-// max/add/sub touch the lane values and those are IEEE-exact at any
-// vector width (and neither target enables FMA contraction), so the
-// clones stay bit-identical to the baseline kernel.
-#define TWOCS_BATCH_ISA_CLONES 1
-#pragma GCC push_options
-#pragma GCC target("avx2")
-template <std::size_t L>
-void
-replayBatchLanesAvx2(std::size_t n, const ResourceId *res,
-                     const std::uint32_t *offsets, const TaskId *edges,
-                     const Seconds *__restrict soa,
-                     Seconds *__restrict ends,
-                     Seconds *__restrict resource_free,
-                     Seconds *__restrict busy,
-                     Seconds *__restrict makespans)
-{
-    replayBatchLanesImpl<L>(n, res, offsets, edges, soa, ends,
-                            resource_free, busy, makespans);
-}
-#pragma GCC pop_options
-
-#pragma GCC push_options
-#pragma GCC target("avx512f")
-template <std::size_t L>
-void
-replayBatchLanesAvx512(std::size_t n, const ResourceId *res,
-                       const std::uint32_t *offsets,
-                       const TaskId *edges,
-                       const Seconds *__restrict soa,
-                       Seconds *__restrict ends,
-                       Seconds *__restrict resource_free,
-                       Seconds *__restrict busy,
-                       Seconds *__restrict makespans)
-{
-    replayBatchLanesImpl<L>(n, res, offsets, edges, soa, ends,
-                            resource_free, busy, makespans);
-}
-#pragma GCC pop_options
-#endif
-
-template <std::size_t L>
-void
-replayBatchDispatch(std::size_t n, const ResourceId *res,
-                    const std::uint32_t *offsets, const TaskId *edges,
-                    const Seconds *__restrict soa,
-                    Seconds *__restrict ends,
-                    Seconds *__restrict resource_free,
-                    Seconds *__restrict busy,
-                    Seconds *__restrict makespans)
-{
-#ifdef TWOCS_BATCH_ISA_CLONES
-    static const int isa = __builtin_cpu_supports("avx512f") ? 2
-                           : __builtin_cpu_supports("avx2")  ? 1
-                                                             : 0;
-    if (isa == 2) {
-        replayBatchLanesAvx512<L>(n, res, offsets, edges, soa, ends,
-                                  resource_free, busy, makespans);
-        return;
-    }
-    if (isa == 1) {
-        replayBatchLanesAvx2<L>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-        return;
-    }
-#endif
-    replayBatchLanes<L>(n, res, offsets, edges, soa, ends,
-                        resource_free, busy, makespans);
-}
-
-} // namespace
-
 void
 replayBatch(const GraphTemplate &graph,
             std::span<const Seconds> durations_soa, std::size_t lanes,
@@ -387,29 +251,6 @@ replayBatch(const GraphTemplate &graph,
     // vector (ready = stream-free, then dep maxes in edge order,
     // then one add), so each lane is bit-identical to a sequential
     // replay — the inner loops just run over `L` adjacent doubles.
-    // Common widths take the unrolled register kernel.
-    if (!broadcast) {
-        switch (L) {
-          case 2:
-            replayBatchDispatch<2>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          case 4:
-            replayBatchDispatch<4>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          case 8:
-            replayBatchDispatch<8>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          case 16:
-            replayBatchDispatch<16>(n, res, offsets, edges, soa, ends,
-                                resource_free, busy, makespans);
-            return;
-          default:
-            break;
-        }
-    }
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t r = static_cast<std::size_t>(res[i]);
         Seconds *__restrict rf_row = resource_free + r * L;

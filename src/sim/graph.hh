@@ -15,21 +15,20 @@
  * allocations and no re-validation — a what-if sweep is a graph
  * *replay* problem, not a graph *construction* problem.
  *
- * Two replay engines share the template (DESIGN.md §15):
+ * replay() is the one production engine (DESIGN.md §15): one
+ * duration vector, one forward pass. The Monte Carlo trials, the
+ * ring collectives and the what-if queries ("this operator 5%
+ * slower, new makespan?") all run on it.
  *
- *  - replay(): one duration vector, one forward pass. The oracle
- *    the batch engine is gated bit-identical against, and the
- *    what-if query engine ("this operator 5% slower, new makespan?").
- *  - replayBatch(): N duration vectors advanced through one forward
- *    pass over the CSR arrays. Durations and placements are stored
- *    structure-of-arrays (lane-major contiguous doubles), so the
- *    inner max/add loop runs over adjacent lanes — the Monte Carlo
- *    engines amortize the graph walk across a whole lane block.
+ * replayBatch() advances N duration vectors through one lane-major
+ * forward pass. No product code calls it; it is kept, as one
+ * portable loop, only because the frozen perfbench per-layer probe
+ * (perfbench/layers.cc) links it.
  *
  * Thread contract: a GraphTemplate is immutable after compile and
  * may be replayed concurrently from any number of threads, each with
- * its own scratch arena (the parallel trial engines give every
- * worker one).
+ * its own scratch arena (the parallel trial loop gives every worker
+ * one).
  */
 
 #ifndef TWOCS_SIM_GRAPH_HH
@@ -209,9 +208,6 @@ class BatchScratch
 {
   public:
     void bind(const GraphTemplate &graph, std::size_t lanes);
-
-    const GraphTemplate *boundTemplate() const { return bound_; }
-    std::size_t lanes() const { return lanes_; }
 
     /** Per-lane aggregates of the latest replayBatch(). */
     Seconds makespan(std::size_t lane) const;

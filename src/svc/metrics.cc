@@ -42,7 +42,6 @@ ServiceMetrics::absorb(const ServiceMetrics &other)
     hits_ += other.hits_;
     misses_ += other.misses_;
     failures_ += other.failures_;
-    deprecatedFields_ += other.deprecatedFields_;
     batches_ += other.batches_;
     sheds_ += other.sheds_;
     overlongs_ += other.overlongs_;
@@ -84,8 +83,6 @@ ServiceMetrics::writeJson(
        << "  \"hits\": " << hits_ << ",\n"
        << "  \"misses\": " << misses_ << ",\n"
        << "  \"failures\": " << failures_ << ",\n"
-       << "  \"deprecated_field_requests\": " << deprecatedFields_
-       << ",\n"
        << "  \"hit_rate\": " << json::number(hitRate()) << ",\n"
        << "  \"batches\": " << batches_ << ",\n"
        << "  \"sheds\": " << sheds_ << ",\n"

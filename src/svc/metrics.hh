@@ -44,10 +44,6 @@ class ServiceMetrics
     /** A request rejected at parse time or failed at evaluation. */
     void recordFailure() { ++failures_; }
 
-    /** A request that used deprecated flat parallelism fields
-     *  (`tp`/`dp`) instead of the structured `parallel` object. */
-    void recordDeprecatedField() { ++deprecatedFields_; }
-
     /** One scheduler batch of `size` requests drained. */
     void recordBatch(std::size_t size);
 
@@ -85,7 +81,6 @@ class ServiceMetrics
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t failures() const { return failures_; }
-    std::uint64_t deprecatedFields() const { return deprecatedFields_; }
     std::uint64_t batches() const { return batches_; }
     std::uint64_t sheds() const { return sheds_; }
     std::uint64_t overlongs() const { return overlongs_; }
@@ -140,7 +135,6 @@ class ServiceMetrics
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t failures_ = 0;
-    std::uint64_t deprecatedFields_ = 0;
     std::uint64_t batches_ = 0;
     std::uint64_t sheds_ = 0;
     std::uint64_t overlongs_ = 0;

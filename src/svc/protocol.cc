@@ -287,7 +287,7 @@ bool
 knownField(const std::string &key)
 {
     for (const char *name :
-         { "hidden", "seqlen", "batch", "tp", "dp", "parallel",
+         { "hidden", "seqlen", "batch", "parallel",
            "perturb", "model", "precision", "ground_truth", "device",
            "flop_scale", "bw_scale", "pin" }) {
         if (key == name)
@@ -312,10 +312,8 @@ fieldAppliesTo(const std::string &key, QueryKind kind)
         return any({ Project, Slack, Perturb });
     if (key == "batch")
         return any({ Project, Slack, Analyze, Perturb });
-    if (key == "tp" || key == "parallel")
+    if (key == "parallel")
         return any({ Project, Analyze, Memory, Perturb });
-    if (key == "dp")
-        return any({ Analyze, Perturb });
     if (key == "perturb")
         return any({ Perturb });
     if (key == "model" || key == "precision")
@@ -383,8 +381,8 @@ parallelField(const Member &m, model::ParallelPlan *plan,
             "field 'parallel' expects an object, e.g. "
             "{\"tp\": 8, \"pp\": 4, \"dp\": 2, \"zero\": 1}");
     for (const Member &sub : m.value.object) {
-        // Re-key diagnostics as 'parallel.tp' etc. so they cannot be
-        // mistaken for the deprecated flat fields.
+        // Re-key diagnostics as 'parallel.tp' etc. so they name the
+        // member's full path.
         Member named = sub;
         named.key = "parallel." + sub.key;
         if (sub.key == "tp") {
@@ -528,10 +526,11 @@ parseQuery(const std::string &line)
       case QueryKind::Stats:
         break;
     }
+    // Seed the plan with the kind's tp/dp defaults, so a `parallel`
+    // object that omits an axis means "the default".
+    q.plan.tpDegree = q.tpDegree;
+    q.plan.dpDegree = q.dpDegree;
 
-    bool flat_tp = false;
-    bool flat_dp = false;
-    bool plan_tp_named = false;
     for (const Member &m : members) {
         if (m.key == "kind")
             continue;
@@ -558,22 +557,9 @@ parseQuery(const std::string &line)
         else if (m.key == "batch") {
             q.batch = intField(m, 1, std::int64_t{ 1 } << 32);
             q.batchSet = true;
-        } else if (m.key == "tp") {
-            q.tpDegree = static_cast<int>(intField(m, 1, 1 << 20));
-            q.tpSet = true;
-            flat_tp = true;
-        } else if (m.key == "dp") {
-            q.dpDegree = static_cast<int>(intField(m, 1, 1 << 20));
-            flat_dp = true;
-        } else if (m.key == "parallel") {
-            // Seed with the kind's tp/dp defaults so a plan that
-            // omits an axis means "the default", same as omitting the
-            // flat field did.
-            q.plan.tpDegree = q.tpDegree;
-            q.plan.dpDegree = q.dpDegree;
-            parallelField(m, &q.plan, &plan_tp_named);
-            q.planSet = true;
-        } else if (m.key == "perturb")
+        } else if (m.key == "parallel")
+            parallelField(m, &q.plan, &q.tpSet);
+        else if (m.key == "perturb")
             perturbField(m, &q);
         else if (m.key == "model")
             q.model = stringField(m);
@@ -593,26 +579,9 @@ parseQuery(const std::string &line)
             panic("field table out of sync for '", m.key, "'");
     }
 
-    // Normalize the two parallelism spellings into one canonical
-    // form: q.plan always carries the full plan and q.tpDegree /
-    // q.dpDegree always mirror it, so `"tp": 8` and
-    // `"parallel": {"tp": 8}` produce identical queries (and thus
-    // identical cache keys).
-    if (q.planSet) {
-        fatalIf(flat_tp || flat_dp,
-                "the deprecated flat '", flat_tp ? "tp" : "dp",
-                "' field cannot be combined with the structured "
-                "'parallel' object; move it into 'parallel'");
-        q.tpDegree = q.plan.tpDegree;
-        q.dpDegree = q.plan.dpDegree;
-        if (plan_tp_named)
-            q.tpSet = true;
-    } else {
-        q.plan.tpDegree = q.tpDegree;
-        q.plan.dpDegree = q.dpDegree;
-        if (flat_tp || flat_dp)
-            q.usedDeprecatedParallelFields = true;
-    }
+    // q.tpDegree / q.dpDegree always mirror the full plan.
+    q.tpDegree = q.plan.tpDegree;
+    q.dpDegree = q.plan.dpDegree;
 
     fatalIf(q.kind == QueryKind::Perturb && !q.perturbSet,
             "kind 'perturb' requires the structured 'perturb' "
@@ -772,28 +741,22 @@ tryExtractIdJson(const std::string &line)
 }
 
 std::string
-errorResponseLine(int proto, const std::string &idJson,
-                  const char *code, const std::string &message,
+errorResponseLine(const std::string &idJson, const char *code,
+                  const std::string &message,
                   const std::string &extraJson)
 {
     std::string line = "{";
     if (!idJson.empty())
         line += "\"id\":" + idJson + ",";
-    if (proto <= 1) {
-        line += "\"status\":\"error\",\"message\":" +
-                json::quote(message);
-    } else {
-        line += "\"status\":\"error\",\"error\":{\"code\":";
-        line += json::quote(code);
-        line += ",\"message\":";
-        line += json::quote(message);
-        if (!extraJson.empty()) {
-            line += ',';
-            line += extraJson;
-        }
-        line += "}";
+    line += "\"status\":\"error\",\"error\":{\"code\":";
+    line += json::quote(code);
+    line += ",\"message\":";
+    line += json::quote(message);
+    if (!extraJson.empty()) {
+        line += ',';
+        line += extraJson;
     }
-    line += "}";
+    line += "}}";
     return line;
 }
 

@@ -8,14 +8,10 @@
  *    "batch": 1, "parallel": {"tp": 256, "pp": 4, "zero": 1},
  *    "flop_scale": 4}
  *
- * The object is flat except for two structured members: `parallel`
- * (proto v3), which carries the full 3D plan — tp, pp, micro, dp,
- * zero, ep, sp — and `perturb`, which carries a what-if
- * perturbation: {"task": N, "scale": r}. The flat `tp`/`dp` fields
- * of proto v2 still parse — they are deprecated aliases for a
- * tp/dp-only plan, counted in the stats `deprecated_field_requests`
- * counter — but cannot be combined with a `parallel` object in one
- * request.
+ * The object is flat except for two structured members: `parallel`,
+ * which carries the full 3D plan — tp, pp, micro, dp, zero, ep, sp —
+ * and `perturb`, which carries a what-if perturbation:
+ * {"task": N, "scale": r}.
  *
  * Query kinds mirror the CLI analyses: `project` (operator-model
  * serialized-comm projection, optionally `"ground_truth": true` for
@@ -74,20 +70,14 @@ struct Query
     int tpDegree = 0;
     int dpDegree = 1;
     /**
-     * Full 3D plan (proto v3's structured `"parallel": {"tp": 8,
-     * "pp": 4, ...}` object). Always normalized after parsing:
-     * plan.tpDegree/dpDegree mirror tpDegree/dpDegree above whether
-     * the request used the structured object or the deprecated flat
-     * `tp`/`dp` fields.
+     * Full 3D plan (the structured `"parallel": {"tp": 8, "pp": 4,
+     * ...}` object). Always normalized after parsing:
+     * plan.tpDegree/dpDegree mirror tpDegree/dpDegree above, which
+     * hold the kind's defaults when the request has no `parallel`.
      */
     model::ParallelPlan plan;
-    /** Whether the request carried the structured `parallel` object. */
-    bool planSet = false;
-    /** Whether the request used the deprecated flat `tp`/`dp` fields
-     *  (surfaces as `deprecated_field_requests` in v3 stats). */
-    bool usedDeprecatedParallelFields = false;
-    /** Whether the request named `tp` (memory: footprint-at-TP mode
-     *  vs minimum-TP mode). */
+    /** Whether the request named `parallel.tp` (memory:
+     *  footprint-at-TP mode vs minimum-TP mode). */
     bool tpSet = false;
     /** Whether the request named `batch` (analyze: zoo default vs
      *  override). */
@@ -140,8 +130,8 @@ std::uint64_t fnv1a(std::string_view s);
 
 /**
  * Best-effort extraction of the `id` field's raw JSON token from a
- * request line that failed strict parsing, so proto-v2 error
- * responses can still echo the id. Returns "" when no plausible id
+ * request line that failed strict parsing, so error responses can
+ * still echo the id. Returns "" when no plausible id
  * is found; never throws.
  */
 std::string tryExtractIdJson(const std::string &line);
@@ -149,13 +139,13 @@ std::string tryExtractIdJson(const std::string &line);
 /**
  * A complete response line (no trailing newline) for a failure
  * detected outside the batching pipeline — admission-control
- * shedding and overlong-line drops in the network front-end. Proto
- * v2 renders the structured `error` object with `code`; v1 the
- * legacy flat `message`. `extraJson` (e.g. `"retry_after_ms":50`)
- * is spliced into the v2 error object verbatim; `idJson` is echoed
- * when non-empty, exactly like eval errors from the service.
+ * shedding and overlong-line drops in the network front-end. It
+ * renders the structured `error` object with `code`; `extraJson`
+ * (e.g. `"retry_after_ms":50`) is spliced into that object verbatim;
+ * `idJson` is echoed when non-empty, exactly like eval errors from
+ * the service.
  */
-std::string errorResponseLine(int proto, const std::string &idJson,
+std::string errorResponseLine(const std::string &idJson,
                               const char *code,
                               const std::string &message,
                               const std::string &extraJson = "");

@@ -53,17 +53,12 @@ extractByteOffset(const std::string &message)
 }
 
 /**
- * Response fragment for a failed request. Proto v2 wraps the
- * diagnostic in a structured error object; v1 is the legacy flat
- * message.
+ * Response fragment for a failed request: the diagnostic wrapped in
+ * a structured error object.
  */
 std::string
-errorPayload(int proto, const char *code, const std::string &message)
+errorPayload(const char *code, const std::string &message)
 {
-    if (proto <= 1) {
-        return "\"status\":\"error\",\"message\":" +
-               json::quote(message);
-    }
     std::string out = "\"status\":\"error\",\"error\":{\"code\":";
     out += json::quote(code);
     out += ",\"message\":";
@@ -112,10 +107,9 @@ field(const char *name, const std::string &v)
 }
 
 /**
- * Whether the plan engages any axis beyond the plain tp/dp the flat
- * v2 fields could already express. Only such plans get a `parallel`
- * summary field in the response, so v1/v2 request streams keep their
- * exact historical response bytes.
+ * Whether the plan engages any axis beyond plain tp/dp. Only such
+ * plans get a `parallel` summary field in the response, so tp/dp-only
+ * requests keep their exact historical response bytes.
  */
 bool
 planBeyondTpDp(const model::ParallelPlan &plan)
@@ -149,9 +143,6 @@ QueryService::QueryService(ServiceOptions options)
             options_.jobs);
     fatalIf(options_.batchCapacity == 0,
             "serve: --batch expects a positive batch size");
-    fatalIf(options_.protoVersion < 1 || options_.protoVersion > 3,
-            "serve: --proto must be 1, 2 or 3, got ",
-            options_.protoVersion);
 }
 
 QueryService::~QueryService() = default;
@@ -347,9 +338,7 @@ std::string
 QueryService::statsPayload() const
 {
     std::string out = "\"status\":\"ok\",\"kind\":\"stats\"";
-    if (options_.protoVersion >= 2)
-        out += field("proto",
-                     std::int64_t{ options_.protoVersion });
+    out += field("proto", std::int64_t{ 2 });
     out += field("requests",
                  static_cast<std::int64_t>(metrics_.requests()));
     out += field("hits", static_cast<std::int64_t>(metrics_.hits()));
@@ -357,10 +346,6 @@ QueryService::statsPayload() const
                  static_cast<std::int64_t>(metrics_.misses()));
     out += field("failures",
                  static_cast<std::int64_t>(metrics_.failures()));
-    if (options_.protoVersion >= 3)
-        out += field("deprecated_field_requests",
-                     static_cast<std::int64_t>(
-                         metrics_.deprecatedFields()));
     out += field("cache_entries",
                  static_cast<std::int64_t>(cache_.size()));
 #ifndef TWOCS_OBS_DISABLE
@@ -368,7 +353,7 @@ QueryService::statsPayload() const
     // stay out of the response contract). Only svc-category spans
     // are reported, and only while a tracer is actually recording —
     // untraced runs keep the exact pre-tracing response bytes.
-    if (options_.protoVersion >= 2 && obs::Tracer::mask() != 0) {
+    if (obs::Tracer::mask() != 0) {
         out += ",\"spans\":{";
         bool first = true;
         for (const auto &[label, count] : obs::Tracer::countsByLabel(
@@ -455,12 +440,10 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
             } catch (const FatalError &ex) {
                 e.outcome = Outcome::ParseError;
                 e.failed = true;
-                if (options_.protoVersion >= 2)
-                    e.idJson = tryExtractIdJson(lines[i].second);
+                e.idJson = tryExtractIdJson(lines[i].second);
                 e.payload = errorPayload(
-                    options_.protoVersion, "parse_error",
-                    "line " + std::to_string(e.lineNo) + ": " +
-                        ex.what());
+                    "parse_error", "line " + std::to_string(e.lineNo) +
+                                       ": " + ex.what());
             }
             e.seconds = elapsed(start);
         }
@@ -489,8 +472,7 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
                     e.payload = evaluate(e.query, *e.system);
                 } catch (const FatalError &ex) {
                     e.failed = true;
-                    e.payload = errorPayload(options_.protoVersion,
-                                             "eval_error", ex.what());
+                    e.payload = errorPayload("eval_error", ex.what());
                 }
                 e.seconds += elapsed(start);
             });
@@ -506,8 +488,6 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
         TWOCS_OBS_SPAN(obs::Category::Svc, "svc.batch.commit");
         for (BatchEntry &e : entries) {
             metrics_.recordRequest();
-            if (e.query.usedDeprecatedParallelFields)
-                metrics_.recordDeprecatedField();
             switch (e.outcome) {
               case Outcome::ParseError:
                 metrics_.recordFailure();

@@ -61,20 +61,6 @@ struct ServiceOptions
     std::size_t batchCapacity = 32;
     /** When non-empty, serve() writes the metrics JSON here. */
     std::string metricsPath;
-    /**
-     * Response-shape version. 2 (the default) wraps failures in an
-     * `"error": {"code", "message", "offset?"}` object, echoes the
-     * request id even on parse errors, and reports the proto number
-     * plus a deterministic `spans` count section (when tracing is
-     * on) in stats responses; 1 reproduces the legacy shapes
-     * byte-for-byte. 3 additionally reports
-     * `deprecated_field_requests` (uses of the flat `tp`/`dp`
-     * aliases) in stats responses. Requests parse identically under
-     * every version — the structured `parallel` object is always
-     * accepted — and successful compute payloads are identical in
-     * all three, so cached bytes never depend on the version.
-     */
-    int protoVersion = 2;
 };
 
 /**

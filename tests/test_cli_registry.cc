@@ -171,14 +171,14 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
 
 TEST(CliRegistry, GoldenEngineLineForCluster)
 {
-    // The per-trial rebuild is a test oracle only; the help page
-    // offers the two production trial engines.
+    // cluster has one trial engine (compiled replay; the per-trial
+    // rebuild is a test oracle), so its help page offers no engine
+    // or lane-width choice.
     std::string out;
     EXPECT_EQ(run({ "twocs", "help", "cluster" }, &out), 0);
-    EXPECT_NE(out.find("\n  --engine STR            trial engine: "
-                       "replay|batched (default: replay)\n"),
-              std::string::npos)
-        << out;
+    EXPECT_NE(out.find("\n  --trials INT"), std::string::npos) << out;
+    EXPECT_EQ(out.find("--engine"), std::string::npos) << out;
+    EXPECT_EQ(out.find("--lanes"), std::string::npos) << out;
 }
 
 TEST(CliRegistry, BareHelpPrintsUsageAndUnknownTopicFails)
@@ -227,26 +227,28 @@ TEST(CliRegistry, BareNonBooleanFlagIsRejected)
 
 TEST(CliRegistry, ClusterRejectsLanesWithoutBatchedEngine)
 {
-    // --lanes configures the batched engine's SoA width; accepting
-    // it silently on any other engine (or in single-run mode, where
-    // no trial engine runs at all) would hide a misconfiguration.
-    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
-                       "--engine", "replay", "--lanes", "4" },
-                     nullptr),
-                 FatalError);
-    EXPECT_THROW(run({ "twocs", "cluster", "--lanes", "4" }, nullptr),
-                 FatalError);
-    // The per-trial rebuild is a test oracle, not a CLI engine.
-    EXPECT_THROW(run({ "twocs", "cluster", "--trials", "4",
-                       "--engine", "rebuild" },
-                     nullptr),
-                 FatalError);
-    // The flag stays accepted where it means something.
-    std::string out;
-    EXPECT_EQ(run({ "twocs", "cluster", "--trials", "2", "--engine",
-                    "batched", "--lanes", "2" },
-                  &out),
-              0);
+    // The batched engine and its --lanes width are gone: both flags
+    // are unknown options now, in trial and single-run mode alike.
+    std::string out, err;
+    EXPECT_EQ(run({ "twocs", "cluster", "--trials", "4", "--engine",
+                    "batched" },
+                  &out, &err),
+              2);
+    EXPECT_NE(err.find("unknown option '--engine'"), std::string::npos)
+        << err;
+    EXPECT_EQ(run({ "twocs", "cluster", "--trials", "4", "--engine",
+                    "replay" },
+                  &out, &err),
+              2);
+    EXPECT_EQ(run({ "twocs", "cluster", "--trials", "4", "--lanes",
+                    "4" },
+                  &out, &err),
+              2);
+    EXPECT_EQ(run({ "twocs", "cluster", "--lanes", "4" }, &out, &err),
+              2);
+    EXPECT_NE(err.find("unknown option '--lanes'"), std::string::npos)
+        << err;
+    EXPECT_EQ(run({ "twocs", "cluster", "--trials", "2" }, &out), 0);
     EXPECT_NE(out.find("mean iteration"), std::string::npos);
 }
 

@@ -109,48 +109,17 @@ expectIdentical(const ClusterTrialSummary &a,
 
 TEST(ClusterReplay, TrialsMatchRebuildBitForBitAtAnyJobs)
 {
-    // The compiled-replay trial engine must reproduce the
-    // rebuild-per-trial engine exactly — same seeds, same noise
+    // The compiled-replay trial loop must reproduce one
+    // from-scratch run() per trial exactly — same seeds, same noise
     // draws, same FP accumulation order — at every jobs count.
     ClusterSim sim;
     const ClusterSimConfig cfg = smallConfig(4, 0.10);
-    exec::RunnerOptions serial;
-    serial.jobs = 1;
     const ClusterTrialSummary reference =
-        sim.runTrials(cfg, 8, serial, TrialEngine::Rebuild);
+        test::perTrialRuns(sim, cfg, 8);
     for (int jobs : { 1, 2, 4 }) {
         exec::RunnerOptions runner;
         runner.jobs = jobs;
-        expectIdentical(reference,
-                        sim.runTrials(cfg, 8, runner,
-                                      TrialEngine::CompiledReplay));
-        expectIdentical(reference,
-                        sim.runTrials(cfg, 8, runner,
-                                      TrialEngine::Rebuild));
-    }
-}
-
-TEST(ClusterReplay, BatchedTrialsMatchRebuildAtAnyJobsAndLanes)
-{
-    // The SoA-batched engine must reproduce the rebuild engine
-    // exactly at every jobs count and lane width — including lane
-    // widths that leave a partial tail block (5 over 8 trials) and
-    // the degenerate single-lane case.
-    ClusterSim sim;
-    const ClusterSimConfig cfg = smallConfig(4, 0.10);
-    exec::RunnerOptions serial;
-    serial.jobs = 1;
-    const ClusterTrialSummary reference =
-        sim.runTrials(cfg, 8, serial, TrialEngine::Rebuild);
-    for (int jobs : { 1, 2, 4 }) {
-        for (int lanes : { 1, 4, 5 }) {
-            exec::RunnerOptions runner;
-            runner.jobs = jobs;
-            expectIdentical(
-                reference,
-                sim.runTrials(cfg, 8, runner,
-                              TrialEngine::BatchedReplay, lanes));
-        }
+        expectIdentical(reference, sim.runTrials(cfg, 8, runner));
     }
 }
 
@@ -163,8 +132,7 @@ TEST(ClusterReplay, SingleTrialMatchesRun)
     ClusterSimConfig derived = cfg;
     derived.seed = splitmixSeed(cfg.seed, 0);
     const ClusterSimResult direct = sim.run(derived);
-    const ClusterTrialSummary trials =
-        sim.runTrials(cfg, 1, {}, TrialEngine::CompiledReplay);
+    const ClusterTrialSummary trials = sim.runTrials(cfg, 1);
     ASSERT_EQ(trials.trials.size(), 1u);
     EXPECT_EQ(trials.trials[0].iterationTime, direct.iterationTime);
     EXPECT_EQ(trials.trials[0].commTimePerDevice,

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/cluster_sim.hh"
 #include "core/system_config.hh"
 #include "model/layer_graph.hh"
 #include "model/zoo.hh"
+#include "util/rng.hh"
 
 namespace twocs::test {
 
@@ -29,6 +33,31 @@ bertGraph(int tp = 1, int dp = 1)
     par.tpDegree = tp;
     par.dpDegree = dp;
     return model::LayerGraphBuilder(model::bertLarge(), par);
+}
+
+/**
+ * The Monte Carlo oracle: one from-scratch ClusterSim::run() per
+ * trial, seeded with splitmixSeed(config.seed, i) and aggregated in
+ * trial order — what runTrials() must reproduce bit for bit.
+ */
+inline core::ClusterTrialSummary
+perTrialRuns(const core::ClusterSim &sim,
+             const core::ClusterSimConfig &config, int num_trials)
+{
+    core::ClusterTrialSummary summary;
+    for (int i = 0; i < num_trials; ++i) {
+        core::ClusterSimConfig trial = config;
+        trial.seed =
+            splitmixSeed(config.seed, static_cast<std::uint64_t>(i));
+        summary.trials.push_back(sim.run(trial));
+        summary.meanIterationTime +=
+            summary.trials.back().iterationTime;
+        summary.worstIterationTime =
+            std::max(summary.worstIterationTime,
+                     summary.trials.back().iterationTime);
+    }
+    summary.meanIterationTime /= static_cast<double>(num_trials);
+    return summary;
 }
 
 /** EXPECT that `value` lies within [lo, hi]. */

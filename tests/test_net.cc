@@ -282,9 +282,11 @@ TEST(NetAdmission, ShedPolicyNamesRoundTrip)
 // --- shard pool ---
 
 const char *kProjectA =
-    "{\"kind\": \"project\", \"hidden\": 4096, \"tp\": 8}";
+    "{\"kind\": \"project\", \"hidden\": 4096, "
+    "\"parallel\": {\"tp\": 8}}";
 const char *kProjectB =
-    "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 16}";
+    "{\"kind\": \"project\", \"hidden\": 8192, "
+    "\"parallel\": {\"tp\": 16}}";
 
 TEST(NetShardPool, RoutingIsStableAndStatsPinsToShardZero)
 {
@@ -460,12 +462,12 @@ TEST(NetStream, OverlongLineAnswersInArrivalOrderAndResyncs)
 
 TEST(NetStream, OverlongResponseLineShapePerProto)
 {
-    const std::string v2 = net::overlongResponseLine(2, 3, 500, 128);
-    EXPECT_NE(v2.find("\"error\":{\"code\":\"line_too_long\""),
-              std::string::npos);
-    const std::string v1 = net::overlongResponseLine(1, 3, 500, 128);
-    EXPECT_NE(v1.find("\"status\":\"error\""), std::string::npos);
-    EXPECT_EQ(v1.find("\"code\""), std::string::npos);
+    // One response protocol: the structured error object, no id.
+    EXPECT_EQ(net::overlongResponseLine(3, 500, 128),
+              "{\"status\":\"error\",\"error\":{\"code\":"
+              "\"line_too_long\",\"message\":\"line 3: request line "
+              "of 500 bytes exceeds --max-line-bytes 128; dropped to "
+              "the next newline\"}}");
 }
 
 // --- loopback end-to-end ---

@@ -376,7 +376,8 @@ TEST(ObsDeterminism, OneTraceCoversExecSvcSimAndComm)
     }
     svc::QueryService service;
     service.handle(
-        "{\"kind\": \"project\", \"hidden\": 4096, \"tp\": 8}");
+        "{\"kind\": \"project\", \"hidden\": 4096, "
+        "\"parallel\": {\"tp\": 8}}");
     comm::simulateRingCollective(hw::Topology::singleNode(hw::mi210(), 4), 1e6, std::vector<Seconds>(4, 0.0));
     // The exec layer's own span ("exec.parallel_for"): the runner
     // emits no per-task exec spans, so cover the category with an
@@ -411,8 +412,10 @@ TEST(ObsDeterminism, ServeStatsSpanSectionIsJobsInvariant)
         options.jobs = jobs;
         svc::QueryService service(options);
         std::istringstream in(
-            "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 8}\n"
-            "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 16}\n"
+            "{\"kind\": \"project\", \"hidden\": 8192, "
+            "\"parallel\": {\"tp\": 8}}\n"
+            "{\"kind\": \"project\", \"hidden\": 8192, "
+            "\"parallel\": {\"tp\": 16}}\n"
             "{\"kind\": \"stats\"}\n");
         std::ostringstream out;
         service.serve(in, out);

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "comm/ring_sim.hh"
 #include "hw/catalog.hh"
 #include "hw/efficiency.hh"
+#include "sim/graph.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -100,6 +103,64 @@ TEST(RingSim, ScheduleIsExportable)
     EXPECT_EQ(r.schedule.numTasks(), 4u + 4u * 6u);
 }
 
+/**
+ * The independent oracle for the compiled ring: build the stepped
+ * ring from scratch on sim::EventSimulator with the real durations
+ * baked in (arrival task per device, then step s on device d after
+ * its own and its upstream neighbour's step s - 1), optionally
+ * rewrite that build with `passes`, and derive the result fields
+ * from the resulting schedule.
+ */
+RingSimResult
+oracleRing(const hw::Topology &topology, Bytes payload,
+           const std::vector<Seconds> &arrivals,
+           const sim::PassPipeline *passes = nullptr)
+{
+    const int p = static_cast<int>(arrivals.size());
+    const int steps = 2 * (p - 1);
+    const Seconds step_time = ringStepTime(topology, payload, p);
+    sim::EventSimulator des;
+    std::vector<sim::ResourceId> dev(p);
+    std::vector<sim::TaskId> prev(p);
+    for (int d = 0; d < p; ++d) {
+        dev[d] = des.addResource("dev" + std::to_string(d));
+        prev[d] = des.addTask("arrive", "arrive", dev[d], arrivals[d]);
+    }
+    for (int s = 0; s < steps; ++s) {
+        std::vector<sim::TaskId> cur(p);
+        for (int d = 0; d < p; ++d) {
+            cur[d] = des.addTask("step" + std::to_string(s),
+                                 "ring_step", dev[d], step_time,
+                                 { prev[d], prev[(d + p - 1) % p] });
+        }
+        prev = std::move(cur);
+    }
+
+    RingSimResult r;
+    std::vector<sim::TaskId> finals = prev;
+    if (passes != nullptr) {
+        const sim::GraphBuilder::Compiled compiled =
+            passes->rewrite(*des.compile(), finals);
+        finals = compiled.terminals;
+        sim::ReplayScratch scratch;
+        sim::replay(*compiled.graph, {}, scratch);
+        r.schedule = sim::Schedule(compiled.graph, scratch.placements());
+    } else {
+        r.schedule = des.run();
+    }
+    Seconds latest = 0.0, earliest = 1e300;
+    for (int d = 0; d < p; ++d) {
+        r.deviceFinish.push_back(r.schedule.placement(finals[d]).end);
+        r.finishTime = std::max(r.finishTime, r.deviceFinish[d]);
+        latest = std::max(latest, arrivals[d]);
+        earliest = std::min(earliest, arrivals[d]);
+    }
+    r.collectiveTime = r.finishTime - latest;
+    r.maxStallTime =
+        std::max(0.0, r.finishTime - earliest - steps * step_time);
+    return r;
+}
+
 void
 expectIdentical(const RingSimResult &a, const RingSimResult &b)
 {
@@ -128,39 +189,8 @@ TEST(RingReplay, MatchesRebuildBitForBit)
     // bit for bit (identical recurrence, identical FP order).
     const std::vector<Seconds> skewed = { 0.0, 1e-3, 2e-3, 8e-3,
                                           5e-4, 0.0, 3e-3, 1e-4 };
-    const RingSimResult replayed = simulateRingCollective(node(8), 64e6, skewed, { {}, RingSimEngine::CompiledReplay });
-    const RingSimResult rebuilt = simulateRingCollective(node(8), 64e6, skewed, { {}, RingSimEngine::Rebuild });
-    expectIdentical(replayed, rebuilt);
-}
-
-TEST(RingReplay, BatchMatchesPerVectorBitForBit)
-{
-    // The SoA-batched entry point must reproduce the per-vector
-    // replay on every exported number for every lane, including a
-    // batch size that is not a multiple of the internal lane width.
-    Rng rng(99);
-    std::vector<std::vector<Seconds>> arrivals(11);
-    for (std::vector<Seconds> &a : arrivals) {
-        a.resize(8);
-        for (Seconds &t : a)
-            t = rng.nextDouble() * 5e-3;
-    }
-    const std::vector<RingSimResult> batched =
-        simulateRingCollectiveBatch(node(8), 64e6, arrivals);
-    ASSERT_EQ(batched.size(), arrivals.size());
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        const RingSimResult single = simulateRingCollective(
-            node(8), 64e6, arrivals[i],
-            { {}, RingSimEngine::CompiledReplay });
-        EXPECT_EQ(batched[i].finishTime, single.finishTime) << i;
-        EXPECT_EQ(batched[i].collectiveTime, single.collectiveTime)
-            << i;
-        EXPECT_EQ(batched[i].maxStallTime, single.maxStallTime) << i;
-        EXPECT_EQ(batched[i].deviceFinish, single.deviceFinish) << i;
-        // Batched replay keeps only ends; the schedule is empty by
-        // contract.
-        EXPECT_EQ(batched[i].schedule.numTasks(), 0u) << i;
-    }
+    expectIdentical(simulateRingCollective(node(8), 64e6, skewed),
+                    oracleRing(node(8), 64e6, skewed));
 }
 
 TEST(RingReplay, CachedTemplateReplaysAreIndependent)
@@ -292,11 +322,7 @@ TEST(RingReplay, PassRewrittenTemplateMatchesRebuild)
     replayOpts.passes = &tile;
     const RingSimResult rewritten =
         simulateRingCollective(node(p), 64e6, skewed, replayOpts);
-    RingSimOptions rebuildOpts = replayOpts;
-    rebuildOpts.engine = RingSimEngine::Rebuild;
-    const RingSimResult rebuilt =
-        simulateRingCollective(node(p), 64e6, skewed, rebuildOpts);
-    expectIdentical(rewritten, rebuilt);
+    expectIdentical(rewritten, oracleRing(node(p), 64e6, skewed, &tile));
 
     // Twice the step tasks; same device finish times as the
     // untouched reference (t/2 + t/2 == t exactly, starts shift by

@@ -17,6 +17,7 @@
 #include "core/cluster_sim.hh"
 #include "sim/engine.hh"
 #include "sim/passes.hh"
+#include "test_common.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -595,27 +596,19 @@ expectIdenticalTrials(const core::ClusterTrialSummary &a,
 TEST(PassReplay, FuseDceClusterTrialsIdenticalAcrossJobsAndEngines)
 {
     // With a pass pipeline active, trial results must still be
-    // independent of the jobs count and of the trial engine: both
-    // engines rewrite the same graph and draw noise in the same
+    // independent of the jobs count and match one run() per trial:
+    // both rewrite the same graph and draw noise in the same
     // compiled-task order.
     const core::ClusterSim sim;
     core::ClusterSimConfig cfg = clusterConfig(0.10);
     cfg.passes = "fuse,dce";
-    exec::RunnerOptions serial;
-    serial.jobs = 1;
-    const core::ClusterTrialSummary reference = sim.runTrials(
-        cfg, 6, serial, core::TrialEngine::Rebuild);
+    const core::ClusterTrialSummary reference =
+        test::perTrialRuns(sim, cfg, 6);
     for (int jobs : { 1, 2, 4 }) {
         exec::RunnerOptions runner;
         runner.jobs = jobs;
-        expectIdenticalTrials(
-            reference,
-            sim.runTrials(cfg, 6, runner,
-                          core::TrialEngine::CompiledReplay));
-        expectIdenticalTrials(
-            reference,
-            sim.runTrials(cfg, 6, runner,
-                          core::TrialEngine::Rebuild));
+        expectIdenticalTrials(reference,
+                              sim.runTrials(cfg, 6, runner));
     }
 }
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,12 +83,13 @@ TEST(SvcProtocol, StrictParseDiagnostics)
     EXPECT_NE(parseError("{\"kind\": \"project\", \"hiden\": 1}")
                   .find("unknown field 'hiden'"),
               std::string::npos);
-    EXPECT_NE(parseError("{\"kind\": \"project\", \"dp\": 2}")
-                  .find("field 'dp' does not apply to kind 'project'"),
+    EXPECT_NE(parseError("{\"kind\": \"project\", \"model\": \"BERT\"}")
+                  .find("field 'model' does not apply to kind "
+                        "'project'"),
               std::string::npos);
-    EXPECT_NE(parseError("{\"kind\": \"project\", \"tp\": 4, "
-                         "\"tp\": 8}")
-                  .find("duplicate field 'tp'"),
+    EXPECT_NE(parseError("{\"kind\": \"project\", \"hidden\": 4, "
+                         "\"hidden\": 8}")
+                  .find("duplicate field 'hidden'"),
               std::string::npos);
     EXPECT_NE(parseError("{\"kind\": \"project\", \"hidden\": \"big\"}")
                   .find("field 'hidden' expects a number"),
@@ -105,7 +107,7 @@ TEST(SvcProtocol, StrictParseDiagnostics)
     EXPECT_NE(parseError("{\"kind\": \"stats\"} trailing")
                   .find("trailing content after the request object"),
               std::string::npos);
-    EXPECT_NE(parseError("{\"kind\": \"project\", \"tp\": {\"x\": 1}}")
+    EXPECT_NE(parseError("{\"kind\": \"project\", \"seqlen\": {\"x\": 1}}")
                   .find("must be a scalar"),
               std::string::npos);
     EXPECT_NE(parseError("{\"kind\": \"analyze\", "
@@ -132,18 +134,64 @@ TEST(SvcProtocol, CanonicalKeyNormalizesSpelling)
     const std::string bare =
         svc::canonicalKey(svc::parseQuery("{\"kind\": \"project\"}"));
     const std::string spelled = svc::canonicalKey(svc::parseQuery(
-        "{ \"tp\":64 ,\"batch\": 1, \"kind\": \"project\","
+        "{ \"parallel\":{\"tp\":64} ,\"batch\": 1, \"kind\": \"project\","
         "\"seqlen\": 2048, \"hidden\": 16384, \"id\": 99 }"));
     EXPECT_EQ(bare, spelled);
     EXPECT_NE(bare, "");
 
     // The id is echoed but never part of the key; tp is.
     EXPECT_NE(svc::canonicalKey(svc::parseQuery(
-                  "{\"kind\": \"project\", \"tp\": 32}")),
+                  "{\"kind\": \"project\", \"parallel\": {\"tp\": 32}}")),
               bare);
     // Stats queries are never cached.
     EXPECT_EQ(svc::canonicalKey(svc::parseQuery("{\"kind\": \"stats\"}")),
               "");
+}
+
+TEST(SvcProtocol, CanonicalKeysArePinned)
+{
+    // One structured request per query kind, each pinned to its
+    // exact cache key. Keys index cached bytes, so any drift here
+    // silently splits or merges cache entries.
+    const std::pair<const char *, const char *> cases[] = {
+        { "{\"kind\": \"project\"}",
+          "v2|project|dev=MI210|fs=1|bw=1|pin=0|h=16384|sl=2048|b=1|"
+          "tp=64|dp=1|pp=1|mb=1|zero=0|ep=1|sp=0|ov=1|gt=0" },
+        { "{\"kind\": \"project\", \"hidden\": 65536, \"seqlen\": "
+          "4096, \"batch\": 2, \"parallel\": {\"tp\": 256, \"pp\": 4, "
+          "\"zero\": 1}, \"flop_scale\": 4}",
+          "v2|project|dev=MI210|fs=4|bw=1|pin=0|h=65536|sl=4096|b=2|"
+          "tp=256|dp=1|pp=4|mb=1|zero=1|ep=1|sp=0|ov=1|gt=0" },
+        { "{\"kind\": \"project\", \"hidden\": 8192, \"parallel\": "
+          "{\"tp\": 16}, \"ground_truth\": true}",
+          "v2|project|dev=MI210|fs=1|bw=1|pin=0|h=8192|sl=2048|b=1|"
+          "tp=16|dp=1|pp=1|mb=1|zero=0|ep=1|sp=0|ov=1|gt=1" },
+        { "{\"kind\": \"analyze\", \"model\": \"GPT-3\", \"parallel\": "
+          "{\"tp\": 8, \"dp\": 4}, \"batch\": 8, \"precision\": "
+          "\"bf16\"}",
+          "v2|analyze|dev=MI210|fs=1|bw=1|pin=0|model=GPT-3|tp=8|dp=4|"
+          "pp=1|mb=1|zero=0|ep=1|sp=0|ov=1|b=8|prec=bf16" },
+        { "{\"kind\": \"slack\", \"hidden\": 8192, \"seqlen\": 2048, "
+          "\"bw_scale\": 2, \"pin\": true}",
+          "v2|slack|dev=MI210|fs=1|bw=2|pin=1|h=8192|sl=2048|b=1" },
+        { "{\"kind\": \"memory\", \"model\": \"GPT-3\"}",
+          "v2|memory|dev=MI210|fs=1|bw=1|pin=0|model=GPT-3|tp=min|dp=1|"
+          "pp=1|mb=1|zero=0|ep=1|sp=0|ov=1|prec=fp16" },
+        { "{\"kind\": \"memory\", \"model\": \"GPT-3\", \"parallel\": "
+          "{\"tp\": 8}}",
+          "v2|memory|dev=MI210|fs=1|bw=1|pin=0|model=GPT-3|tp=8|dp=1|"
+          "pp=1|mb=1|zero=0|ep=1|sp=0|ov=1|prec=fp16" },
+        { "{\"kind\": \"perturb\", \"hidden\": 4096, \"seqlen\": 1024, "
+          "\"parallel\": {\"tp\": 4, \"dp\": 2}, \"perturb\": "
+          "{\"task\": 12, \"scale\": 1.05}}",
+          "v2|perturb|dev=MI210|fs=1|bw=1|pin=0|h=4096|sl=1024|b=1|"
+          "tp=4|dp=2|pp=1|mb=1|zero=0|ep=1|sp=0|ov=1|task=12|"
+          "scale=1.05" },
+        { "{\"kind\": \"stats\"}", "" },
+    };
+    for (const auto &[line, key] : cases)
+        EXPECT_EQ(svc::canonicalKey(svc::parseQuery(line)), key)
+            << line;
 }
 
 TEST(SvcProtocol, Fnv1aMatchesReferenceVectors)
@@ -217,7 +265,8 @@ TEST(SvcService, WarmHitIsByteIdenticalToColdMiss)
 {
     svc::QueryService service;
     const std::string line =
-        "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 16}";
+        "{\"kind\": \"project\", \"hidden\": 8192, "
+        "\"parallel\": {\"tp\": 16}}";
     const std::string cold = service.handle(line);
     const std::string warm = service.handle(line);
     EXPECT_EQ(cold, warm);
@@ -236,7 +285,8 @@ TEST(SvcService, ProjectResponseMatchesTheAnalysis)
 
     svc::QueryService service;
     const std::string response = service.handle(
-        "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 16}");
+        "{\"kind\": \"project\", \"hidden\": 8192, "
+        "\"parallel\": {\"tp\": 16}}");
     EXPECT_NE(response.find("\"compute_seconds\":" +
                             json::number(p.computeTime)),
               std::string::npos)
@@ -338,12 +388,15 @@ mixedWorkload()
 {
     std::ostringstream os;
     for (const int tp : { 8, 16, 32, 64 }) {
-        os << "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": "
-           << tp << "}\n";
+        os << "{\"kind\": \"project\", \"hidden\": 8192, "
+              "\"parallel\": {\"tp\": "
+           << tp << "}}\n";
     }
-    os << "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 16}\n"
+    os << "{\"kind\": \"project\", \"hidden\": 8192, "
+          "\"parallel\": {\"tp\": 16}}\n"
        << "{\"id\": 1, \"kind\": \"slack\", \"hidden\": 8192}\n"
-       << "{\"kind\": \"analyze\", \"model\": \"BERT\", \"tp\": 4}\n"
+       << "{\"kind\": \"analyze\", \"model\": \"BERT\", "
+          "\"parallel\": {\"tp\": 4}}\n"
        << "{\"kind\": \"memory\", \"model\": \"GPT-3\"}\n"
        << "{\"kind\": \"memory\", \"model\": \"ELIZA\"}\n"
        << "this line is broken\n"
@@ -357,7 +410,7 @@ mixedWorkload()
     for (const int hidden : { 1024, 2048, 4096, 16384, 32768 }) {
         for (const int tp : { 1, 2, 4, 8, 16, 32, 64, 128 }) {
             os << "{\"kind\": \"project\", \"hidden\": " << hidden
-               << ", \"tp\": " << tp << "}\n";
+               << ", \"parallel\": {\"tp\": " << tp << "}}\n";
         }
         if (hidden == 4096)
             os << "{\"kind\": \"memory\", \"model\": \"PARRY\"}\n";
@@ -477,40 +530,6 @@ TEST(SvcProto, V2StatsReportsProtocolVersion)
         << stats;
 }
 
-TEST(SvcProto, V1KeepsTheLegacyFlatErrorShape)
-{
-    svc::ServiceOptions options;
-    options.protoVersion = 1;
-    svc::QueryService service(options);
-    const std::string err = service.handle(
-        "{\"id\": 7, \"kind\": \"project\", \"hiden\": 1}");
-    // Legacy shape: flat message, no error object, no id echo on
-    // parse errors.
-    EXPECT_EQ(err.rfind("{\"status\":\"error\",\"message\":\"", 0),
-              0u)
-        << err;
-    EXPECT_EQ(err.find("\"error\":{"), std::string::npos);
-    const std::string stats = service.handle("{\"kind\": \"stats\"}");
-    EXPECT_EQ(stats.find("\"proto\""), std::string::npos) << stats;
-
-    svc::ServiceOptions bad;
-    bad.protoVersion = 4;
-    EXPECT_THROW(svc::QueryService{ bad }, FatalError);
-}
-
-TEST(SvcProto, OkPayloadsAreIdenticalAcrossVersions)
-{
-    // The cache key and every success payload are version-invariant;
-    // only diagnostics and stats metadata differ.
-    const std::string req =
-        "{\"kind\": \"project\", \"hidden\": 8192, \"tp\": 16}";
-    svc::ServiceOptions v1;
-    v1.protoVersion = 1;
-    svc::QueryService legacy(v1);
-    svc::QueryService modern;
-    EXPECT_EQ(legacy.handle(req), modern.handle(req));
-}
-
 TEST(SvcProto, IdTokenExtractionIsBestEffort)
 {
     EXPECT_EQ(svc::tryExtractIdJson("{\"id\": 7, \"kind\": 1}"), "7");
@@ -573,8 +592,6 @@ TEST(SvcProtoV3, StructuredParallelObjectParses)
         "{\"kind\": \"project\", \"parallel\": {\"tp\": 8, \"pp\": 4, "
         "\"micro\": 16, \"dp\": 2, \"zero\": 1, \"ep\": 1, "
         "\"sp\": true, \"overlap\": false}}");
-    EXPECT_TRUE(q.planSet);
-    EXPECT_FALSE(q.usedDeprecatedParallelFields);
     EXPECT_EQ(q.plan.tpDegree, 8);
     EXPECT_EQ(q.plan.ppDegree, 4);
     EXPECT_EQ(q.plan.microBatches, 16);
@@ -588,29 +605,13 @@ TEST(SvcProtoV3, StructuredParallelObjectParses)
     EXPECT_TRUE(q.tpSet);
 }
 
-TEST(SvcProtoV3, FlatFieldsAreDeprecatedAliasesWithTheSameKey)
-{
-    const svc::Query flat = svc::parseQuery(
-        "{\"kind\": \"analyze\", \"tp\": 8, \"dp\": 4}");
-    EXPECT_TRUE(flat.usedDeprecatedParallelFields);
-    EXPECT_FALSE(flat.planSet);
-    EXPECT_EQ(flat.plan.tpDegree, 8);
-    EXPECT_EQ(flat.plan.dpDegree, 4);
-
-    const svc::Query structured = svc::parseQuery(
-        "{\"kind\": \"analyze\", \"parallel\": {\"tp\": 8, "
-        "\"dp\": 4}}");
-    EXPECT_FALSE(structured.usedDeprecatedParallelFields);
-    // Same configuration, same cache key — however spelled.
-    EXPECT_EQ(svc::canonicalKey(flat), svc::canonicalKey(structured));
-}
-
 TEST(SvcProtoV3, ParseDiagnostics)
 {
-    // Flat aliases cannot combine with the structured object.
+    // The plan lives only in the structured object: a top-level tp
+    // is an unknown field, even next to 'parallel'.
     EXPECT_NE(parseError("{\"kind\": \"analyze\", \"tp\": 8, "
                          "\"parallel\": {\"dp\": 2}}")
-                  .find("cannot be combined"),
+                  .find("unknown field 'tp'"),
               std::string::npos);
     // Unknown plan axes are named with the accepted list.
     EXPECT_NE(parseError("{\"kind\": \"project\", \"parallel\": "
@@ -657,29 +658,6 @@ TEST(SvcProtoV3, NonTrivialPlansShowUpInTheResponse)
               std::string::npos)
         << lowered;
     EXPECT_NE(lowered.find("\"status\":\"ok\""), std::string::npos);
-}
-
-TEST(SvcProtoV3, StatsCountDeprecatedFieldRequests)
-{
-    svc::ServiceOptions options;
-    options.protoVersion = 3;
-    svc::QueryService service(options);
-    service.handle("{\"kind\": \"analyze\", \"tp\": 2}");
-    service.handle("{\"kind\": \"analyze\", \"parallel\": "
-                   "{\"tp\": 2}}");
-    const std::string stats = service.handle("{\"kind\": \"stats\"}");
-    EXPECT_NE(stats.find("\"proto\":3"), std::string::npos) << stats;
-    EXPECT_NE(stats.find("\"deprecated_field_requests\":1"),
-              std::string::npos)
-        << stats;
-
-    // v2 stats keep their historical shape: no deprecation counter.
-    svc::QueryService v2;
-    v2.handle("{\"kind\": \"analyze\", \"tp\": 2}");
-    const std::string old = v2.handle("{\"kind\": \"stats\"}");
-    EXPECT_EQ(old.find("deprecated_field_requests"),
-              std::string::npos)
-        << old;
 }
 
 // --- proto-v3 perturb queries ---
