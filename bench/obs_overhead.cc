@@ -4,8 +4,10 @@
  * but runtime-disabled (the shipping default), a hot loop whose body
  * carries a TWOCS_OBS_SPAN site must run within 1% of the identical
  * loop with no span site at all. This pins the cost contract in
- * obs/obs.hh — one relaxed atomic load and a branch per site — so
- * instrumentation can stay in hot paths unconditionally.
+ * obs/obs.hh for microsecond-scale bodies. It also prints, without
+ * gating it, the absolute cost in ns of one disabled site around an
+ * empty body: the number that rules span sites out of nanosecond-
+ * scale loops.
  *
  * Methodology: min-of-reps on both variants (min is the standard
  * noise-robust statistic for microbenches), with a few whole-trial
@@ -35,6 +37,25 @@ workUnit(double seed)
 }
 
 volatile double g_sink = 0.0;
+volatile int g_tick = 0;
+
+double
+loopEmptyPlain(int iterations)
+{
+    for (int i = 0; i < iterations; ++i)
+        g_tick = i;
+    return 0.0;
+}
+
+double
+loopEmptyWithSpanSites(int iterations)
+{
+    for (int i = 0; i < iterations; ++i) {
+        TWOCS_OBS_SPAN(obs::Category::Bench, "obs-overhead-empty");
+        g_tick = i;
+    }
+    return 0.0;
+}
 
 double
 loopPlain(int iterations)
@@ -99,6 +120,15 @@ main()
                     "ratio %.4f\n",
                     attempt, plain * 1e3, with_spans * 1e3, ratio);
     }
+
+    // Min-of-reps on both empty loops; the difference is the site.
+    const int empty_iterations = 1000000;
+    const double site_ns =
+        (minSeconds(loopEmptyWithSpanSites, empty_iterations, reps) -
+         minSeconds(loopEmptyPlain, empty_iterations, reps)) /
+        empty_iterations * 1e9;
+    std::printf("disabled span site on an empty body: %.2f ns\n",
+                site_ns);
 
     const bool ok = bench::checkClaim(
         "runtime-disabled span sites add < 1% to a hot loop",

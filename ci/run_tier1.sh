@@ -9,9 +9,11 @@
 #   2b. `asan`  — AddressSanitizer + UndefinedBehaviorSanitizer build;
 #                 runs the whole suite (UBSan findings are fatal).
 #   3. obs gate — a traced sweep must produce a trace.json that the
-#                 strict parser accepts, and span sites that are
-#                 compiled in but disabled must stay under 1%
-#                 overhead (bench/obs_overhead).
+#                 strict parser accepts; a traced 200-trial cluster
+#                 Monte Carlo must print the untraced stdout byte for
+#                 byte, write a valid trace and drop no spans; and
+#                 span sites that are compiled in but disabled must
+#                 stay under 1% overhead (bench/obs_overhead).
 #   4. bench regression harness — sweep_throughput, micro_sim_perf,
 #                 cluster_jitter, straggler_study and svc_throughput
 #                 emit BENCH_<name>.json files, which must be strictly
@@ -64,6 +66,20 @@ rm -f "${trace_out}"
 "${twocs}" sweep --figure 10 --jobs 2 --trace-out "${trace_out}" \
     > /dev/null
 "${twocs}" validate --trace "${trace_out}"
+
+echo "== tier-1: traced Monte Carlo keeps every span, stdout unchanged =="
+cluster_mc="--tp 8 --trials 200 --jitter 0.05 --jobs 2"
+cluster_trace="build-tier1/ci_cluster_trace.json"
+rm -f "${cluster_trace}"
+"${twocs}" cluster ${cluster_mc} > build-tier1/ci_cluster_plain.out
+"${twocs}" cluster ${cluster_mc} --trace-out "${cluster_trace}" \
+    > build-tier1/ci_cluster_traced.out 2> build-tier1/ci_cluster_traced.err
+cmp build-tier1/ci_cluster_plain.out build-tier1/ci_cluster_traced.out
+"${twocs}" validate --trace "${cluster_trace}"
+if grep -q 'spans dropped' build-tier1/ci_cluster_traced.err; then
+    echo "traced cluster run dropped spans"
+    exit 1
+fi
 
 echo "== tier-1: disabled-tracing overhead < 1% =="
 build-tier1/bench/obs_overhead

@@ -11,8 +11,12 @@
  * folded flamegraph stacks, a count/total/p50/p95 summary table).
  *
  * Cost contract:
- *  - disabled (the default): one relaxed atomic load and a branch
- *    per span site — label/args expressions are never evaluated;
+ *  - disabled (the default): a relaxed atomic load and a branch,
+ *    plus a Span that builds and destroys two empty std::strings and
+ *    an opaque call that makes the enclosing loop spill its registers
+ *    (label/args callables never run; bench/obs_overhead prints the
+ *    ns). So: one span per pass, never one per element of a
+ *    nanosecond-scale loop — sim::replay records per-tag counts;
  *  - compiled out (-DTWOCS_OBS_DISABLE): the macros expand to
  *    nothing at all;
  *  - enabled: two steady_clock reads plus one short mutex-guarded
@@ -48,7 +52,7 @@ enum class Category : unsigned
 {
     Exec = 1u << 0,  //!< thread pool / sweep runner task execution
     Svc = 1u << 1,   //!< query-service batch phases and cache events
-    Sim = 1u << 2,   //!< discrete-event engine runs and dispatches
+    Sim = 1u << 2,   //!< discrete-event engine runs and replays
     Comm = 1u << 3,  //!< collective simulations (ring all-reduce)
     Cli = 1u << 4,   //!< top-level CLI command handlers
     Bench = 1u << 5, //!< bench drivers

@@ -220,16 +220,13 @@ EventSimulator::compile() const
     tmpl->depOffsets_ = depOffsets_;
     tmpl->depEdges_ = depEdges_;
     tmpl->interner_ = interner_;
-    // Per-tag dispatch span labels, built exactly once per compile
-    // so replay's per-task tracing never concatenates a string.
-    tmpl->dispatchLabels_.reserve(interner_->size());
-    for (util::StringInterner::Id id = 0; id < interner_->size();
-         ++id) {
-        const std::string_view text = interner_->view(id);
-        tmpl->dispatchLabels_.push_back(
-            "sim.dispatch." +
-            (text.empty() ? std::string("task")
-                          : std::string(text)));
+    // Per-tag task counts for replay's one span per call.
+    std::vector<std::uint32_t> counts(interner_->size(), 0);
+    for (const util::StringInterner::Id tag : tags_)
+        ++counts[tag];
+    for (util::StringInterner::Id id = 0; id < counts.size(); ++id) {
+        if (counts[id] != 0)
+            tmpl->tagCounts_.emplace_back(id, counts[id]);
     }
     return tmpl;
 }

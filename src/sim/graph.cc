@@ -74,14 +74,6 @@ GraphTemplate::deps(TaskId id) const
              depEdges_.data() + depOffsets_[i + 1] };
 }
 
-const std::string &
-GraphTemplate::dispatchLabel(util::StringInterner::Id tag) const
-{
-    panicIf(tag >= dispatchLabels_.size(),
-            "dispatchLabel() of unknown tag id ", tag);
-    return dispatchLabels_[tag];
-}
-
 void
 ReplayScratch::bind(const GraphTemplate &graph)
 {
@@ -118,9 +110,20 @@ replay(const GraphTemplate &graph,
                              ? graph.durations_.data()
                              : durations.data();
 
+    // The only tracing check of the call: the per-tag counts stand
+    // in for per-task spans, so the loop below stays call-free.
     TWOCS_OBS_SPAN(obs::Category::Sim, "sim.replay", [&] {
-        return "tasks=" + std::to_string(n) + " resources=" +
-               std::to_string(graph.numResources());
+        std::string args = "tasks=" + std::to_string(n) +
+                           " resources=" +
+                           std::to_string(graph.numResources());
+        for (const auto &[tag, count] : graph.tagCounts_) {
+            const std::string_view text = graph.interner_->view(tag);
+            args += ' ';
+            args += text.empty() ? std::string_view("task") : text;
+            args += '=';
+            args += std::to_string(count);
+        }
+        return args;
     });
 
     scratch.bind(graph);
@@ -128,34 +131,33 @@ replay(const GraphTemplate &graph,
               scratch.resourceFree_.end(), 0.0);
     std::fill(scratch.busyTotals_.begin(),
               scratch.busyTotals_.end(), 0.0);
-    scratch.makespan_ = 0.0;
 
     ScheduledTask *placed = scratch.placed_.data();
     Seconds *resource_free = scratch.resourceFree_.data();
+    Seconds *busy = scratch.busyTotals_.data();
     const ResourceId *res = graph.resources_.data();
     const std::uint32_t *offsets = graph.depOffsets_.data();
     const TaskId *edges = graph.depEdges_.data();
+    Seconds makespan = 0.0;
 
     // Tasks were compiled in program order and dependencies point
     // backwards (validated at build), so one forward pass is a valid
     // simulation — the same recurrence EventSimulator::run() always
     // used, now over flat arrays.
     for (std::size_t i = 0; i < n; ++i) {
-        TWOCS_OBS_SPAN(obs::Category::Sim,
-                       graph.dispatchLabels_[graph.tags_[i]]);
-        Seconds ready = resource_free[res[i]];
+        const ResourceId r = res[i];
+        Seconds ready = resource_free[r];
         for (std::uint32_t e = offsets[i]; e < offsets[i + 1]; ++e)
             ready = std::max(ready, placed[edges[e]].end);
-        placed[i] = { static_cast<TaskId>(i), ready,
-                      ready + dur[i] };
-        resource_free[res[i]] = placed[i].end;
+        const Seconds end = ready + dur[i];
+        placed[i] = { static_cast<TaskId>(i), ready, end };
+        resource_free[r] = end;
         // Bit-identical to Schedule's constructor pass, which sums
         // end - start per resource in task order.
-        scratch.busyTotals_[res[i]] +=
-            placed[i].end - placed[i].start;
-        scratch.makespan_ =
-            std::max(scratch.makespan_, placed[i].end);
+        busy[r] += end - ready;
+        makespan = std::max(makespan, end);
     }
+    scratch.makespan_ = makespan;
 }
 
 void

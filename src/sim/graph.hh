@@ -39,6 +39,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/interner.hh"
@@ -112,14 +113,6 @@ class GraphTemplate
         return interner_;
     }
 
-    /**
-     * Precomputed "sim.dispatch.<tag>" span label for an interned
-     * tag id ("sim.dispatch.task" for the empty tag) — replay's
-     * per-task tracing never builds a string.
-     */
-    const std::string &
-    dispatchLabel(util::StringInterner::Id tag) const;
-
   private:
     friend class EventSimulator;
     friend void replay(const GraphTemplate &,
@@ -137,8 +130,10 @@ class GraphTemplate
      *  depEdges_[depOffsets_[i] .. depOffsets_[i + 1]). */
     std::vector<std::uint32_t> depOffsets_;
     std::vector<TaskId> depEdges_;
-    /** Indexed by interned id; built once at compile. */
-    std::vector<std::string> dispatchLabels_;
+    /** (tag id, task count) for every tag in use, by ascending id;
+     *  built once at compile for the per-call "sim.replay" span. */
+    std::vector<std::pair<util::StringInterner::Id, std::uint32_t>>
+        tagCounts_;
     std::shared_ptr<const util::StringInterner> interner_;
 };
 
@@ -234,7 +229,8 @@ class BatchScratch
  * the template's base durations) into `scratch`. Dependencies were
  * validated at compile time, so this is a single forward pass — no
  * allocation (once scratch is bound), no validation beyond the
- * durations size check.
+ * durations size check. Tracing costs one check per call: a single
+ * "sim.replay" span whose args carry the per-tag task counts.
  */
 void replay(const GraphTemplate &graph,
             std::span<const Seconds> durations,
@@ -247,8 +243,8 @@ void replay(const GraphTemplate &graph,
  * lane's results — placements, makespan, busy totals — are
  * bit-identical to a sequential replay() of that lane's durations:
  * the per-lane floating-point op sequence is exactly the sequential
- * one, only interleaved across lanes. Per-task dispatch spans are
- * not emitted (one "sim.replay_batch" span covers the pass).
+ * one, only interleaved across lanes. Like replay(), it records one
+ * span per pass ("sim.replay_batch"), never one per task.
  */
 void replayBatch(const GraphTemplate &graph,
                  std::span<const Seconds> durations_soa,

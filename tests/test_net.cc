@@ -609,22 +609,34 @@ TEST(NetServer, SlowReaderIsBackpressuredNotBuffered)
     net::Server server(std::move(options));
     server.start();
 
-    constexpr int kRequests = 4000;
     net::BlockingClient client(server.port());
+    std::string batch;
+    constexpr int kBatch = 50;
+    for (int i = 0; i < kBatch; ++i)
+        batch += std::string(kProjectA) + "\n";
 
-    std::ostringstream batch;
-    for (int i = 0; i < kRequests; ++i)
-        batch << kProjectA << "\n";
-    client.sendAll(batch.str());
+    // Keep sending, never reading, until the server pauses reads.
+    // The server only checks its write backlog when input arrives,
+    // and never pauses a peer that has shut down its write side, so
+    // a one-shot send followed by a wait races the answers against
+    // the reads: under load every request was read before the
+    // backlog built up. Small batches bound what is in flight once
+    // reads pause, so the blocking send cannot wedge.
+    int sent = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().readPauses == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        client.sendAll(batch);
+        sent += kBatch;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     client.shutdownWrite();
-    // Give the server time to answer into a reader that isn't
-    // reading yet.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
     const std::string out = client.drainAll();
     server.stop();
     server.join();
-    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), kRequests);
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), sent);
     EXPECT_GT(server.stats().readPauses, 0u);
 }
 

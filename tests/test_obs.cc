@@ -17,6 +17,7 @@
 #include "cli/args.hh"
 #include "cli/commands.hh"
 #include "comm/ring_sim.hh"
+#include "core/cluster_sim.hh"
 #include "exec/parallel_for.hh"
 #include "hw/catalog.hh"
 #include "obs/obs.hh"
@@ -400,6 +401,37 @@ TEST(ObsDeterminism, OneTraceCoversExecSvcSimAndComm)
     std::ostringstream os;
     obs::writeChromeTrace(snap, os);
     json::validate(os.str());
+}
+
+TEST(ObsDeterminism, TracedMonteCarloKeepsEveryTrial)
+{
+    // A replay records one span per call, not one per task, so 200
+    // traced trials fit the default rings with room to spare.
+    TracerGuard guard;
+    core::ClusterSimConfig cfg;
+    cfg.computeJitter = 0.05;
+    const core::ClusterSim cluster;
+    for (const int jobs : { 1, 2 }) {
+        obs::Tracer::reset();
+        obs::Tracer::enable();
+        exec::RunnerOptions runner;
+        runner.jobs = jobs;
+        cluster.runTrials(cfg, 200, runner);
+        obs::Tracer::disable();
+
+        const obs::TraceSnapshot snap = obs::Tracer::snapshot();
+        EXPECT_EQ(snap.dropped, 0u) << "jobs " << jobs;
+        std::map<std::string, std::uint64_t> counts;
+        std::uint64_t dispatches = 0;
+        for (const obs::SpanRecord &s : snap.spans) {
+            ++counts[s.label];
+            dispatches += s.label.rfind("sim.dispatch.", 0) == 0;
+        }
+        EXPECT_EQ(dispatches, 0u) << "jobs " << jobs;
+        EXPECT_EQ(counts["sim.replay"], 200u) << "jobs " << jobs;
+        EXPECT_EQ(counts["cluster_trials.task"], 200u)
+            << "jobs " << jobs;
+    }
 }
 
 TEST(ObsDeterminism, ServeStatsSpanSectionIsJobsInvariant)

@@ -2,15 +2,21 @@
  * @file
  * Tests for the compiled task-graph layer (sim/graph.hh): CSR
  * structure, replay-vs-run equivalence, the zero-allocation replay
- * contract, and concurrent replays of one shared template.
+ * contract, concurrent replays of one shared template, and the
+ * one-span-per-replay tracing contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/case_study.hh"
+#include "core/cluster_sim.hh"
+#include "obs/obs.hh"
 #include "sim/engine.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -294,6 +300,124 @@ TEST(GraphTemplate, ReplayRejectsScratchBoundElsewhere)
     batch.bind(*big, 3);
     replayBatch(*big, {}, 3, batch);
     EXPECT_DOUBLE_EQ(batch.makespan(2), 10.0);
+}
+
+/** Leave the process-global tracer off and empty after each test. */
+struct TracerGuard
+{
+    ~TracerGuard()
+    {
+        obs::Tracer::disable();
+        obs::Tracer::reset();
+    }
+};
+
+/** Replay `g` on jittered durations with Sim tracing off, then on:
+ *  placements, busy totals and makespan must match exactly. */
+void
+expectTracingLeavesReplayUnchanged(const GraphTemplate &g)
+{
+    TracerGuard guard;
+    std::vector<Seconds> durations = g.baseDurations();
+    Rng rng(5);
+    for (Seconds &d : durations)
+        d *= rng.noiseFactor(0.05);
+
+    ReplayScratch off, on;
+    obs::Tracer::disable();
+    replay(g, durations, off);
+    obs::Tracer::reset();
+    obs::Tracer::enable(static_cast<unsigned>(obs::Category::Sim));
+    replay(g, durations, on);
+    obs::Tracer::disable();
+    EXPECT_EQ(obs::Tracer::countsByLabel().at("sim.replay"), 1u);
+
+    ASSERT_EQ(on.placements().size(), off.placements().size());
+    for (std::size_t i = 0; i < off.placements().size(); ++i) {
+        EXPECT_EQ(on.placements()[i].id, off.placements()[i].id);
+        EXPECT_EQ(on.placements()[i].start, off.placements()[i].start)
+            << "task " << i;
+        EXPECT_EQ(on.placements()[i].end, off.placements()[i].end)
+            << "task " << i;
+    }
+    for (std::size_t r = 0; r < g.numResources(); ++r) {
+        EXPECT_EQ(on.busyTotal(static_cast<ResourceId>(r)),
+                  off.busyTotal(static_cast<ResourceId>(r)))
+            << "resource " << r;
+    }
+    EXPECT_EQ(on.makespan(), off.makespan());
+}
+
+TEST(GraphReplay, TracingLeavesDiamondReplayUnchanged)
+{
+    expectTracingLeavesReplayUnchanged(*buildDiamond().compile());
+}
+
+TEST(GraphReplay, TracingLeavesClusterIterationReplayUnchanged)
+{
+    const core::ClusterSim cluster;
+    expectTracingLeavesReplayUnchanged(
+        *cluster.compileIteration(core::ClusterSimConfig{}));
+}
+
+TEST(GraphReplay, TracingLeavesFigure14CaseReplayUnchanged)
+{
+    // The figure-14 bench's TP + DP scenario.
+    core::CaseStudyConfig cfg;
+    cfg.system.flopScale = 4.0;
+    expectTracingLeavesReplayUnchanged(
+        *core::CaseStudy().compileGraph(cfg));
+}
+
+/** The args of the only span of a traced replay of `g`; fails the
+ *  test unless exactly one "sim.replay" span and nothing else was
+ *  recorded. */
+std::string
+tracedReplayArgs(const GraphTemplate &g)
+{
+    TracerGuard guard;
+    obs::Tracer::reset();
+    obs::Tracer::enable();
+    ReplayScratch scratch;
+    replay(g, {}, scratch);
+    obs::Tracer::disable();
+    const obs::TraceSnapshot snap = obs::Tracer::snapshot();
+    EXPECT_EQ(snap.spans.size(), 1u);
+    for (const obs::SpanRecord &s : snap.spans)
+        EXPECT_EQ(s.label, "sim.replay");
+    return snap.spans.empty() ? std::string() : snap.spans[0].args;
+}
+
+TEST(GraphReplay, TracedReplayRecordsOneSpanWithPerTagCounts)
+{
+    // Tags list in interned-id order; labels share the intern table
+    // but never appear.
+    EXPECT_EQ(tracedReplayArgs(*buildDiamond().compile()),
+              "tasks=4 resources=2 comp=3 comm=1");
+
+    const core::ClusterSim cluster;
+    const std::shared_ptr<const GraphTemplate> g =
+        cluster.compileIteration(core::ClusterSimConfig{});
+    std::istringstream fields(tracedReplayArgs(*g));
+    std::string field;
+    std::size_t tagged = 0;
+    int tags = 0;
+    while (fields >> field) {
+        const std::size_t eq = field.find('=');
+        ASSERT_NE(eq, std::string::npos) << field;
+        const std::string key = field.substr(0, eq);
+        const std::size_t value = std::stoul(field.substr(eq + 1));
+        if (key == "tasks") {
+            EXPECT_EQ(value, g->numTasks());
+        } else if (key == "resources") {
+            EXPECT_EQ(value, g->numResources());
+        } else {
+            tagged += value;
+            ++tags;
+        }
+    }
+    EXPECT_GE(tags, 2);
+    EXPECT_EQ(tagged, g->numTasks());
 }
 
 /**
