@@ -1,8 +1,8 @@
 /**
  * @file
  * Throughput of the parallel sweep engine on the Table 3 grid: the
- * 196-config serialized study evaluated end to end on the
- * work-stealing chunked parallelFor at `--jobs 1` and at `--jobs N`.
+ * 196-config serialized study evaluated end to end on the chunked
+ * parallelFor at `--jobs 1` and at `--jobs N`.
  * This is the headline number of the bench-regression harness — the
  * paper's huge (H, SL, TP) grids make sweep throughput the scaling
  * axis of the reproduction.
@@ -96,7 +96,7 @@ main(int argc, char **argv)
                           bench::benchJsonPath(argc, argv));
 
     bench::banner("sweep_throughput",
-                  "Table 3 serialized study: work stealing at "
+                  "Table 3 serialized study: parallelFor at "
                   "jobs=1 vs jobs=N");
 
     const core::SystemConfig sys{};
@@ -109,20 +109,20 @@ main(int argc, char **argv)
                 configs.size(), cores, jobs);
 
     const Measurement serial = measure(analysis, configs, 1);
-    const Measurement stealing = measure(analysis, configs, jobs);
+    const Measurement parallel = measure(analysis, configs, jobs);
 
     TextTable table({ "engine", "jobs", "configs/s", "vs jobs=1" });
     const auto row = [&](int j, double rate) {
-        table.addRowOf("work-stealing", j, rate,
+        table.addRowOf("parallelFor", j, rate,
                        rate / serial.configsPerSec);
     };
     row(1, serial.configsPerSec);
-    row(jobs, stealing.configsPerSec);
+    row(jobs, parallel.configsPerSec);
     bench::show(table);
 
     const bool ok = bench::checkClaim(
         "jobs=1 and jobs=N outputs byte-identical",
-        samePoints(stealing.points, serial.points));
+        samePoints(parallel.points, serial.points));
     if (cores < 2) {
         std::printf("  note: single-core host; the jobs=N speedup is "
                     "not meaningful here\n");
@@ -131,7 +131,7 @@ main(int argc, char **argv)
     json.set("configs", static_cast<double>(configs.size()));
     json.set("jobs", jobs);
     json.set("configs_per_sec_jobs1", serial.configsPerSec);
-    json.set("configs_per_sec_stealing", stealing.configsPerSec);
+    json.set("configs_per_sec_jobsN", parallel.configsPerSec);
     if (!json.write())
         return 1;
     // The determinism contract must hold on any host; the speedup

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <unistd.h>
 
@@ -87,11 +88,25 @@ parallelFrom(const Args &args)
     return model::ParallelPlan::parse(args.get("parallel"));
 }
 
+/** `--jobs N` (0, the default, means every core). A negative value
+ *  or one too big for int is an error, never wrapped into range. */
+int
+jobsFrom(const Args &args)
+{
+    const std::int64_t jobs = args.getInt("jobs", 0);
+    constexpr int kMax = std::numeric_limits<int>::max();
+    fatalIf(jobs < 0,
+            "option --jobs expects a non-negative count, got ", jobs);
+    fatalIf(jobs > kMax, "option --jobs value ", jobs,
+            " is too large (at most ", kMax, ")");
+    return static_cast<int>(jobs);
+}
+
 exec::RunnerOptions
 runnerFrom(const Args &args, const std::string &study)
 {
     exec::RunnerOptions options;
-    options.jobs = static_cast<int>(args.getInt("jobs", 0));
+    options.jobs = jobsFrom(args);
     options.reportPath = args.get("report");
     options.study = study;
     return options;
@@ -628,7 +643,7 @@ int
 cmdServe(const Args &args)
 {
     svc::ServiceOptions options;
-    options.jobs = static_cast<int>(args.getInt("jobs", 0));
+    options.jobs = jobsFrom(args);
     const std::int64_t capacity =
         args.getInt("cache-capacity", 4096);
     fatalIf(capacity < 0,

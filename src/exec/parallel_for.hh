@@ -1,23 +1,21 @@
 /**
  * @file
- * A chunked, work-stealing parallel index loop.
+ * A chunked parallel index loop over one shared chunk cursor.
  *
  * parallelFor(n, options, body) splits the index range [0, n) into
- * contiguous chunks of ~`grain` indices, deals the chunks
- * round-robin onto per-worker Chase–Lev-style deques, and runs one
- * worker per job (the calling thread is worker 0). Each worker
- * drains its own deque LIFO from the bottom; an idle worker steals a
- * chunk FIFO from the top of a victim picked by a per-worker
- * deterministically seeded PRNG. Because every index runs exactly
- * once and writes only its own output slot, results are independent
- * of the stealing order — `--jobs 1` and `--jobs N` output stays
- * byte-identical even though the interleaving is not.
+ * contiguous chunks of ~`grain` indices (chunk k covers
+ * [k*grain, min((k+1)*grain, n))) and runs one worker per job, the
+ * calling thread being worker 0. Each worker claims the next chunk
+ * with one atomic fetch_add until none is left. Because every index
+ * runs exactly once and writes only its own output slot, results are
+ * independent of which worker claims which chunk — `--jobs 1` and
+ * `--jobs N` output stays byte-identical even though the interleaving
+ * is not.
  *
  * This is the codebase's one executor: the ParallelSweepRunner maps
  * studies through it and the query service fans each batch's misses
- * out over it. No per-task std::function, no shared queue mutex, no
- * condition variables on the hot path — one heap allocation per call
- * for the chunk arrays, then only atomics.
+ * out over it. No per-task std::function, no queue mutex, no
+ * condition variables — one atomic per chunk.
  */
 
 #ifndef TWOCS_EXEC_PARALLEL_FOR_HH
@@ -39,7 +37,8 @@ struct ParallelForOptions
      *  defaultThreads(). */
     int jobs = 0;
     /** Indices per chunk; 0 selects a heuristic that targets a few
-     *  chunks per worker (stealing slack without per-index cost). */
+     *  chunks per worker (load-balance slack without per-index
+     *  cost). */
     std::size_t grain = 0;
 };
 
@@ -62,10 +61,10 @@ std::size_t defaultGrain(std::size_t n, int jobs);
 } // namespace detail
 
 /**
- * Run body(i) exactly once for every i in [0, n), chunked and
- * work-stolen across options.jobs workers. Blocks until every index
- * has run. The body must not touch shared mutable state except
- * through its own per-index slots (or its own synchronization).
+ * Run body(i) exactly once for every i in [0, n), chunked across
+ * options.jobs workers. Blocks until every index has run. The body
+ * must not touch shared mutable state except through its own
+ * per-index slots (or its own synchronization).
  */
 template <typename Body>
 void

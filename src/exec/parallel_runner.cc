@@ -6,24 +6,9 @@
 
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 
 namespace twocs::exec {
-
-namespace {
-
-/** Nearest-rank percentile of an unsorted sample (0 when empty). */
-Seconds
-percentile(std::vector<Seconds> xs, double q)
-{
-    if (xs.empty())
-        return 0.0;
-    std::sort(xs.begin(), xs.end());
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(xs.size() - 1) + 0.5);
-    return xs[std::min(rank, xs.size() - 1)];
-}
-
-} // namespace
 
 int
 RunnerOptions::effectiveJobs() const

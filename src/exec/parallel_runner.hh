@@ -5,7 +5,7 @@
  * Every study in this library — the Table 3 serialized grid, the
  * sensitivity tornado, cluster jitter trials, the figure benches —
  * maps a vector of configurations through a pure evaluation functor.
- * ParallelSweepRunner executes that map on the chunked work-stealing
+ * ParallelSweepRunner executes that map on the chunked
  * exec::parallelFor and aggregates results **in input order
  * regardless of completion order**, so `--jobs 1` and `--jobs N`
  * produce byte-identical output. Each map() call additionally
@@ -149,7 +149,7 @@ class ParallelSweepRunner
         std::mutex failures_mutex;
         auto runOne = [&](std::size_t i) {
             // Exactly one span per task on every path (inline or
-            // work-stealing), so per-label span counts are
+            // on the workers), so per-label span counts are
             // jobs-invariant.
             TWOCS_OBS_SPAN(obs::Category::Exec, task_label);
             const auto task_start = Clock::now();
@@ -164,12 +164,12 @@ class ParallelSweepRunner
             report_.taskSeconds[i] = elapsed(task_start);
         };
 
-        // Chunked work stealing, zero per-task allocations.
+        // Chunked across the workers, zero per-task allocations.
         // Results land in per-index slots, so output is identical no
-        // matter who steals what. At jobs == 1 parallelFor
-        // degenerates to the inline serial loop (same evaluation
-        // order as the historical studies) while still emitting the
-        // same spans.
+        // matter which worker claims which chunk. At jobs == 1
+        // parallelFor degenerates to the inline serial loop (same
+        // evaluation order as the historical studies) while still
+        // emitting the same spans.
         parallelFor(configs.size(), ParallelForOptions{ .jobs = jobs },
                     runOne);
 

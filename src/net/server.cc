@@ -490,9 +490,7 @@ Server::beginDrain()
 void
 Server::run()
 {
-#ifndef TWOCS_OBS_DISABLE
     obs::Tracer::setThreadName("net.loop");
-#endif
     epoll_event events[64];
     while (!(draining_ && connections_.empty())) {
         const int timeout = draining_ ? 50 : -1;

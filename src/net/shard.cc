@@ -136,11 +136,7 @@ ShardPool::submit(Envelope &&env)
 void
 ShardPool::workerLoop(Shard &shard, int index)
 {
-#ifndef TWOCS_OBS_DISABLE
     obs::Tracer::setThreadName("net.shard-" + std::to_string(index));
-#else
-    (void)index;
-#endif
     Envelope env;
     while (shard.mailbox.popWait(env)) {
         std::string response =

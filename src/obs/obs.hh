@@ -17,8 +17,6 @@
  *    (label/args callables never run; bench/obs_overhead prints the
  *    ns). So: one span per pass, never one per element of a
  *    nanosecond-scale loop — sim::replay records per-tag counts;
- *  - compiled out (-DTWOCS_OBS_DISABLE): the macros expand to
- *    nothing at all;
  *  - enabled: two steady_clock reads plus one short mutex-guarded
  *    ring append per span.
  *
@@ -238,20 +236,9 @@ void instant(Category category, const char *label,
 
 } // namespace twocs::obs
 
-/**
- * TWOCS_OBS_SPAN(category, label [, argsFn]) — a scoped span that is
- * removed entirely under -DTWOCS_OBS_DISABLE.
- */
-#ifdef TWOCS_OBS_DISABLE
-#define TWOCS_OBS_SPAN(...) \
-    do { \
-    } while (false)
-#define TWOCS_OBS_INSTANT(...) \
-    do { \
-    } while (false)
-#else
 #define TWOCS_OBS_CONCAT_IMPL(a, b) a##b
 #define TWOCS_OBS_CONCAT(a, b) TWOCS_OBS_CONCAT_IMPL(a, b)
+/** TWOCS_OBS_SPAN(category, label [, argsFn]) — a scoped span. */
 #define TWOCS_OBS_SPAN(...) \
     const ::twocs::obs::Span TWOCS_OBS_CONCAT(twocs_obs_span_, \
                                               __LINE__)(__VA_ARGS__)
@@ -261,6 +248,5 @@ void instant(Category category, const char *label,
         if (::twocs::obs::detail::enabledFor(category)) \
             ::twocs::obs::instant(category, __VA_ARGS__); \
     } while (false)
-#endif
 
 #endif // TWOCS_OBS_OBS_HH

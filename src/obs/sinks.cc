@@ -1,30 +1,18 @@
 #include "sinks.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "util/json.hh"
+#include "util/stats.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
 namespace twocs::obs {
 
 namespace {
-
-/** Nearest-rank percentile of an unsorted ns sample (0 if empty). */
-std::int64_t
-percentileNs(std::vector<std::int64_t> xs, double q)
-{
-    if (xs.empty())
-        return 0;
-    std::sort(xs.begin(), xs.end());
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(xs.size() - 1) + 0.5);
-    return xs[std::min(rank, xs.size() - 1)];
-}
 
 std::string
 secondsCell(std::int64_t ns)
@@ -116,8 +104,8 @@ writeSummary(const TraceSnapshot &snap, std::ostream &os)
                    static_cast<unsigned long>(
                        stats.durations.size()),
                    secondsCell(stats.total),
-                   secondsCell(percentileNs(stats.durations, 0.50)),
-                   secondsCell(percentileNs(stats.durations, 0.95)));
+                   secondsCell(percentile(stats.durations, 0.50)),
+                   secondsCell(percentile(stats.durations, 0.95)));
     }
     t.print(os);
     if (snap.dropped > 0) {

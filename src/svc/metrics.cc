@@ -4,6 +4,7 @@
 
 #include "sim/graph_cache.hh"
 #include "util/json.hh"
+#include "util/stats.hh"
 
 namespace twocs::svc {
 
@@ -26,13 +27,7 @@ ServiceMetrics::hitRate() const
 Seconds
 ServiceMetrics::latencyPercentile(double q) const
 {
-    if (latencySeconds_.empty())
-        return 0.0;
-    std::vector<Seconds> xs = latencySeconds_;
-    std::sort(xs.begin(), xs.end());
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(xs.size() - 1) + 0.5);
-    return xs[std::min(rank, xs.size() - 1)];
+    return percentile(latencySeconds_, q);
 }
 
 void
@@ -61,10 +56,7 @@ ServiceMetrics::absorb(const ServiceMetrics &other)
 Seconds
 ServiceMetrics::latencyMax() const
 {
-    Seconds max = 0.0;
-    for (const Seconds s : latencySeconds_)
-        max = std::max(max, s);
-    return max;
+    return percentile(latencySeconds_, 1.0);
 }
 
 void

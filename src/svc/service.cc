@@ -348,7 +348,6 @@ QueryService::statsPayload() const
                  static_cast<std::int64_t>(metrics_.failures()));
     out += field("cache_entries",
                  static_cast<std::int64_t>(cache_.size()));
-#ifndef TWOCS_OBS_DISABLE
     // Deterministic span counts (durations are wall-clock noise and
     // stay out of the response contract). Only svc-category spans
     // are reported, and only while a tracer is actually recording —
@@ -367,7 +366,6 @@ QueryService::statsPayload() const
         }
         out += "}";
     }
-#endif
     return out;
 }
 
@@ -450,8 +448,9 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
     }
 
     // Phase 2: evaluate the distinct misses on parallelFor — the
-    // inline arrival-order loop at one job (or one miss), work
-    // stolen otherwise. Workers only touch their own entry. The
+    // inline arrival-order loop at one job (or one miss), chunked
+    // across the workers otherwise. Workers only touch their own
+    // entry. The
     // svc.evaluate span is the task's only svc instrumentation on
     // every path, so span counts are jobs-invariant.
     {

@@ -1,12 +1,14 @@
 /**
  * @file
  * Small statistics toolkit used by the operator-model fitting and the
- * accuracy evaluation (geomean errors, least-squares fits).
+ * accuracy evaluation (geomean errors, least-squares fits), plus the
+ * one nearest-rank percentile behind every latency report.
  */
 
 #ifndef TWOCS_UTIL_STATS_HH
 #define TWOCS_UTIL_STATS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -33,6 +35,24 @@ double maxOf(std::span<const double> xs);
 
 /** |predicted - actual| / actual; fatal() when actual == 0. */
 double relativeError(double predicted, double actual);
+
+/**
+ * Nearest-rank percentile of an unsorted sample: the element at rank
+ * round(q * (size - 1)) of the sorted sample, so q = 0 is the
+ * minimum and q = 1 the maximum. T{} when the sample is empty.
+ * `--report`, `--metrics` and the trace summary all use it.
+ */
+template <typename T>
+T
+percentile(std::vector<T> xs, double q)
+{
+    if (xs.empty())
+        return T{};
+    std::sort(xs.begin(), xs.end());
+    const auto rank = static_cast<std::size_t>(
+        q * static_cast<double>(xs.size() - 1) + 0.5);
+    return xs[std::min(rank, xs.size() - 1)];
+}
 
 /** Result of a one-dimensional least-squares fit y = slope*x + bias. */
 struct LinearFit

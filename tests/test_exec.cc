@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the parallel study-execution engine: the work-stealing
+ * Tests for the parallel study-execution engine: the chunk-cursor
  * parallelFor, the ParallelSweepRunner's deterministic aggregation
  * contract (`--jobs 1` and `--jobs N` agree byte-for-byte), the
  * RunReport observability record, and the CLI surface that exposes
  * them.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -27,7 +30,7 @@
 namespace twocs {
 namespace {
 
-// --- work-stealing parallelFor ---
+// --- chunk-cursor parallelFor ---
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderAdversarialShapes)
 {
@@ -59,12 +62,62 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderAdversarialShapes)
     }
 }
 
-TEST(ParallelFor, StealingStressIsRaceFree)
+TEST(ParallelFor, ChunksTileTheRangeAtGrainBoundaries)
 {
-    // Grain 1 with wildly uneven work maximizes deque traffic: every
-    // chunk is a steal candidate and the skewed chunks force idle
-    // workers to raid. Run under the tsan preset, this is the data
-    // race check of the deque.
+    // Output is jobs-invariant because a chunk's range depends only
+    // on (n, grain): chunk k covers [k*grain, min((k+1)*grain, n)),
+    // whichever worker claims it. One worker runs [0, n) serially.
+    using Range = std::pair<std::size_t, std::size_t>;
+    struct Recorder
+    {
+        std::mutex mutex;
+        std::vector<Range> ranges;
+    };
+    const std::size_t ranges[] = { 0, 1, 2, 3, 97, 196, 256 };
+    const std::size_t grains[] = { 0, 1, 2, 3, 5, 7, 64, 997,
+                                   std::size_t{ 1 } << 40 };
+    for (const std::size_t n : ranges) {
+        for (const std::size_t grain : grains) {
+            for (const int jobs : { 0, 1, 2, 3, 8 }) {
+                Recorder rec;
+                exec::ParallelForOptions o;
+                o.jobs = jobs;
+                o.grain = grain;
+                exec::detail::parallelForImpl(
+                    n, o,
+                    [](void *ctx, std::size_t begin, std::size_t end) {
+                        auto &r = *static_cast<Recorder *>(ctx);
+                        const std::lock_guard lock(r.mutex);
+                        r.ranges.emplace_back(begin, end);
+                    },
+                    &rec);
+                std::sort(rec.ranges.begin(), rec.ranges.end());
+
+                const int workers = std::min<int>(
+                    jobs <= 0 ? exec::defaultThreads() : jobs,
+                    static_cast<int>(n));
+                const std::size_t g =
+                    grain == 0 ? exec::detail::defaultGrain(n, workers)
+                               : grain;
+                std::vector<Range> want;
+                if (n > 0 && workers <= 1)
+                    want.emplace_back(0, n);
+                for (std::size_t b = 0; workers > 1 && b < n; b += g)
+                    want.emplace_back(b, std::min(b + g, n));
+                ASSERT_EQ(rec.ranges, want)
+                    << "n=" << n << " grain=" << grain
+                    << " jobs=" << jobs;
+            }
+        }
+    }
+}
+
+TEST(ParallelFor, SkewedGrainOneStressIsRaceFree)
+{
+    // Grain 1 with wildly uneven work maximizes cursor traffic: every
+    // index is its own claim and the skewed chunks keep some workers
+    // busy while the rest claim on. Run under the tsan preset, this
+    // is the data race check of the cursor.
     constexpr std::size_t kN = 10000;
     std::vector<std::atomic<int>> hits(kN);
     std::atomic<std::int64_t> sum{ 0 };
@@ -76,7 +129,7 @@ TEST(ParallelFor, StealingStressIsRaceFree)
         volatile std::int64_t acc = 0;
         const int spins = i % 97 == 0 ? 2000 : 10;
         for (int s = 0; s < spins; ++s)
-            acc += s;
+            acc = acc + s;
         sum.fetch_add(static_cast<std::int64_t>(i));
         hits[i].fetch_add(1);
     });
@@ -110,8 +163,8 @@ TEST(ParallelFor, DefaultGrainTargetsAFewChunksPerWorker)
 {
     EXPECT_EQ(exec::detail::defaultGrain(0, 4), 1u);
     EXPECT_EQ(exec::detail::defaultGrain(3, 4), 1u);
-    // 196 configs at 4 workers: ~16 chunks of ~12, stealing slack
-    // without per-index deque traffic.
+    // 196 configs at 4 workers: ~16 chunks of ~12, load-balance
+    // slack for the cursor without a claim per index.
     EXPECT_EQ(exec::detail::defaultGrain(196, 4), 12u);
     EXPECT_GE(exec::detail::defaultGrain(1 << 20, 8), 1u << 15);
 }
@@ -496,6 +549,34 @@ TEST(CliExec, SweepWritesReportFile)
     EXPECT_NE(ss.str().find("\"study\": \"sweep_figure10\""),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(CliExec, JobsOutOfIntRangeIsRejected)
+{
+    // Negative and int-overflowing --jobs values are errors, not
+    // "every core" or a count wrapped into range.
+    const char *commands[][5] = {
+        { "twocs", "sweep", "--figure", "10", "--jobs" },
+        { "twocs", "cluster", "--trials", "3", "--jobs" },
+    };
+    for (const auto &cmd : commands) {
+        for (const char *jobs : { "-3", "4294967298" }) {
+            const char *argv[] = { cmd[0], cmd[1], cmd[2],
+                                   cmd[3], cmd[4], jobs };
+            const cli::Args args = cli::Args::parse(6, argv);
+            try {
+                cli::runCommand(args);
+                FAIL() << cmd[1] << " accepted --jobs " << jobs;
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find("--jobs"),
+                          std::string::npos)
+                    << e.what();
+                EXPECT_NE(std::string(e.what()).find(jobs),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(CliExec, ClusterTrialsFlagPrintsAggregate)

@@ -87,8 +87,7 @@ TEST(ObsTracer, RecordsNestedSpansWithStackPaths)
     obs::Tracer::enable();
     obs::Tracer::setThreadName("test-main");
     {
-        // Direct Span objects (not the macros) so this test also
-        // covers the -DTWOCS_OBS_DISABLE build of the library.
+        // Direct Span objects, not the macros.
         obs::Span outer(obs::Category::Exec, "outer");
         {
             obs::Span inner(obs::Category::Svc, "inner");
@@ -325,8 +324,7 @@ TEST(ObsSession, FromCommandLinePicksUpAllThreeFlags)
 // --- determinism through the instrumented subsystems ---
 
 // These tests count the spans emitted by the exec/svc/sim/comm
-// instrumentation sites, which -DTWOCS_OBS_DISABLE compiles out.
-#ifndef TWOCS_OBS_DISABLE
+// instrumentation sites.
 
 std::pair<std::string, std::map<std::string, std::uint64_t>>
 tracedSweep(const char *jobs)
@@ -350,8 +348,8 @@ TEST(ObsDeterminism, SweepSpanCountsAreJobsInvariant)
     // Identical analysis bytes AND per-label span-count equality:
     // the task body owns the one span per task on every path, so the
     // counts match label for label whether the run was inline or
-    // work-stolen (the "exec.parallel_for" umbrella span is emitted
-    // once per map() call at any jobs count).
+    // chunked across workers (the "exec.parallel_for" umbrella span
+    // is emitted once per map() call at any jobs count).
     EXPECT_EQ(serial.first, parallel.first);
     EXPECT_EQ(serial.second, parallel.second);
     EXPECT_EQ(serial.second.at("cmd.sweep"), 1u);
@@ -461,8 +459,6 @@ TEST(ObsDeterminism, ServeStatsSpanSectionIsJobsInvariant)
     for (const int jobs : { 2, 4 })
         EXPECT_EQ(serveOnce(jobs), serial) << jobs;
 }
-
-#endif // !TWOCS_OBS_DISABLE
 
 } // namespace
 } // namespace twocs

@@ -405,8 +405,8 @@ mixedWorkload()
        << "{\"kind\": \"project\", \"flop_scale\": 4, \"bw_scale\": "
           "2}\n";
     // A block of 40 distinct misses plus one failing evaluation: at
-    // --jobs 2 and 8 the batch's fan-out spans several chunks, so
-    // some are stolen and finish out of order.
+    // --jobs 2 and 8 the batch's fan-out spans several chunks, which
+    // different workers claim and finish out of order.
     for (const int hidden : { 1024, 2048, 4096, 16384, 32768 }) {
         for (const int tp : { 1, 2, 4, 8, 16, 32, 64, 128 }) {
             os << "{\"kind\": \"project\", \"hidden\": " << hidden

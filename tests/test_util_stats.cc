@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,6 +79,22 @@ TEST(Stats, RelativeError)
     EXPECT_DOUBLE_EQ(relativeError(110.0, 100.0), 0.1);
     EXPECT_DOUBLE_EQ(relativeError(90.0, 100.0), 0.1);
     EXPECT_THROW(relativeError(1.0, 0.0), FatalError);
+}
+
+TEST(Stats, PercentileIsNearestRankOfTheSortedSample)
+{
+    // Unsorted on purpose; sorted it is 1 2 3 4 5 6 7 8 9 10.
+    const std::vector<double> xs = { 7, 1, 10, 4, 2, 9, 3, 8, 6, 5 };
+    EXPECT_EQ(percentile(xs, 0.0), 1.0);
+    // Rank round(0.5 * 9) = round(4.5) = 5 (half rounds up).
+    EXPECT_EQ(percentile(xs, 0.5), 6.0);
+    // Rank round(0.95 * 9) = round(8.55) = 9.
+    EXPECT_EQ(percentile(xs, 0.95), 10.0);
+    EXPECT_EQ(percentile(xs, 1.0), 10.0);
+    EXPECT_EQ(percentile(std::vector<double>{}, 0.5), 0.0);
+    EXPECT_EQ(percentile(std::vector<std::int64_t>{}, 1.0), 0);
+    const std::vector<std::int64_t> ns = { 30, 10, 20 };
+    EXPECT_EQ(percentile(ns, 0.5), 20);
 }
 
 TEST(Stats, FitLinearRecoversExactLine)
