@@ -31,7 +31,13 @@
 #                 keys, `twocs sweep --figure 2` (the zoo study),
 #                 `twocs sweep --figure 12` under a full `--parallel`
 #                 plan (flat and hierarchical topology) and `--engine
-#                 event` must be byte-identical across --jobs.
+#                 event` must be byte-identical across --jobs, and so
+#                 must the jittered cluster Monte Carlo, TP-only
+#                 (`--tp 4`) and with overlapped DP collectives
+#                 (`--parallel tp=4,dp=2`). `cluster --parallel
+#                 tp=4,dp=8` must print something different with
+#                 `overlap=0` (DP collectives serialized at the end of
+#                 the iteration) than with the default overlap.
 #   6. loopback serve smoke — `twocs serve --listen` with a 2-deep
 #                 shard queue is saturated over TCP by the
 #                 svc_throughput --connect driver: every request must
@@ -156,9 +162,19 @@ f2_one="$("${twocs}" sweep --figure 2 --jobs 1)"
 [ "${f2_one}" = "$("${twocs}" sweep --figure 2 --jobs 4)" ]
 
 echo "== tier-1: Monte Carlo cluster trials byte-identical across --jobs =="
-cluster_flags="--trials 8 --jitter 0.05 --tp 4"
-seq_out="$("${twocs}" cluster ${cluster_flags} --jobs 1)"
-[ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} --jobs 4)" ]
+for cluster_flags in "--trials 8 --jitter 0.05 --tp 4" \
+    "--trials 8 --jitter 0.05 --parallel tp=4,dp=2"; do
+    seq_out="$("${twocs}" cluster ${cluster_flags} --jobs 1)"
+    [ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} --jobs 4)" ]
+done
+
+echo "== tier-1: overlap=0 serializes the cluster's DP collectives =="
+overlapped="$("${twocs}" cluster --parallel tp=4,dp=8)"
+if [ "${overlapped}" = "$("${twocs}" cluster \
+    --parallel tp=4,dp=8,overlap=0)" ]; then
+    echo "cluster output does not depend on overlap=0"
+    exit 1
+fi
 
 echo "== tier-1: 3D-plan sweeps byte-identical across --jobs =="
 plan="tp=8,pp=4,dp=2,zero=1"

@@ -1,7 +1,6 @@
 #include "case_study.hh"
 
 #include <ios>
-#include <map>
 #include <sstream>
 
 #include "sim/graph_cache.hh"
@@ -16,28 +15,55 @@ CaseStudy::CaseStudy(model::Hyperparams baseline_template,
 {
 }
 
-model::LayerGraphBuilder
-CaseStudy::makeGraph(const CaseStudyConfig &c) const
+sim::EventSimulator
+CaseStudy::lower(const CaseStudyConfig &config,
+                 std::vector<DurationRule> *recipe) const
 {
-    const model::Hyperparams hp = baseline_.withHidden(c.hidden)
-                                      .withSequenceLength(c.seqLen)
-                                      .withBatchSize(c.batch)
-                                      .withCompatibleHeads(c.tpDegree);
+    fatalIf(config.fineGrainedOverlapFraction < 0.0 ||
+                config.fineGrainedOverlapFraction > 1.0,
+            "fineGrainedOverlapFraction must be in [0, 1]");
+    fatalIf(config.commInterferenceSlowdown < 1.0,
+            "commInterferenceSlowdown must be >= 1");
+
+    const model::Hyperparams hp =
+        baseline_.withHidden(config.hidden)
+            .withSequenceLength(config.seqLen)
+            .withBatchSize(config.batch)
+            .withCompatibleHeads(config.tpDegree);
     model::ParallelPlan par;
-    par.tpDegree = c.tpDegree;
-    par.dpDegree = c.dpDegree;
-    return model::LayerGraphBuilder(hp, par, precision_);
+    par.tpDegree = config.tpDegree;
+    par.dpDegree = config.dpDegree;
+
+    // Interference only applies to communication co-located with
+    // compute; offloading to a communication co-processor
+    // (Section 5, Technique 1) removes it.
+    const LoweringOptions options{
+        .interNodeDp = config.interNodeDp,
+        .interNodeSlowdown = config.interNodeSlowdown,
+        .devicesPerNode = config.devicesPerNode,
+        .fineGrainedOverlapFraction = config.fineGrainedOverlapFraction,
+        .commInterference = config.offloadCommunication
+                                ? 1.0
+                                : config.commInterferenceSlowdown,
+        .dpBucketBytes = config.dpBucketBytes,
+    };
+    return lowerIteration(model::LayerGraphBuilder(hp, par, precision_),
+                          config.system, options, recipe);
+}
+
+std::shared_ptr<const sim::GraphTemplate>
+CaseStudy::compileUncached(const CaseStudyConfig &config) const
+{
+    return sim::PassPipeline::parse(config.passes)
+        .apply(lower(config).compile());
 }
 
 sim::Schedule
 CaseStudy::buildSchedule(const CaseStudyConfig &config) const
 {
-    if (config.passes.empty())
-        return buildSimulator(config).run();
-    // Pass-rewritten variants exist only in compiled form: rewrite,
-    // replay the base durations, and wrap the placements.
+    // Uncached: one replay of the base durations.
     const std::shared_ptr<const sim::GraphTemplate> graph =
-        compileGraph(config);
+        compileUncached(config);
     sim::ReplayScratch scratch;
     sim::replay(*graph, {}, scratch);
     return sim::Schedule(graph, scratch.placements());
@@ -46,7 +72,7 @@ CaseStudy::buildSchedule(const CaseStudyConfig &config) const
 std::string
 CaseStudy::cacheKey(const CaseStudyConfig &config) const
 {
-    // The key covers every config field buildSimulator() reads into
+    // The key covers every config field lower() reads into
     // the graph's shape or base durations (durations are baked into
     // a case-study template, so even duration-only knobs like the
     // interference slowdown must key). Doubles render in hexfloat so
@@ -82,13 +108,8 @@ CaseStudy::compileGraph(const CaseStudyConfig &config) const
     return sim::GraphCache::instance()
         .getOrCompile(cacheKey(config),
                       [&] {
-                          sim::GraphCache::Compiled out;
-                          out.graph =
-                              sim::PassPipeline::parse(config.passes)
-                                  .apply(
-                                      buildSimulator(config)
-                                          .compile());
-                          return out;
+                          return sim::GraphCache::Compiled{
+                              compileUncached(config), nullptr };
                       })
         .graph;
 }
@@ -108,8 +129,7 @@ CaseStudy::compileCaseWithRecipe(const CaseStudyConfig &config) const
                 auto recipe =
                     std::make_shared<std::vector<DurationRule>>();
                 sim::GraphCache::Compiled out;
-                out.graph =
-                    buildSimulator(config, recipe.get()).compile();
+                out.graph = lower(config, recipe.get()).compile();
                 out.aux = std::move(recipe);
                 return out;
             });
@@ -118,13 +138,10 @@ CaseStudy::compileCaseWithRecipe(const CaseStudyConfig &config) const
     cc.graph = cached.graph;
     cc.recipe =
         sim::GraphCache::auxAs<std::vector<DurationRule>>(cached);
-    if (cc.recipe == nullptr) {
-        // The row was populated by the recipe-less compileGraph()
-        // path; rebuild just the rules (the shape is already right).
-        auto recipe = std::make_shared<std::vector<DurationRule>>();
-        buildSimulator(config, recipe.get());
-        cc.recipe = std::move(recipe);
-    }
+    // Only this function writes a passes-free `case|` row, and it
+    // always stores the recipe.
+    panicIf(cc.recipe == nullptr, "case-study cache row without a "
+                                  "duration recipe");
     return cc;
 }
 
@@ -141,163 +158,11 @@ CaseStudy::fillDurations(const std::vector<DurationRule> &recipe,
     }
 }
 
-sim::EventSimulator
-CaseStudy::buildSimulator(const CaseStudyConfig &config,
-                          std::vector<DurationRule> *recipe) const
-{
-    fatalIf(config.fineGrainedOverlapFraction < 0.0 ||
-                config.fineGrainedOverlapFraction > 1.0,
-            "fineGrainedOverlapFraction must be in [0, 1]");
-    fatalIf(config.commInterferenceSlowdown < 1.0,
-            "commInterferenceSlowdown must be >= 1");
-
-    const model::LayerGraphBuilder graph = makeGraph(config);
-    const hw::KernelCostModel kernels = config.system.kernelModel();
-    const comm::CollectiveModel tp_coll = config.system.collectiveModel();
-    const comm::CollectiveModel dp_coll =
-        config.interNodeDp
-            ? config.system.interNodeCollectiveModel(
-                  config.devicesPerNode, config.interNodeSlowdown)
-            : tp_coll;
-
-    // Interference only applies to communication co-located with
-    // compute; offloading to a communication co-processor
-    // (Section 5, Technique 1) removes it.
-    const double interference = config.offloadCommunication
-                                    ? 1.0
-                                    : config.commInterferenceSlowdown;
-
-    sim::EventSimulator des;
-    const sim::ResourceId compute = des.addResource("compute");
-    const sim::ResourceId comm_stream = des.addResource("comm");
-
-    // Recipe recording mirrors the addTask order exactly: one rule
-    // per task, indexed by the task id the builder assigns. The
-    // collective-model costs never read the compute-scaling knobs,
-    // so they are baked as fixed values; compute costs re-derive
-    // from the kernel descriptor under a sibling's own system.
-    const auto ruleFixed = [&](Seconds dur) {
-        if (recipe != nullptr)
-            recipe->push_back(DurationRule{ false, {}, dur });
-    };
-    const auto ruleKernel = [&](const hw::KernelDesc &kernel) {
-        if (recipe != nullptr)
-            recipe->push_back(DurationRule{ true, kernel, 0.0 });
-    };
-
-    sim::TaskId last_compute = sim::InvalidTask;
-    sim::TaskId pending_serializer = sim::InvalidTask;
-    sim::TaskId last_dp_task = sim::InvalidTask;
-    std::map<int, std::vector<sim::TaskId>> layer_dp_tasks;
-    std::vector<model::TrainingOp> deferred_optimizers;
-
-    const bool bucketed = config.dpBucketBytes > 0.0;
-    std::vector<model::TrainingOp> ops = graph.iterationOps();
-    if (bucketed)
-        ops = model::coalesceDpAllReduces(std::move(ops),
-                                          config.dpBucketBytes);
-
-    for (const model::TrainingOp &op : ops) {
-        switch (op.role) {
-          case model::OpRole::TpAllReduceFwd:
-          case model::OpRole::TpAllReduceBwd:
-          case model::OpRole::EpAllToAll: {
-            const bool a2a = op.role == model::OpRole::EpAllToAll;
-            const Seconds dur =
-                a2a ? tp_coll
-                          .cost({ comm::CollectiveKind::AllToAll, op.commBytes, graph.parallel().epDegree })
-                          .total
-                    : tp_coll.cost({ comm::CollectiveKind::AllReduce, op.commBytes, config.tpDegree })
-                          .total;
-            std::vector<sim::TaskId> deps;
-            if (last_compute != sim::InvalidTask)
-                deps.push_back(last_compute);
-            // Technique 3: the decomposed fraction of the collective
-            // pipelines with dependent compute and leaves only the
-            // remainder on the critical path. The hidden fraction
-            // runs concurrently with compute and pays interference.
-            const double f = config.fineGrainedOverlapFraction;
-            const char *tag = a2a ? "ep_a2a" : "tp_ar";
-            pending_serializer = des.addTask(
-                op.kernel.label, tag, comm_stream, dur * (1.0 - f),
-                deps);
-            ruleFixed(dur * (1.0 - f));
-            if (f > 0.0) {
-                // The decomposed tail streams under the dependent
-                // compute that already has its first chunks; it is
-                // overlappable, not serialized.
-                des.addTask(op.kernel.label, "overlap_tail",
-                            comm_stream, dur * f * interference,
-                            { pending_serializer });
-                ruleFixed(dur * f * interference);
-            }
-            break;
-          }
-          case model::OpRole::DpAllReduce: {
-            const Seconds dur =
-                dp_coll.cost({ comm::CollectiveKind::AllReduce, op.commBytes, config.dpDegree }).total *
-                interference;
-            std::vector<sim::TaskId> deps;
-            if (last_compute != sim::InvalidTask)
-                deps.push_back(last_compute);
-            const sim::TaskId tid = des.addTask(
-                op.kernel.label, "dp_ar", comm_stream, dur, deps);
-            ruleFixed(dur);
-            layer_dp_tasks[op.layerIndex].push_back(tid);
-            last_dp_task = tid;
-            break;
-          }
-          default: {
-            if (bucketed && op.role == model::OpRole::OptimizerStep) {
-                // Buckets can span layers, so per-layer gradient
-                // readiness is gone: run all optimizers after the
-                // final bucket (framework behaviour).
-                deferred_optimizers.push_back(op);
-                break;
-            }
-            std::vector<sim::TaskId> deps;
-            if (pending_serializer != sim::InvalidTask) {
-                deps.push_back(pending_serializer);
-                pending_serializer = sim::InvalidTask;
-            }
-            if (op.role == model::OpRole::OptimizerStep) {
-                // The optimizer consumes globally reduced gradients.
-                for (sim::TaskId t : layer_dp_tasks[op.layerIndex])
-                    deps.push_back(t);
-            }
-            const std::string tag =
-                op.role == model::OpRole::OptimizerStep
-                    ? "optim"
-                    : (op.role == model::OpRole::FwdCompute ? "fwd"
-                                                            : "bwd");
-            last_compute =
-                des.addTask(op.kernel.label, tag, compute,
-                            kernels.cost(op.kernel), deps);
-            ruleKernel(op.kernel);
-            break;
-          }
-        }
-    }
-
-    for (const model::TrainingOp &op : deferred_optimizers) {
-        std::vector<sim::TaskId> deps;
-        if (last_dp_task != sim::InvalidTask)
-            deps.push_back(last_dp_task); // comm FIFO: all earlier
-                                          // buckets are done too
-        last_compute = des.addTask(op.kernel.label, "optim", compute,
-                                   kernels.cost(op.kernel), deps);
-        ruleKernel(op.kernel);
-    }
-
-    return des;
-}
-
 CaseStudyResult
 CaseStudy::resultFromSchedule(const sim::Schedule &sched)
 {
-    constexpr sim::ResourceId compute = 0;
-    constexpr sim::ResourceId comm_stream = 1;
-
+    const sim::ResourceId compute = computeStream(0);
+    const sim::ResourceId comm_stream = commStream(0);
     CaseStudyResult r;
     r.makespan = sched.makespan();
     r.computeTime = sched.busyTime(compute);

@@ -4,17 +4,20 @@
  * overlapped (DP) communication on the discrete-event timeline
  * (paper Section 4.3.7, Figure 14).
  *
- * The training iteration is replayed on two GPU streams (compute and
- * communication): TP all-reduces block the next compute operator, DP
- * gradient all-reduces run asynchronously, and the optimizer of each
- * layer waits for that layer's reduced gradients. A third scenario
- * routes DP traffic over slower inter-node links with interference
- * (~8x), exposing previously hidden communication.
+ * The training iteration is lowered onto one device's compute and
+ * communication streams by core::lowerIteration, the lowering the
+ * cluster simulation shares: TP all-reduces (costed in closed form)
+ * block the next compute operator, DP gradient all-reduces run
+ * asynchronously, and the optimizer of each layer waits for that
+ * layer's reduced gradients. A third scenario routes DP traffic
+ * over slower inter-node links with interference (~8x), exposing
+ * previously hidden communication.
  */
 
 #ifndef TWOCS_CORE_CASE_STUDY_HH
 #define TWOCS_CORE_CASE_STUDY_HH
 
+#include "core/lowering.hh"
 #include "core/system_config.hh"
 #include "model/layer_graph.hh"
 #include "model/zoo.hh"
@@ -104,24 +107,6 @@ struct CaseStudyResult
     double computeFraction() const { return computeTime / makespan; }
 };
 
-/**
- * How one compiled task's duration is (re)derived for a sibling
- * configuration that shares the graph's structure: either a baked
- * value every sibling shares (collective costs, which never read the
- * compute-scaling knobs), or a kernel descriptor the sibling re-costs
- * under its own system. The rules are indexed by compiled task id
- * and only exist for empty pass pipelines (pass rewriting merges
- * durations, so per-task rules stop being well-defined).
- */
-struct DurationRule
-{
-    /** Re-cost `kernel` under the point's kernel model when true;
-     *  use `fixed` verbatim otherwise. */
-    bool kernelCosted = false;
-    hw::KernelDesc kernel;
-    Seconds fixed = 0.0;
-};
-
 /** A cached template plus the per-task duration recipe that lets
  *  structure-sharing siblings refill durations bit-identically to a
  *  from-scratch build (the delta sweep engine's unit of reuse). */
@@ -174,10 +159,14 @@ class CaseStudy
                               std::vector<Seconds> &durations);
 
   private:
-    model::LayerGraphBuilder makeGraph(const CaseStudyConfig &c) const;
+    /** Validate `config` and lower its iteration onto one device
+     *  (core::lowerIteration). */
     sim::EventSimulator
-    buildSimulator(const CaseStudyConfig &config,
-                   std::vector<DurationRule> *recipe = nullptr) const;
+    lower(const CaseStudyConfig &config,
+          std::vector<DurationRule> *recipe = nullptr) const;
+    /** lower() compiled and rewritten by config.passes, uncached. */
+    std::shared_ptr<const sim::GraphTemplate>
+    compileUncached(const CaseStudyConfig &config) const;
     /** The structural cache key compileGraph()/compileCaseWithRecipe()
      *  store under. */
     std::string cacheKey(const CaseStudyConfig &config) const;

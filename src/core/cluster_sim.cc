@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "comm/ring_sim.hh"
-#include "model/layer_graph.hh"
-#include "profiling/profiler.hh"
+#include "core/lowering.hh"
 #include "sim/graph_cache.hh"
 #include "sim/passes.hh"
 #include "util/logging.hh"
@@ -23,135 +21,10 @@ validateConfig(const ClusterSimConfig &config)
     fatalIf(config.computeJitter < 0.0, "jitter must be >= 0");
 }
 
-/**
- * Build the iteration graph for one TP group. When `rng` is non-null
- * every compute task's duration is perturbed in place (run()'s
- * from-scratch path); with a null rng the graph carries base
- * durations, ready to be compiled into a template whose replay
- * applies the same noise factors to the same tasks in the same
- * order — the two paths are bit-identical by construction.
- */
-void
-buildIteration(const ClusterSimConfig &config,
-               const model::Hyperparams &baseline,
-               hw::Precision precision, sim::EventSimulator &des,
-               std::vector<sim::ResourceId> &compute,
-               std::vector<sim::ResourceId> &comm, Rng *rng)
-{
-    const int p = config.tpDegree;
-    model::Hyperparams hp = baseline.withHidden(config.hidden)
-                                .withSequenceLength(config.seqLen)
-                                .withBatchSize(config.batch)
-                                .withCompatibleHeads(p);
-    hp.numLayers = config.numLayers;
-    model::ParallelPlan par = config.plan;
-    par.tpDegree = p;
-    const model::LayerGraphBuilder graph(hp, par, precision);
-    const hw::KernelCostModel kernels = config.system.kernelModel();
-    const hw::Topology topo = config.system.topology();
-    const comm::CollectiveModel coll = config.system.collectiveModel();
-
-    compute.resize(p);
-    comm.resize(p);
-    for (int d = 0; d < p; ++d) {
-        compute[d] = des.addResource("compute" + std::to_string(d));
-        comm[d] = des.addResource("comm" + std::to_string(d));
-    }
-
-    std::vector<sim::TaskId> last(p, sim::InvalidTask);
-
-    for (const model::TrainingOp &op : graph.iterationOps()) {
-        if (op.isComm()) {
-            const bool tp_ring =
-                op.role == model::OpRole::TpAllReduceFwd ||
-                op.role == model::OpRole::TpAllReduceBwd;
-            if (!tp_ring) {
-                // Plan collectives outside the explicit TP group
-                // (DP/ZeRO shard traffic, PP boundary sends, MoE
-                // all-to-alls): each device serializes the
-                // closed-form collective cost on its comm stream.
-                const Seconds dur =
-                    coll.cost(profiling::collectiveDescFor(op, par))
-                        .total;
-                for (int d = 0; d < p; ++d) {
-                    std::vector<sim::TaskId> deps;
-                    if (last[d] != sim::InvalidTask)
-                        deps.push_back(last[d]);
-                    last[d] = des.addTask(op.kernel.label, "plan_coll",
-                                          comm[d], dur, deps);
-                }
-                continue;
-            }
-            // Explicit ring all-reduce across the group; step
-            // timing shares comm::ringStepTime's pinned per-ring
-            // share semantics.
-            const Seconds step_time = comm::ringStepTime(
-                topo, op.commBytes, p, config.system.linkEfficiency);
-            const int steps = 2 * (p - 1);
-
-            std::vector<sim::TaskId> prev = last;
-            for (int s = 0; s < steps; ++s) {
-                std::vector<sim::TaskId> cur(p);
-                for (int d = 0; d < p; ++d) {
-                    std::vector<sim::TaskId> deps;
-                    if (prev[d] != sim::InvalidTask)
-                        deps.push_back(prev[d]);
-                    const int upstream = (d + p - 1) % p;
-                    if (prev[upstream] != sim::InvalidTask)
-                        deps.push_back(prev[upstream]);
-                    cur[d] = des.addTask(op.kernel.label, "ring_step",
-                                         comm[d], step_time, deps);
-                }
-                prev = std::move(cur);
-            }
-            last = std::move(prev);
-        } else {
-            const Seconds base = kernels.cost(op.kernel);
-            for (int d = 0; d < p; ++d) {
-                const Seconds dur =
-                    rng != nullptr
-                        ? base * rng->noiseFactor(config.computeJitter)
-                        : base;
-                std::vector<sim::TaskId> deps;
-                if (last[d] != sim::InvalidTask)
-                    deps.push_back(last[d]);
-                last[d] = des.addTask(op.kernel.label, "compute",
-                                      compute[d], dur, deps);
-            }
-        }
-    }
-}
-
-/** Aggregate one simulated iteration exactly the way run()'s
- *  Schedule-based path does: same per-resource sums in the same
- *  order, so replay and rebuild agree to the last bit. */
-template <typename BusyFn>
-ClusterSimResult
-aggregate(Seconds makespan, int p,
-          const std::vector<sim::ResourceId> &compute,
-          const std::vector<sim::ResourceId> &comm, BusyFn &&busy)
-{
-    ClusterSimResult r;
-    r.iterationTime = makespan;
-    Seconds comm_busy = 0.0, compute_busy = 0.0;
-    for (int d = 0; d < p; ++d) {
-        compute_busy += busy(compute[d]);
-        comm_busy += busy(comm[d]);
-    }
-    r.computeTimePerDevice = compute_busy / p;
-    r.commTimePerDevice = comm_busy / p;
-    r.stallTimePerDevice = r.iterationTime - r.computeTimePerDevice -
-                           r.commTimePerDevice;
-    if (r.stallTimePerDevice < 0.0)
-        r.stallTimePerDevice = 0.0;
-    return r;
-}
-
-/** Tasks that draw a noise factor during replay, in increasing task
- *  id order: exactly the tasks run()'s rebuild path perturbs, in
- *  the order it draws for them. An index list instead of a mask so
- *  the per-trial fill is a bulk copy plus the draws, not a branchy
- *  pass over every task. */
+/** Tasks that draw a noise factor during replay: every compute
+ *  task, in increasing task id order. An index list instead of a
+ *  mask so the per-trial fill is a bulk copy plus the draws, not a
+ *  branchy pass over every task. */
 std::vector<std::uint32_t>
 jitterIndices(const sim::GraphTemplate &graph)
 {
@@ -167,8 +40,7 @@ jitterIndices(const sim::GraphTemplate &graph)
 }
 
 /** One jittered replay of a compiled iteration graph, aggregated
- *  exactly like run()'s rebuild path. Resource ids are the builder's:
- *  compute d and comm d interleave as 2d / 2d + 1. */
+ *  over the lowering's streams (compute d at 2d, comm d at 2d + 1). */
 ClusterSimResult
 replayTrial(const sim::GraphTemplate &graph,
             const std::vector<std::uint32_t> &jitter_idx,
@@ -186,20 +58,48 @@ replayTrial(const sim::GraphTemplate &graph,
             base[i] * rng.noiseFactor(config.computeJitter);
     sim::replay(graph, durations, scratch);
 
-    // Reused across a worker's trials, like the caller's buffers —
-    // a trial stays allocation-free in steady state.
     const int p = config.tpDegree;
-    thread_local std::vector<sim::ResourceId> compute, comm;
-    compute.resize(p);
-    comm.resize(p);
+    ClusterSimResult r;
+    r.iterationTime = scratch.makespan();
+    Seconds comm_busy = 0.0, compute_busy = 0.0;
     for (int d = 0; d < p; ++d) {
-        compute[d] = 2 * d;
-        comm[d] = 2 * d + 1;
+        compute_busy += scratch.busyTotal(computeStream(d));
+        comm_busy += scratch.busyTotal(commStream(d));
     }
-    return aggregate(scratch.makespan(), p, compute, comm,
-                     [&](sim::ResourceId r) {
-                         return scratch.busyTotal(r);
-                     });
+    r.computeTimePerDevice = compute_busy / p;
+    r.commTimePerDevice = comm_busy / p;
+    r.stallTimePerDevice = r.iterationTime - r.computeTimePerDevice -
+                           r.commTimePerDevice;
+    if (r.stallTimePerDevice < 0.0)
+        r.stallTimePerDevice = 0.0;
+    return r;
+}
+
+/** The model and plan instantiated for `config`. */
+model::LayerGraphBuilder
+layerGraph(const model::Hyperparams &baseline, hw::Precision precision,
+           const ClusterSimConfig &config)
+{
+    model::Hyperparams hp = baseline.withHidden(config.hidden)
+                                .withSequenceLength(config.seqLen)
+                                .withBatchSize(config.batch)
+                                .withCompatibleHeads(config.tpDegree);
+    hp.numLayers = config.numLayers;
+    model::ParallelPlan par = config.plan;
+    par.tpDegree = config.tpDegree;
+    return model::LayerGraphBuilder(hp, par, precision);
+}
+
+/** Lower, compile and run config.passes, bypassing the cache. */
+std::shared_ptr<const sim::GraphTemplate>
+compileUncached(const model::LayerGraphBuilder &graph,
+                const ClusterSimConfig &config)
+{
+    LoweringOptions options;
+    options.devices = config.tpDegree;
+    const std::shared_ptr<const sim::GraphTemplate> lowered =
+        lowerIteration(graph, config.system, options).compile();
+    return sim::PassPipeline::parse(config.passes).apply(lowered);
 }
 
 } // namespace
@@ -214,69 +114,41 @@ ClusterSimResult
 ClusterSim::run(const ClusterSimConfig &config) const
 {
     validateConfig(config);
-
-    if (!config.passes.empty()) {
-        // A pass-rewritten graph only exists in compiled form, so
-        // this path is compile + one jittered replay; the jitter
-        // draws happen in compiled task order either way, keeping
-        // run() and a one-trial runTrials() identical.
-        const std::shared_ptr<const sim::GraphTemplate> graph =
-            compileIteration(config);
-        sim::ReplayScratch scratch;
-        std::vector<Seconds> durations;
-        return replayTrial(*graph, jitterIndices(*graph), config,
-                           scratch, durations);
-    }
-
-    Rng rng(config.seed);
-    sim::EventSimulator des;
-    std::vector<sim::ResourceId> compute, comm;
-    buildIteration(config, baseline_, precision_, des, compute, comm,
-                   &rng);
-
-    const sim::Schedule sched = des.run();
-    return aggregate(sched.makespan(), config.tpDegree, compute, comm,
-                     [&](sim::ResourceId r) {
-                         return sched.busyTime(r);
-                     });
+    // The uncached rebuild (the Monte Carlo test oracle): the jitter
+    // is drawn at replay, exactly as runTrials() draws it.
+    const std::shared_ptr<const sim::GraphTemplate> graph =
+        compileUncached(layerGraph(baseline_, precision_, config),
+                        config);
+    sim::ReplayScratch scratch;
+    std::vector<Seconds> durations;
+    return replayTrial(*graph, jitterIndices(*graph), config, scratch,
+                       durations);
 }
 
 std::shared_ptr<const sim::GraphTemplate>
 ClusterSim::compileIteration(const ClusterSimConfig &config) const
 {
     validateConfig(config);
-    // The cache key covers exactly what buildIteration() reads into
-    // the graph's shape and base durations: the derived
-    // hyperparameters (the same overrides buildIteration applies),
+    // The cache key covers exactly what the lowering reads into the
+    // graph's shape and base durations: the derived hyperparameters,
     // the plan, the system under study, the precision, and the pass
     // pipeline. Seeds and jitter are replay inputs, not compile
     // inputs, and stay out of the key.
-    model::Hyperparams hp =
-        baseline_.withHidden(config.hidden)
-            .withSequenceLength(config.seqLen)
-            .withBatchSize(config.batch)
-            .withCompatibleHeads(config.tpDegree);
-    hp.numLayers = config.numLayers;
-    model::ParallelPlan par = config.plan;
-    par.tpDegree = config.tpDegree;
+    const model::LayerGraphBuilder graph =
+        layerGraph(baseline_, precision_, config);
     const std::string key =
-        "cluster|" + hp.fingerprint() + "|plan=" + par.summary() +
+        "cluster|" + graph.hyperparams().fingerprint() +
+        "|plan=" + graph.parallel().summary() +
         "|sys=" + config.system.fingerprint() +
         "|prec=" + hw::precisionName(precision_) +
         "|passes=" + config.passes;
-
-    const sim::GraphCache::Compiled cached =
-        sim::GraphCache::instance().getOrCompile(key, [&] {
-            sim::EventSimulator des;
-            std::vector<sim::ResourceId> compute, comm;
-            buildIteration(config, baseline_, precision_, des,
-                           compute, comm, nullptr);
-            sim::GraphCache::Compiled out;
-            out.graph = sim::PassPipeline::parse(config.passes)
-                            .apply(des.compile());
-            return out;
-        });
-    return cached.graph;
+    return sim::GraphCache::instance()
+        .getOrCompile(key,
+                      [&] {
+                          return sim::GraphCache::Compiled{
+                              compileUncached(graph, config), nullptr };
+                      })
+        .graph;
 }
 
 ClusterTrialSummary
@@ -302,8 +174,7 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
     exec::ParallelSweepRunner runner(options);
 
     // Compile once; each trial only fills a duration vector and
-    // replays. Resource ids are the builder's: compute d and comm d
-    // interleave as 2d / 2d + 1.
+    // replays.
     const std::shared_ptr<const sim::GraphTemplate> graph =
         compileIteration(config);
     const std::vector<std::uint32_t> jitterable = jitterIndices(*graph);

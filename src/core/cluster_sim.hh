@@ -4,21 +4,20 @@
  *
  * Every other analysis in this library exploits SPMD symmetry and
  * simulates one representative device. This module instead
- * instantiates the whole tensor-parallel group on the event engine —
- * one compute and one communication stream per device, ring
- * all-reduces decomposed into their 2(P-1) neighbour-dependent steps
- * — and optionally perturbs each device's kernel times with seeded
- * noise. Because the four per-layer all-reduces act as
- * synchronization barriers, per-device jitter compounds into
- * iteration-level slowdown that no single-device model can see.
+ * instantiates the whole tensor-parallel group on the event engine
+ * (core::lowerIteration at p devices: ring all-reduces decomposed
+ * into their 2(P-1) neighbour-dependent steps) and optionally
+ * perturbs each device's kernel times with seeded noise. Because the
+ * four per-layer all-reduces act as synchronization barriers,
+ * per-device jitter compounds into iteration-level slowdown that no
+ * single-device model can see.
  *
  * Monte Carlo trials share one graph shape: runTrials() compiles the
  * per-iteration layer graph once (sim::GraphTemplate) and maps
  * jittered duration vectors over the trials, one replay-scratch
  * arena per worker thread — a trial allocates nothing and
- * re-validates nothing. run() still builds the graph from scratch,
- * and the tests hold runTrials() bit-identical to one run() per
- * trial.
+ * re-validates nothing. run() lowers and compiles uncached, and the
+ * tests hold runTrials() bit-identical to one run() per trial.
  */
 
 #ifndef TWOCS_CORE_CLUSTER_SIM_HH
@@ -46,12 +45,12 @@ struct ClusterSimConfig
     /**
      * Full 3D plan whose non-TP axes (PP, micro-batches, DP, ZeRO,
      * EP) extend the simulated iteration: their collectives appear
-     * as closed-form-cost steps on each device's communication
+     * as closed-form-cost tasks on each device's communication
      * stream, while the TP group itself stays an explicit
-     * neighbour-dependent ring. The plan's tpDegree is overridden by
-     * `tpDegree` above (the group actually instantiated); the
-     * default trivial plan reproduces the historical TP-only graph
-     * byte-for-byte.
+     * neighbour-dependent ring. DP gradient collectives overlap
+     * later backward compute (at the end of the iteration when
+     * overlapDpComm is false); the rest serialize with compute. The
+     * plan's tpDegree is overridden by `tpDegree` above.
      */
     model::ParallelPlan plan;
 
@@ -72,12 +71,13 @@ struct ClusterSimResult
 {
     /** Iteration makespan across the whole group. */
     Seconds iterationTime = 0.0;
-    /** Mean per-device time inside ring steps. */
+    /** Mean per-device comm busy time; overlapped DP collectives
+     *  count in full, so it can overlap compute time. */
     Seconds commTimePerDevice = 0.0;
     /** Mean per-device compute busy time. */
     Seconds computeTimePerDevice = 0.0;
-    /** Time devices spend neither computing nor communicating —
-     *  synchronization stalls induced by jitter. */
+    /** Iteration minus compute and comm busy time, clamped at 0:
+     *  jitter-induced stalls, less any overlapped comm. */
     Seconds stallTimePerDevice = 0.0;
 
     double commFraction() const

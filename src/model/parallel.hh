@@ -80,7 +80,9 @@ struct ParallelPlan
      * Whether DP gradient all-reduces/reduce-scatters may overlap
      * backprop compute (asynchronous bucketed collectives, Section
      * 2.3.2). When false they serialize at the end of the backward
-     * pass.
+     * pass, ahead of every optimizer step. The event-engine studies
+     * (core::lowerIteration: `cluster`, the case study) honour it;
+     * the analytic `project`/`analyze` totals do not read it.
      */
     bool overlapDpComm = true;
 

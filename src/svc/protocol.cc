@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -33,6 +34,21 @@ struct Member
     JsonValue value;
     std::size_t offset = 0; //!< Byte offset of the key (diagnostics).
 };
+
+/** End of the number token at `start` (the run of [-+.eE0-9] that a
+ *  diagnostic or an id echo names), and whether that token is
+ *  exactly one RFC 8259 number. */
+std::pair<std::size_t, bool>
+numberToken(std::string_view text, std::size_t start)
+{
+    std::size_t end = start;
+    while (end < text.size() &&
+           std::string_view("-+.eE0123456789").find(text[end]) !=
+               std::string_view::npos)
+        ++end;
+    const json::Scan scan = json::scanNumber(text, start);
+    return { end, scan.error == nullptr && scan.end == end };
+}
 
 /**
  * A strict parser for exactly the protocol's shape: one JSON object
@@ -72,8 +88,8 @@ class FlatObjectParser
             skipSpace();
             Member m;
             m.offset = pos_;
-            fatalIf(peek() != '"', "byte ", pos_,
-                    ": expected a quoted member key");
+            if (peek() != '"')
+                syntaxError(pos_, "expected a quoted member key");
             m.key = parseString();
             for (const Member &seen : members) {
                 fatalIf(seen.key == m.key, "duplicate field '", m.key,
@@ -106,17 +122,26 @@ class FlatObjectParser
             ++pos_;
     }
 
+    /** Throw the ParseError for a syntax error at byte `at`. */
+    template <typename... Args>
+    [[noreturn]] static void syntaxError(std::size_t at, Args &&...what)
+    {
+        throw ParseError(at, detail::concat("byte ", at, ": ", what...));
+    }
+
     void expect(char c, const std::string &what)
     {
-        fatalIf(peek() != c, "byte ", pos_, ": ", what);
+        if (peek() != c)
+            syntaxError(pos_, what);
         ++pos_;
     }
 
     void trailingGarbageCheck()
     {
         skipSpace();
-        fatalIf(pos_ < text_.size(), "byte ", pos_,
-                ": trailing content after the request object");
+        if (pos_ < text_.size())
+            syntaxError(pos_,
+                        "trailing content after the request object");
     }
 
     JsonValue parseValue(const std::string &key, bool nested)
@@ -147,27 +172,20 @@ class FlatObjectParser
         } else if (c == '-' || (c >= '0' && c <= '9')) {
             v.kind = JsonValue::Kind::Number;
             const std::size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (text_[pos_] == '-' || text_[pos_] == '+' ||
-                    text_[pos_] == '.' || text_[pos_] == 'e' ||
-                    text_[pos_] == 'E' ||
-                    (text_[pos_] >= '0' && text_[pos_] <= '9')))
-                ++pos_;
-            v.raw = text_.substr(start, pos_ - start);
-            char *end = nullptr;
-            v.num = std::strtod(v.raw.c_str(), &end);
-            fatalIf(end != v.raw.c_str() + v.raw.size() ||
-                        !std::isfinite(v.num),
-                    "byte ", start, ": '", v.raw,
-                    "' is not a valid JSON number");
+            const auto [end, valid] = numberToken(text_, start);
+            pos_ = end;
+            v.raw = text_.substr(start, end - start);
+            v.num = valid ? std::strtod(v.raw.c_str(), nullptr) : 0.0;
+            if (!valid || !std::isfinite(v.num))
+                syntaxError(start, "'", v.raw,
+                            "' is not a valid JSON number");
         } else if (c == '{' || c == '[') {
-            fatal("byte ", pos_, ": field '", key,
-                  "' must be a scalar (the only structured fields "
-                  "are the top-level 'parallel' and 'perturb' "
-                  "objects)");
+            syntaxError(pos_, "field '", key,
+                        "' must be a scalar (the only structured "
+                        "fields are the top-level 'parallel' and "
+                        "'perturb' objects)");
         } else {
-            fatal("byte ", pos_, ": expected a value for field '", key,
-                  "'");
+            syntaxError(pos_, "expected a value for field '", key, "'");
         }
         return v;
     }
@@ -177,21 +195,22 @@ class FlatObjectParser
         expect('"', "expected '\"'");
         std::string out;
         while (true) {
-            fatalIf(pos_ >= text_.size(),
-                    "unterminated string (started before byte ", pos_,
-                    ")");
+            if (pos_ >= text_.size())
+                throw ParseError(pos_, "unterminated string (started "
+                                       "before byte " +
+                                           std::to_string(pos_) + ")");
             const char c = text_[pos_++];
             if (c == '"')
                 return out;
             if (c != '\\') {
-                fatalIf(static_cast<unsigned char>(c) < 0x20, "byte ",
-                        pos_ - 1,
-                        ": raw control character in string");
+                if (static_cast<unsigned char>(c) < 0x20)
+                    syntaxError(pos_ - 1,
+                                "raw control character in string");
                 out += c;
                 continue;
             }
-            fatalIf(pos_ >= text_.size(), "byte ", pos_,
-                    ": dangling escape");
+            if (pos_ >= text_.size())
+                syntaxError(pos_, "dangling escape");
             const char e = text_[pos_++];
             switch (e) {
               case '"':
@@ -218,16 +237,15 @@ class FlatObjectParser
                 out += parseUnicodeEscape();
                 break;
               default:
-                fatal("byte ", pos_ - 1, ": unknown escape '\\", e,
-                      "'");
+                syntaxError(pos_ - 1, "unknown escape '\\", e, "'");
             }
         }
     }
 
     std::string parseUnicodeEscape()
     {
-        fatalIf(pos_ + 4 > text_.size(), "byte ", pos_,
-                ": truncated \\u escape");
+        if (pos_ + 4 > text_.size())
+            syntaxError(pos_, "truncated \\u escape");
         unsigned cp = 0;
         for (int i = 0; i < 4; ++i) {
             const char h = text_[pos_++];
@@ -239,11 +257,11 @@ class FlatObjectParser
             else if (h >= 'A' && h <= 'F')
                 cp |= static_cast<unsigned>(h - 'A' + 10);
             else
-                fatal("byte ", pos_ - 1, ": bad hex digit in \\u "
-                      "escape");
+                syntaxError(pos_ - 1, "bad hex digit in \\u escape");
         }
-        fatalIf(cp >= 0xd800 && cp <= 0xdfff, "byte ", pos_ - 6,
-                ": surrogate \\u escapes are not supported");
+        if (cp >= 0xd800 && cp <= 0xdfff)
+            syntaxError(pos_ - 6,
+                        "surrogate \\u escapes are not supported");
         // UTF-8 encode the basic-plane code point.
         std::string out;
         if (cp < 0x80) {
@@ -712,32 +730,13 @@ tryExtractIdJson(const std::string &line)
     ++p;
     while (p < line.size() && (line[p] == ' ' || line[p] == '\t'))
         ++p;
-    if (p >= line.size())
-        return "";
-    if (line[p] == '"') {
-        // The raw string token, escapes and all, echoed verbatim.
-        std::size_t q = p + 1;
-        while (q < line.size()) {
-            if (line[q] == '\\')
-                q += 2;
-            else if (line[q] == '"')
-                return line.substr(p, q - p + 1);
-            else
-                ++q;
-        }
-        return "";
+    // Echo the raw token only when it is valid JSON on its own.
+    if (p < line.size() && line[p] == '"') {
+        const json::Scan scan = json::scanString(line, p);
+        return scan.error == nullptr ? line.substr(p, scan.end - p) : "";
     }
-    if (line[p] == '-' || (line[p] >= '0' && line[p] <= '9')) {
-        std::size_t q = p;
-        while (q < line.size() &&
-               (line[q] == '-' || line[q] == '+' || line[q] == '.' ||
-                line[q] == 'e' || line[q] == 'E' ||
-                (line[q] >= '0' && line[q] <= '9'))) {
-            ++q;
-        }
-        return line.substr(p, q - p);
-    }
-    return "";
+    const auto [end, valid] = numberToken(line, p);
+    return valid ? line.substr(p, end - p) : "";
 }
 
 std::string

@@ -42,8 +42,19 @@
 
 #include "hw/device_spec.hh"
 #include "model/parallel.hh"
+#include "util/logging.hh"
 
 namespace twocs::svc {
+
+/** A request-syntax error and the byte offset it names, as data:
+ *  message text may echo the request, so it is never scraped. */
+struct ParseError : FatalError
+{
+    ParseError(std::size_t at, const std::string &message)
+        : FatalError(message), offset(at)
+    {}
+    std::size_t offset;
+};
 
 /** What a request asks for. */
 enum class QueryKind { Project, Analyze, Slack, Memory, Perturb, Stats };
@@ -109,9 +120,9 @@ struct Query
 
 /**
  * Parse and normalize one request line; fatal() with a diagnostic on
- * any malformed, unknown, ill-typed or out-of-range input. The
- * diagnostic names the byte offset for syntax errors and the field
- * for semantic ones.
+ * any malformed, unknown, ill-typed or out-of-range input. Syntax
+ * errors throw ParseError, whose diagnostic and `offset` name the
+ * byte; semantic errors name the field.
  */
 Query parseQuery(const std::string &line);
 

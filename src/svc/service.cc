@@ -34,38 +34,20 @@ elapsed(Clock::time_point since)
 }
 
 /**
- * Scrape the byte offset out of a parser diagnostic ("byte 17: ..."),
- * -1 when the message carries none.
- */
-int
-extractByteOffset(const std::string &message)
-{
-    const std::size_t pos = message.find("byte ");
-    if (pos == std::string::npos)
-        return -1;
-    int offset = -1;
-    for (std::size_t i = pos + 5;
-         i < message.size() && message[i] >= '0' && message[i] <= '9';
-         ++i) {
-        offset = (offset < 0 ? 0 : offset * 10) + (message[i] - '0');
-    }
-    return offset;
-}
-
-/**
- * Response fragment for a failed request: the diagnostic wrapped in
- * a structured error object.
+ * Response fragment for a failed request: `prefix` + the diagnostic
+ * wrapped in a structured error object, plus the byte offset when
+ * the error is a ParseError.
  */
 std::string
-errorPayload(const char *code, const std::string &message)
+errorPayload(const char *code, const std::string &prefix,
+             const FatalError &error)
 {
     std::string out = "\"status\":\"error\",\"error\":{\"code\":";
     out += json::quote(code);
     out += ",\"message\":";
-    out += json::quote(message);
-    const int offset = extractByteOffset(message);
-    if (offset >= 0)
-        out += ",\"offset\":" + std::to_string(offset);
+    out += json::quote(prefix + error.what());
+    if (const auto *syntax = dynamic_cast<const ParseError *>(&error))
+        out += ",\"offset\":" + std::to_string(syntax->offset);
     out += "}";
     return out;
 }
@@ -440,8 +422,8 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
                 e.failed = true;
                 e.idJson = tryExtractIdJson(lines[i].second);
                 e.payload = errorPayload(
-                    "parse_error", "line " + std::to_string(e.lineNo) +
-                                       ": " + ex.what());
+                    "parse_error",
+                    "line " + std::to_string(e.lineNo) + ": ", ex);
             }
             e.seconds = elapsed(start);
         }
@@ -471,7 +453,7 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
                     e.payload = evaluate(e.query, *e.system);
                 } catch (const FatalError &ex) {
                     e.failed = true;
-                    e.payload = errorPayload("eval_error", ex.what());
+                    e.payload = errorPayload("eval_error", "", ex);
                 }
                 e.seconds += elapsed(start);
             });

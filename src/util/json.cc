@@ -8,6 +8,18 @@ namespace twocs::json {
 
 namespace {
 
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+bool
+isHex(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
 /** Recursive-descent validator over the RFC 8259 value grammar. */
 class Validator
 {
@@ -79,7 +91,7 @@ class Validator
             array(depth);
             return;
           case '"':
-            string();
+            scan(scanString(text_, pos_));
             return;
           case 't':
             literal("true");
@@ -91,7 +103,7 @@ class Validator
             literal("null");
             return;
           default:
-            number();
+            scan(scanNumber(text_, pos_));
         }
     }
 
@@ -108,7 +120,7 @@ class Validator
             skipWs();
             failIf(atEnd() || peek() != '"',
                    "expected a string object key");
-            string();
+            scan(scanString(text_, pos_));
             skipWs();
             expect(':', "expected ':' after object key");
             skipWs();
@@ -148,73 +160,10 @@ class Validator
     }
 
     void
-    string()
+    scan(const Scan &token)
     {
-        expect('"', "expected '\"'");
-        for (;;) {
-            failIf(atEnd(), "unterminated string");
-            const unsigned char c =
-                static_cast<unsigned char>(text_[pos_]);
-            failIf(c < 0x20, "raw control character in string");
-            ++pos_;
-            if (c == '"')
-                return;
-            if (c != '\\')
-                continue;
-            failIf(atEnd(), "unterminated escape");
-            const char esc = text_[pos_++];
-            if (esc == 'u') {
-                for (int i = 0; i < 4; ++i) {
-                    failIf(atEnd() || !isHex(text_[pos_]),
-                           "\\u needs four hex digits");
-                    ++pos_;
-                }
-            } else if (esc != '"' && esc != '\\' && esc != '/' &&
-                       esc != 'b' && esc != 'f' && esc != 'n' &&
-                       esc != 'r' && esc != 't') {
-                fail("unknown escape");
-            }
-        }
-    }
-
-    void
-    number()
-    {
-        failIf(atEnd(), "expected a value");
-        if (peek() == '-')
-            ++pos_;
-        failIf(atEnd() || !isDigit(peek()), "malformed number");
-        if (peek() == '0') {
-            ++pos_;
-        } else {
-            while (!atEnd() && isDigit(peek()))
-                ++pos_;
-        }
-        if (!atEnd() && peek() == '.') {
-            ++pos_;
-            failIf(atEnd() || !isDigit(peek()),
-                   "digits must follow '.'");
-            while (!atEnd() && isDigit(peek()))
-                ++pos_;
-        }
-        if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
-            ++pos_;
-            if (!atEnd() && (peek() == '+' || peek() == '-'))
-                ++pos_;
-            failIf(atEnd() || !isDigit(peek()),
-                   "digits must follow the exponent");
-            while (!atEnd() && isDigit(peek()))
-                ++pos_;
-        }
-    }
-
-    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
-
-    static bool
-    isHex(char c)
-    {
-        return isDigit(c) || (c >= 'a' && c <= 'f') ||
-               (c >= 'A' && c <= 'F');
+        pos_ = token.end;
+        failIf(token.error != nullptr, token.error);
     }
 
     std::string_view text_;
@@ -222,6 +171,75 @@ class Validator
 };
 
 } // namespace
+
+Scan
+scanString(std::string_view text, std::size_t pos)
+{
+    if (pos >= text.size() || text[pos] != '"')
+        return { pos, "expected '\"'" };
+    ++pos;
+    for (;;) {
+        if (pos >= text.size())
+            return { pos, "unterminated string" };
+        const unsigned char c = static_cast<unsigned char>(text[pos]);
+        if (c < 0x20)
+            return { pos, "raw control character in string" };
+        ++pos;
+        if (c == '"')
+            return Scan{ pos, nullptr };
+        if (c != '\\')
+            continue;
+        if (pos >= text.size())
+            return { pos, "unterminated escape" };
+        const char esc = text[pos++];
+        if (esc == 'u') {
+            for (int i = 0; i < 4; ++i) {
+                if (pos >= text.size() || !isHex(text[pos]))
+                    return { pos, "\\u needs four hex digits" };
+                ++pos;
+            }
+        } else if (esc != '"' && esc != '\\' && esc != '/' &&
+                   esc != 'b' && esc != 'f' && esc != 'n' &&
+                   esc != 'r' && esc != 't') {
+            return { pos, "unknown escape" };
+        }
+    }
+}
+
+Scan
+scanNumber(std::string_view text, std::size_t pos)
+{
+    const auto digit = [&] {
+        return pos < text.size() && isDigit(text[pos]);
+    };
+    if (pos < text.size() && text[pos] == '-')
+        ++pos;
+    if (!digit())
+        return { pos, "malformed number" };
+    if (text[pos] == '0') {
+        ++pos;
+    } else {
+        while (digit())
+            ++pos;
+    }
+    if (pos < text.size() && text[pos] == '.') {
+        ++pos;
+        if (!digit())
+            return { pos, "digits must follow '.'" };
+        while (digit())
+            ++pos;
+    }
+    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+        ++pos;
+        if (pos < text.size() && (text[pos] == '+' || text[pos] == '-'))
+            ++pos;
+        if (!digit())
+            return { pos, "digits must follow the exponent" };
+        while (digit())
+            ++pos;
+    }
+    return Scan{ pos, nullptr };
+}
 
 std::string
 escape(std::string_view s)

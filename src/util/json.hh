@@ -14,6 +14,7 @@
 #ifndef TWOCS_UTIL_JSON_HH
 #define TWOCS_UTIL_JSON_HH
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -35,6 +36,21 @@ std::string quote(std::string_view s);
  * number format shared by every JSON emitter in the library.
  */
 std::string number(double v);
+
+/** Where a token scan stopped: one past the token with a null
+ *  `error`, or at the first offending byte with what is wrong. */
+struct Scan
+{
+    std::size_t end = 0;
+    const char *error = nullptr;
+};
+
+/** Scan the RFC 8259 number at text[pos]: the one number grammar,
+ *  shared by validate() and the svc request parser. */
+Scan scanNumber(std::string_view text, std::size_t pos);
+
+/** Scan the JSON string literal at text[pos], as validate() does. */
+Scan scanString(std::string_view text, std::size_t pos);
 
 /**
  * Strictly validate that `text` is one well-formed JSON value

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/amdahl.hh"
+#include "core/case_study.hh"
 #include "core/cluster_sim.hh"
+#include "core/lowering.hh"
 #include "test_common.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -181,6 +183,107 @@ TEST(ClusterReplay, CompiledIterationExposesShape)
     EXPECT_EQ(graph->resourceName(1), "comm0");
     EXPECT_EQ(graph->resourceName(6), "compute3");
     EXPECT_EQ(graph->resourceName(7), "comm3");
+}
+
+/**
+ * The DP dependency rule of core::lowerIteration: every `dp_ar` task
+ * depends on exactly the compute task emitted just before it on its
+ * device, and only optimizer steps wait on `dp_ar` tasks.
+ */
+void
+expectDpHangsOffPrecedingCompute(const sim::GraphTemplate &graph,
+                                 int devices)
+{
+    std::vector<sim::TaskId> last_compute(devices, sim::InvalidTask);
+    int dp_tasks = 0, optimizer_waits = 0;
+    for (std::size_t i = 0; i < graph.numTasks(); ++i) {
+        const auto id = static_cast<sim::TaskId>(i);
+        const int device = graph.taskResource(id) / 2;
+        if (graph.taskTag(id) == "compute") {
+            for (const sim::TaskId dep : graph.deps(id)) {
+                if (graph.taskTag(dep) != "dp_ar")
+                    continue;
+                EXPECT_EQ(graph.taskLabel(id), "optim_step") << id;
+                ++optimizer_waits;
+            }
+            last_compute[device] = id;
+        } else if (graph.taskTag(id) == "dp_ar") {
+            EXPECT_EQ(graph.taskResource(id), commStream(device));
+            ASSERT_EQ(graph.deps(id).size(), 1u) << id;
+            EXPECT_EQ(graph.deps(id)[0], last_compute[device]) << id;
+            ++dp_tasks;
+        } else {
+            for (const sim::TaskId dep : graph.deps(id))
+                EXPECT_NE(graph.taskTag(dep), "dp_ar") << id;
+        }
+    }
+    EXPECT_GT(dp_tasks, 0);
+    EXPECT_GT(optimizer_waits, 0);
+}
+
+TEST(Lowering, DpCollectivesHangOffThePrecedingComputeTask)
+{
+    // One device: the case-study shape.
+    CaseStudyConfig one;
+    one.hidden = 4096;
+    one.seqLen = 1024;
+    one.tpDegree = 4;
+    one.dpDegree = 4;
+    const auto case_graph = CaseStudy().compileGraph(one);
+    EXPECT_EQ(case_graph->numResources(), 2u);
+    EXPECT_EQ(case_graph->resourceName(computeStream(0)), "compute");
+    EXPECT_EQ(case_graph->resourceName(commStream(0)), "comm");
+    expectDpHangsOffPrecedingCompute(*case_graph, 1);
+
+    // p devices: the cluster shape, ZeRO-2 included (two DP
+    // collectives per sub-layer).
+    for (const char *plan : { "dp=2", "dp=4,zero=2" }) {
+        ClusterSimConfig group = smallConfig(4);
+        group.plan = model::ParallelPlan::parse(plan);
+        const auto cluster_graph = ClusterSim().compileIteration(group);
+        EXPECT_EQ(cluster_graph->numResources(), 8u);
+        expectDpHangsOffPrecedingCompute(*cluster_graph, 4);
+    }
+}
+
+ClusterSimConfig
+dpConfig(bool overlap)
+{
+    ClusterSimConfig cfg;
+    cfg.plan = model::ParallelPlan::parse("tp=4,dp=8");
+    cfg.plan.overlapDpComm = overlap;
+    cfg.tpDegree = cfg.plan.tpDegree;
+    return cfg;
+}
+
+TEST(ClusterSim, DpOverlapHidesCommUnderCompute)
+{
+    // Zero jitter: with overlap on, DP gradient collectives run under
+    // later backward compute, so the iteration is shorter than the
+    // busy times laid end to end.
+    const ClusterSimResult r = ClusterSim().run(dpConfig(true));
+    EXPECT_LT(r.iterationTime,
+              r.computeTimePerDevice + r.commTimePerDevice);
+    EXPECT_EQ(r.stallTimePerDevice, 0.0);
+}
+
+TEST(ClusterSim, OverlapOffSerializesDpComm)
+{
+    // overlap=0 moves every DP collective and optimizer step to the
+    // end of the iteration: nothing overlaps, and the iteration is
+    // exactly compute + comm (up to FP summation order).
+    const ClusterSim sim;
+    const ClusterSimResult off = sim.run(dpConfig(false));
+    const ClusterSimResult on = sim.run(dpConfig(true));
+    EXPECT_NEAR(off.iterationTime,
+                off.computeTimePerDevice + off.commTimePerDevice,
+                1e-12 * off.iterationTime);
+    EXPECT_GT(off.iterationTime, on.iterationTime);
+    // Overlap changes placement, not the work.
+    EXPECT_NEAR(off.commTimePerDevice, on.commTimePerDevice,
+                1e-12 * on.commTimePerDevice);
+    EXPECT_NEAR(off.computeTimePerDevice, on.computeTimePerDevice,
+                1e-12 * on.computeTimePerDevice);
 }
 
 TEST(ClusterSim, Validation)

@@ -269,8 +269,9 @@ struct StringKeyedBaseline
 
 TEST(EngineInterning, CaseStudyQueriesMatchStringKeyedBaseline)
 {
-    // The Figure 14 case-study graph is the richest real task graph
-    // in the repo: two streams, five tags, hundreds of tasks. Every
+    // The Figure 14 case-study graph is a rich real task graph: two
+    // streams, three tags (compute, tp_ar, dp_ar), hundreds of
+    // tasks. Every
     // interned-id query must agree with the string-keyed recompute.
     const core::CaseStudy study;
     core::CaseStudyConfig cfg;

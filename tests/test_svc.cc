@@ -127,6 +127,58 @@ TEST(SvcProtocol, StrictParseDiagnostics)
               std::string::npos);
 }
 
+TEST(SvcProtocol, SyntaxErrorsCarryTheirByteOffset)
+{
+    try {
+        svc::parseQuery("{\"kind\" \"x\"}");
+        FAIL() << "a missing ':' must not parse";
+    } catch (const svc::ParseError &e) {
+        EXPECT_EQ(e.offset, 8u);
+        EXPECT_EQ(std::string(e.what()),
+                  "byte 8: expected ':' after key 'kind'");
+    }
+    // Semantic errors name a field, not a byte.
+    try {
+        svc::parseQuery("{\"kind\": \"bogus byte 99\"}");
+        FAIL() << "an unknown kind must not parse";
+    } catch (const svc::ParseError &) {
+        FAIL() << "an unknown kind is not a syntax error";
+    } catch (const FatalError &) {
+    }
+}
+
+TEST(SvcProtocol, NumbersFollowTheJsonGrammar)
+{
+    // Tokens strtod accepts but RFC 8259 does not: rejected with the
+    // number diagnostic at the token's offset.
+    EXPECT_EQ(parseError("{\"id\":01,\"kind\":\"stats\"}"),
+              "byte 6: '01' is not a valid JSON number");
+    EXPECT_EQ(parseError("{\"id\":-0.,\"kind\":\"stats\"}"),
+              "byte 6: '-0.' is not a valid JSON number");
+    EXPECT_EQ(parseError("{\"kind\":\"project\",\"hidden\":1.}"),
+              "byte 27: '1.' is not a valid JSON number");
+    EXPECT_EQ(parseError("{\"kind\":\"project\",\"hidden\":1e999}"),
+              "byte 27: '1e999' is not a valid JSON number");
+    // Valid numbers still parse, and the id echoes verbatim.
+    EXPECT_EQ(svc::parseQuery("{\"id\":-0,\"kind\":\"stats\"}").idJson,
+              "-0");
+    EXPECT_EQ(
+        svc::parseQuery("{\"id\":2.5e-3,\"kind\":\"stats\"}").idJson,
+        "2.5e-3");
+    EXPECT_EQ(
+        svc::parseQuery("{\"kind\":\"project\",\"hidden\":4096.0}")
+            .hidden,
+        4096);
+
+    // Error responses echo an id only when it is valid JSON.
+    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":01,\"kind\":\"x\"}"), "");
+    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":-0.,\"kind\":\"x\"}"), "");
+    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":\"a\\q\",\"kind\":1}"), "");
+    EXPECT_EQ(svc::tryExtractIdJson("{\"id\": 7, \"kind\": 1}"), "7");
+    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":\"r\\n9\",\"kind\":1}"),
+              "\"r\\n9\"");
+}
+
 TEST(SvcProtocol, CanonicalKeyNormalizesSpelling)
 {
     // Defaults spelled out, reordered, and whitespace-mangled must
@@ -506,6 +558,39 @@ TEST(SvcProto, V2ErrorsCarryStructuredErrorObject)
     EXPECT_NE(eval.find("\"error\":{\"code\":\"eval_error\""),
               std::string::npos)
         << eval;
+}
+
+TEST(SvcProto, ErrorOffsetsComeFromTheParserNotTheMessage)
+{
+    // Diagnostics that echo request text containing "byte N" carry
+    // no offset; a syntax error still does.
+    svc::QueryService service;
+    EXPECT_EQ(service.handle(
+                  "{\"id\":1,\"kind\":\"analyze\",\"model\":\"byte 12\"}"),
+              "{\"id\":1,\"status\":\"error\",\"error\":{\"code\":"
+              "\"eval_error\",\"message\":\"unknown zoo model "
+              "'byte 12'\"}}");
+    EXPECT_EQ(service.handle("{\"id\":3,\"kind\":\"bogus byte 99\"}", 2),
+              "{\"id\":3,\"status\":\"error\",\"error\":{\"code\":"
+              "\"parse_error\",\"message\":\"line 2: unknown kind "
+              "'bogus byte 99' "
+              "(project|analyze|slack|memory|perturb|stats)\"}}");
+    EXPECT_EQ(service.handle("{\"kind\" \"x\"}", 3),
+              "{\"status\":\"error\",\"error\":{\"code\":"
+              "\"parse_error\",\"message\":\"line 3: byte 8: expected "
+              "':' after key 'kind'\",\"offset\":8}}");
+}
+
+TEST(SvcProto, MalformedNumbersNeverEchoAsInvalidJson)
+{
+    svc::QueryService service;
+    for (const char *line :
+         { "{\"id\":01,\"kind\":\"stats\"}", "{\"id\":-0.,\"kind\":\"stats\"}",
+           "{\"id\":\"\\q\",\"kind\":\"stats\"}" }) {
+        const std::string r = service.handle(line);
+        EXPECT_NO_THROW(json::validate(r)) << r;
+        EXPECT_EQ(r.rfind("{\"status\":\"error\"", 0), 0u) << r;
+    }
 }
 
 TEST(SvcProto, V2EchoesRequestIdEvenOnParseErrors)

@@ -6,7 +6,8 @@
  * lines. Every input must either parse or be rejected with a
  * FatalError diagnostic; any other exception (a PanicError from a
  * broken invariant, a std::out_of_range from a bad index, ...) fails
- * the test. Run under the asan preset, this also catches
+ * the test. Every mutated line is also served, and each response
+ * must be valid JSON. Run under the asan preset, this also catches
  * out-of-bounds reads the diagnostics would otherwise hide.
  */
 
@@ -18,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "svc/protocol.hh"
+#include "svc/service.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -127,6 +130,9 @@ TEST(SvcParseFuzz, MutationsParseOrThrowFatal)
     for (const std::string &line : seedLines())
         ASSERT_TRUE(parsesOrRejects(line)) << "seed must parse: " << line;
 
+    // Every mutated line is also served: whatever the parser made of
+    // it, the response must be one valid JSON value.
+    svc::QueryService service;
     Rng rng(20231017);
     int parsed = 0, rejected = 0;
     for (int round = 0; round < 4000; ++round) {
@@ -138,6 +144,9 @@ TEST(SvcParseFuzz, MutationsParseOrThrowFatal)
         for (int k = 0; k < depth; ++k)
             line = mutate(std::move(line), rng);
         (parsesOrRejects(line) ? parsed : rejected)++;
+        const std::string response = service.handle(line);
+        EXPECT_NO_THROW(json::validate(response))
+            << "request: " << line << "\nresponse: " << response;
     }
     // Both outcomes are exercised: the corpus is neither all-valid
     // nor all-garbage.
