@@ -3,6 +3,10 @@
 # Tier-1 gate: the checks every PR must keep green.
 #
 #   1. `tier1`  — full RelWithDebInfo build + the whole ctest suite.
+#   1b. `-Werror` — every target (src, tests, bench, examples) built
+#                 again with the existing -DTWOCS_WERROR=ON, so a new
+#                 compiler warning fails the gate instead of scrolling
+#                 past in a build log.
 #   2. `tsan`   — ThreadSanitizer build; runs the concurrency-bearing
 #                 suites (exec parallelFor/ParallelSweepRunner, the
 #                 svc query service and the obs tracer) under TSan.
@@ -56,6 +60,11 @@ export CTEST_PARALLEL_LEVEL="${jobs}"
 
 echo "== tier-1: build + full test suite =="
 cmake --workflow --preset tier1
+
+echo "== tier-1: every target builds warning-free (-Werror) =="
+cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DTWOCS_WERROR=ON
+cmake --build build-werror
 
 echo "== tier-1: ThreadSanitizer (exec + svc + obs) =="
 cmake --workflow --preset tsan

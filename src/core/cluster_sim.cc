@@ -39,20 +39,21 @@ jitterIndices(const sim::GraphTemplate &graph)
     return jitterable;
 }
 
-/** One jittered replay of a compiled iteration graph, aggregated
- *  over the lowering's streams (compute d at 2d, comm d at 2d + 1). */
+/** One jittered replay of a compiled iteration graph with the
+ *  jitter drawn from `seed`, aggregated over the lowering's streams
+ *  (compute d at 2d, comm d at 2d + 1). */
 ClusterSimResult
 replayTrial(const sim::GraphTemplate &graph,
             const std::vector<std::uint32_t> &jitter_idx,
-            const ClusterSimConfig &config, sim::ReplayScratch &scratch,
-            std::vector<Seconds> &durations)
+            const ClusterSimConfig &config, std::uint64_t seed,
+            sim::ReplayScratch &scratch, std::vector<Seconds> &durations)
 {
     // The worker arenas are deliberately recycled across runTrials
     // calls with different graphs — the explicit rebind opt-in.
     scratch.bind(graph);
     const std::vector<Seconds> &base = graph.baseDurations();
     durations.assign(base.begin(), base.end());
-    Rng rng(config.seed);
+    Rng rng(seed);
     for (const std::uint32_t i : jitter_idx)
         durations[i] =
             base[i] * rng.noiseFactor(config.computeJitter);
@@ -121,8 +122,8 @@ ClusterSim::run(const ClusterSimConfig &config) const
                         config);
     sim::ReplayScratch scratch;
     std::vector<Seconds> durations;
-    return replayTrial(*graph, jitterIndices(*graph), config, scratch,
-                       durations);
+    return replayTrial(*graph, jitterIndices(*graph), config, config.seed,
+                       scratch, durations);
 }
 
 std::shared_ptr<const sim::GraphTemplate>
@@ -158,14 +159,12 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
     fatalIf(num_trials < 1, "need at least one trial");
     validateConfig(config);
 
-    std::vector<ClusterSimConfig> trials(
-        static_cast<std::size_t>(num_trials), config);
+    std::vector<std::uint64_t> seeds(static_cast<std::size_t>(num_trials));
     for (int i = 0; i < num_trials; ++i) {
         // splitmix-derived per-trial seeds: config.seed + i would
         // make base seeds s and s + 1 share almost all of their
         // trial streams.
-        trials[i].seed =
-            splitmixSeed(config.seed, static_cast<std::uint64_t>(i));
+        seeds[i] = splitmixSeed(config.seed, static_cast<std::uint64_t>(i));
     }
 
     exec::RunnerOptions options = runner_options;
@@ -181,13 +180,13 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
 
     ClusterTrialSummary summary;
     summary.trials =
-        runner.map(trials, [&](const ClusterSimConfig &c) {
+        runner.map(seeds, [&](std::uint64_t seed) {
             // One arena per worker thread, reused across the trials
             // that worker executes: the per-trial work is a duration
             // fill + one allocation-free replay.
             thread_local sim::ReplayScratch scratch;
             thread_local std::vector<Seconds> durations;
-            return replayTrial(*graph, jitterable, c, scratch,
+            return replayTrial(*graph, jitterable, config, seed, scratch,
                                durations);
         });
 

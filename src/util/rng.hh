@@ -36,7 +36,12 @@ class Rng
     /** Uniform double in [0, 1). */
     double nextDouble();
 
-    /** Standard normal deviate (Box-Muller). */
+    /**
+     * Standard normal deviate: Marsaglia and Tsang's Ziggurat over
+     * 128 strips, exact (rectangle, wedge and tail draws together
+     * give the normal density, not an approximation of it). About
+     * 97% of draws cost one nextU64() and one multiply.
+     */
     double nextGaussian();
 
     /**
@@ -47,8 +52,6 @@ class Rng
 
   private:
     std::uint64_t state_[4];
-    bool hasSpare_ = false;
-    double spare_ = 0.0;
     /** noiseFactor()'s derived sigma, cached per rel_stddev: the
      *  sqrt/log setup dominates a draw and almost every caller uses
      *  one stddev for a whole study. Same formula, same bits. */

@@ -60,20 +60,28 @@ TextTable::print(std::ostream &os) const
             widths[c] = std::max(widths[c], row[c].size());
     }
 
+    // One reused row buffer and one write per row, not a stream
+    // insertion per cell and pad. The whole table is not buffered,
+    // so memory does not grow with the row count.
+    std::string line;
     auto emit_row = [&](const std::vector<std::string> &row) {
+        line.clear();
         for (std::size_t c = 0; c < row.size(); ++c) {
-            os << row[c];
+            line += row[c];
             if (c + 1 < row.size())
-                os << std::string(widths[c] - row[c].size() + 2, ' ');
+                line.append(widths[c] - row[c].size() + 2, ' ');
         }
-        os << "\n";
+        line += '\n';
+        os.write(line.data(), static_cast<std::streamsize>(line.size()));
     };
 
     emit_row(headers_);
     std::size_t total = 0;
     for (std::size_t c = 0; c < widths.size(); ++c)
         total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
-    os << std::string(total, '-') << "\n";
+    line.assign(total, '-');
+    line += '\n';
+    os.write(line.data(), static_cast<std::streamsize>(line.size()));
     for (const auto &row : rows_)
         emit_row(row);
 }

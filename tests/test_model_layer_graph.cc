@@ -79,8 +79,9 @@ TEST(LayerGraph, TpAllReduceBytesMatchesEquationFive)
                           hp.batchSize;
     EXPECT_DOUBLE_EQ(g.tpAllReduceBytes(), expect);
     for (const TrainingOp &op : g.forwardLayerOps(0)) {
-        if (op.role == OpRole::TpAllReduceFwd)
+        if (op.role == OpRole::TpAllReduceFwd) {
             EXPECT_DOUBLE_EQ(op.commBytes, expect);
+        }
     }
 }
 
@@ -175,8 +176,9 @@ TEST(LayerGraph, LabelsAreUniqueWithinLayer)
     auto bwd = g.backwardLayerOps(0);
     ops.insert(ops.end(), bwd.begin(), bwd.end());
     for (const TrainingOp &op : ops) {
-        if (op.isCompute())
+        if (op.isCompute()) {
             EXPECT_EQ(seen[op.kernel.label]++, 0) << op.kernel.label;
+        }
     }
 }
 
@@ -210,8 +212,9 @@ TEST(LayerGraph, OpRoleHelpers)
     const LayerGraphBuilder g = graph(8, 4);
     for (const TrainingOp &op : g.iterationOps()) {
         EXPECT_NE(op.isComm(), op.isCompute());
-        if (op.overlappable())
+        if (op.overlappable()) {
             EXPECT_EQ(op.role, OpRole::DpAllReduce);
+        }
     }
     EXPECT_EQ(opRoleName(OpRole::DpAllReduce), "dp_allreduce");
     EXPECT_EQ(subLayerName(SubLayer::Attention), "attention");

@@ -4,6 +4,9 @@
  * characterization tooling.
  */
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "hw/catalog.hh"
@@ -54,6 +57,81 @@ TEST(Rng, GaussianMomentsRoughlyStandard)
         x = rng.nextGaussian();
     EXPECT_NEAR(mean(xs), 0.0, 0.03);
     EXPECT_NEAR(stddev(xs), 1.0, 0.03);
+}
+
+/** Phi, the standard normal CDF. */
+double
+normalCdf(double x)
+{
+    return 0.5 * std::erfc(-x / std::sqrt(2.0));
+}
+
+TEST(Rng, GaussianPassesKolmogorovSmirnov)
+{
+    // One-sample KS against Phi; 1.63 / sqrt(N) is the 1% critical
+    // value of the KS statistic for large N.
+    constexpr int n = 1000000;
+    Rng rng(1);
+    std::vector<double> xs(n);
+    for (double &x : xs)
+        x = rng.nextGaussian();
+    std::sort(xs.begin(), xs.end());
+    double d = 0.0;
+    for (int i = 0; i < n; ++i) {
+        const double f = normalCdf(xs[i]);
+        d = std::max({ d, f - static_cast<double>(i) / n,
+                       static_cast<double>(i + 1) / n - f });
+    }
+    EXPECT_LT(d, 1.63 / std::sqrt(static_cast<double>(n)));
+}
+
+TEST(Rng, GaussianTailMassMatchesNormal)
+{
+    // Draws beyond the Ziggurat's base-strip edge r come only from
+    // the tail sampler, so a broken tail shows here while the KS
+    // test above, dominated by the body, barely moves. 2 (1 - Phi(r))
+    // is about 5.8e-4, ~576 of the 10^6 draws. The second threshold
+    // checks the tail's shape, not just its mass.
+    constexpr int n = 1000000;
+    constexpr double r = 3.442619855899;
+    const double thresholds[] = { r, r + 0.5 };
+    Rng rng(1);
+    int beyond[2] = { 0, 0 };
+    for (int i = 0; i < n; ++i) {
+        const double x = std::fabs(rng.nextGaussian());
+        for (int t = 0; t < 2; ++t)
+            beyond[t] += x > thresholds[t] ? 1 : 0;
+    }
+    for (int t = 0; t < 2; ++t) {
+        const double p = 2.0 * (1.0 - normalCdf(thresholds[t]));
+        const double sigma = std::sqrt(n * p * (1.0 - p));
+        EXPECT_NEAR(beyond[t], n * p, 4.0 * sigma)
+            << "|Z| > " << thresholds[t];
+    }
+}
+
+TEST(Rng, GaussianStreamIsPinned)
+{
+    // The first draws of the one normal sampler, bit for bit: a
+    // change to the stream (and so to every jittered Monte Carlo
+    // table) must show up as a diff here.
+    const double gaussians[8] = {
+        -0x1.bdd324fe45ebp-1,  -0x1.c97dd0e084e96p-1,
+        -0x1.f21a9d480b3e4p+0, 0x1.7cfbe30a9c62bp+0,
+        -0x1.d3c1f9eba650bp-2, 0x1.2443ef9965332p-1,
+        0x1.22abb2b4e81bcp-3,  0x1.966cf1bbd6cbp+0,
+    };
+    const double factors[8] = {
+        0x1.e996b9458afdep-1, 0x1.e90818dc15f95p-1,
+        0x1.cffc03042c1f5p-1, 0x1.136b41f76f99p+0,
+        0x1.f3d24320109cbp-1, 0x1.07141d1fd3081p+0,
+        0x1.01801610a8cf4p+0, 0x1.14ca43e56e11bp+0,
+    };
+    Rng normal(1), noise(1);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(normal.nextGaussian(), gaussians[i]) << "draw " << i;
+        EXPECT_EQ(noise.noiseFactor(0.05), factors[i]) << "draw " << i;
+    }
 }
 
 TEST(Rng, NoiseFactorHasUnitMean)

@@ -1,9 +1,14 @@
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "util/interner.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
@@ -85,6 +90,99 @@ TEST(Units, FormatPercent)
 {
     EXPECT_EQ(formatPercent(0.473), "47.3%");
     EXPECT_EQ(formatPercent(1.4, 0), "140%");
+}
+
+/** printf's "%.*f" rendering of `v`, sized to fit. */
+std::string
+printfFixed(double v, int precision)
+{
+    const int n = std::snprintf(nullptr, 0, "%.*f", precision, v);
+    std::string out(static_cast<std::size_t>(n), '\0');
+    std::snprintf(out.data(), out.size() + 1, "%.*f", precision, v);
+    return out;
+}
+
+/** formatSeconds as snprintf renders it: the oracle. */
+std::string
+printfSeconds(double s, int precision)
+{
+    const char *const prefix[] = { "ns", "us", "ms", "s" };
+    double v = s * 1e9;
+    int idx = 0;
+    while (idx + 1 < 4 && std::fabs(v) >= 1000.0) {
+        v /= 1000.0;
+        ++idx;
+    }
+    return printfFixed(v, precision) + " " + prefix[idx];
+}
+
+/** formatPercent as snprintf renders it: the oracle. */
+std::string
+printfPercent(double fraction, int precision)
+{
+    return printfFixed(fraction * 100.0, precision) + "%";
+}
+
+void
+expectPrintfRendering(double v, int precision)
+{
+    EXPECT_EQ(formatSeconds(v, precision), printfSeconds(v, precision))
+        << std::hexfloat << v << " at precision " << precision;
+    EXPECT_EQ(formatPercent(v, precision), printfPercent(v, precision))
+        << std::hexfloat << v << " at precision " << precision;
+}
+
+TEST(Units, FixedRenderingMatchesPrintf)
+{
+    const double edges[] = {
+        0.0, -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        0x1.fffffffffffffp-1023, // largest subnormal
+        std::numeric_limits<double>::min(),
+        0.0005, 0.0015, -0.0005, 0.125, 2.5, 0.5, 1.5,
+        0.0005e-9, 0.0015e-9, 2.5e-9, // ties once scaled to ns
+        999.9995e-9, 999.9995e-6, 999.9995e-3, // prefix boundaries
+        999.9994999e-9, 1e-6, -999.9995e-9,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        1e200, -1e200, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+    };
+    for (const double v : edges) {
+        for (int precision = 0; precision <= 8; ++precision)
+            expectPrintfRendering(v, precision);
+        expectPrintfRendering(v, 17);
+        expectPrintfRendering(v, -1); // printf reads it as 6
+    }
+}
+
+TEST(Units, FixedRenderingMatchesPrintfOnRandomDoubles)
+{
+    Rng rng(2024);
+    for (int i = 0; i < 20000; ++i) {
+        const int precision = static_cast<int>(rng.nextU64() % 10);
+        // Any bit pattern (nan, inf, subnormal, huge) half the time;
+        // otherwise magnitudes a table would print, 1e-15 to 1e6.
+        const std::uint64_t bits = rng.nextU64();
+        const double v =
+            i % 2 == 0
+                ? std::bit_cast<double>(bits)
+                : (bits & 1 ? -1.0 : 1.0) *
+                      std::pow(10.0, -15.0 + 21.0 * rng.nextDouble());
+        expectPrintfRendering(v, precision);
+    }
+}
+
+TEST(Units, LongFixedRenderingIsNotTruncated)
+{
+    // printf into the 64-byte buffer formatSeconds once used cut
+    // 1e200 s to 63 characters; the rendering is now complete.
+    const std::string full = printfSeconds(1e200, 3);
+    EXPECT_GT(full.size(), 63u);
+    EXPECT_EQ(formatSeconds(1e200), full);
 }
 
 // --- table ---
