@@ -1,13 +1,9 @@
 /**
  * @file
- * Shared helpers for the figure/table regeneration benches.
- *
- * Every bench prints (a) the experiment provenance, (b) the same
- * rows/series the paper's figure plots, and (c) PASS/CHECK lines
- * comparing our measured shape against the paper's reported bands.
- * Absolute numbers come from the simulated substrate and are not
- * expected to match the authors' testbed; the bands assert the
- * qualitative claims (who wins, by what rough factor).
+ * Shared helpers for the performance benches: option parsing, a
+ * banner, PASS/WARN check lines and the `--bench-json` emitter of
+ * the regression harness. The paper's figures and their claims live
+ * in the figure registry (core/figures.hh), not here.
  */
 
 #ifndef TWOCS_BENCH_BENCH_COMMON_HH
@@ -171,18 +167,6 @@ benchJsonPath(int argc, const char *const *argv)
             return argv[i + 1];
     }
     return std::string();
-}
-
-/** Render a table to stdout (CSV when TWOCS_CSV=1 is set, for
- *  piping into plotting scripts). */
-inline void
-show(const TextTable &table)
-{
-    const char *csv = std::getenv("TWOCS_CSV");
-    if (csv != nullptr && csv[0] == '1')
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
 }
 
 } // namespace twocs::bench

@@ -27,22 +27,26 @@ using namespace twocs;
 
 namespace {
 
-/** Best-of-three trials/sec of `trials` (a callable running
- *  `num_trials` trials and returning their summary). */
+/** Best trials/sec over back-to-back batches of `trials` (a
+ *  callable running `num_trials` trials and returning their summary),
+ *  repeated until kMeasureWindow of wall time has passed, so that no
+ *  single noisy batch sets the number. */
 template <typename Trials>
 double
 measureTrialsPerSec(int num_trials, Trials &&trials)
 {
     using Clock = std::chrono::steady_clock;
+    constexpr std::chrono::milliseconds kMeasureWindow(2000);
     double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
+    const auto window_start = Clock::now();
+    do {
         const auto start = Clock::now();
         const core::ClusterTrialSummary summary = trials();
         const std::chrono::duration<double> elapsed =
             Clock::now() - start;
         (void)summary;
         best = std::max(best, num_trials / elapsed.count());
-    }
+    } while (Clock::now() - window_start < kMeasureWindow);
     return best;
 }
 
@@ -192,7 +196,7 @@ main(int argc, char **argv)
                    formatSeconds(exact.commTimePerDevice),
                    formatSeconds(exact.stallTimePerDevice), 1.0);
     }
-    bench::show(t);
+    t.print(std::cout);
 
     bench::checkClaim("kernel jitter amplifies into iteration "
                       "slowdown through the all-reduce barriers",

@@ -304,7 +304,7 @@ main(int argc, char **argv)
         t.addRowOf(jobs, r.qps, formatPercent(r.hitRate),
                    r.qps / results.front().qps);
     }
-    bench::show(t);
+    t.print(std::cout);
 
     const unsigned cores = std::thread::hardware_concurrency();
     std::cout << "(" << kRequests << " requests over 196 configs, "
@@ -345,7 +345,7 @@ main(int argc, char **argv)
                    "shed rate" });
     nt.addRowOf(kOfferedQps, net.qpsSustained, net.p99Ms,
                 formatPercent(net.shedRate));
-    bench::show(nt);
+    nt.print(std::cout);
     std::cout << "(" << kNetRequests << " requests over "
               << kConnections << " loopback connections, "
               << serverOptions.shards << " shards, queue depth "

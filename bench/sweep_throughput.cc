@@ -118,7 +118,7 @@ main(int argc, char **argv)
     };
     row(1, serial.configsPerSec);
     row(jobs, parallel.configsPerSec);
-    bench::show(table);
+    table.print(std::cout);
 
     const bool ok = bench::checkClaim(
         "jobs=1 and jobs=N outputs byte-identical",

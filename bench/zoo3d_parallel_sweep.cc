@@ -60,7 +60,7 @@ main(int argc, char **argv)
             max_model = p.model;
         }
     }
-    bench::show(t);
+    t.print(std::cout);
 
     bench::checkClaim("every zoo plan profiles to a positive "
                       "iteration",

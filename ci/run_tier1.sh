@@ -2,14 +2,19 @@
 #
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   1. `tier1`  — full RelWithDebInfo build + the whole ctest suite.
+#   1. `tier1`  — full RelWithDebInfo build + the whole ctest suite,
+#                 which includes the figure registry's gate: every
+#                 paper figure and ablation (`twocs sweep --figure ID`)
+#                 has its claims checked against their bands by
+#                 FigureRegistry.EveryClaimHoldsInItsBand.
 #   1b. `-Werror` — every target (src, tests, bench, examples) built
 #                 again with the existing -DTWOCS_WERROR=ON, so a new
 #                 compiler warning fails the gate instead of scrolling
 #                 past in a build log.
 #   2. `tsan`   — ThreadSanitizer build; runs the concurrency-bearing
 #                 suites (exec parallelFor/ParallelSweepRunner, the
-#                 svc query service and the obs tracer) under TSan.
+#                 svc query service, the obs tracer and every registry
+#                 figure rendered at --jobs 1 and 4) under TSan.
 #   2b. `asan`  — AddressSanitizer + UndefinedBehaviorSanitizer build;
 #                 runs the whole suite (UBSan findings are fatal).
 #   3. obs gate — a traced sweep must produce a trace.json that the
@@ -18,8 +23,10 @@
 #                 byte, write a valid trace and drop no spans; and
 #                 span sites that are compiled in but disabled must
 #                 stay under 1% overhead (bench/obs_overhead).
-#   4. bench regression harness — sweep_throughput, micro_sim_perf,
-#                 cluster_jitter, straggler_study and svc_throughput
+#   4. bench regression harness — the perf benches sweep_throughput,
+#                 micro_sim_perf, cluster_jitter, straggler_study and
+#                 svc_throughput (bench/ holds only perf benches; the
+#                 figures are registry entries, gated in step 1)
 #                 emit BENCH_<name>.json files, which must be strictly
 #                 valid JSON carrying the twocs-bench-1 schema
 #                 fields. Only schema presence is asserted — never

@@ -13,11 +13,11 @@
 #include "core/amdahl.hh"
 #include "core/case_study.hh"
 #include "core/cluster_sim.hh"
+#include "core/figures.hh"
 #include "core/inference_study.hh"
 #include "core/planner.hh"
 #include "core/precision_study.hh"
 #include "core/slack.hh"
-#include "core/sweep.hh"
 #include "core/system_config.hh"
 #include "exec/parallel_runner.hh"
 #include "model/memory.hh"
@@ -347,178 +347,29 @@ cmdCluster(const Args &args)
 int
 cmdSweep(const Args &args)
 {
-    // Regenerate the Figure 10, 11 or 14 data grid, optionally as
-    // CSV.
-    const std::int64_t figure = args.getInt("figure", 10);
-    const bool csv = args.getInt("csv", 0) != 0;
-    const core::SystemConfig sys = systemFrom(args);
-    const core::SweepSpace space = core::table3();
-    const std::string passes = args.get("passes");
-    // Figures 10 and 11 are closed-form grids: there is no task
-    // graph for a pass pipeline to rewrite.
-    fatalIf(!passes.empty() && figure != 14,
+    // Render one registered figure's data grid, optionally as CSV.
+    const std::string id = args.get("figure", "10");
+    const core::Figure *figure = core::findFigure(id);
+    fatalIf(figure == nullptr, "--figure must be ",
+            core::figureIdList(), ", got '", id, "'");
+    core::FigureOptions options;
+    options.csv = args.getInt("csv", 0) != 0;
+    options.system = systemFrom(args);
+    options.passes = args.get("passes");
+    // Only the case study runs a task graph for a pass pipeline to
+    // rewrite.
+    fatalIf(!options.passes.empty() && !figure->takesPasses,
             "--passes only applies to --figure 14 (the event-engine "
-            "case study); figure ", figure, " is analytic");
-    fatalIf(args.has("engine") && figure != 12,
+            "case study); figure ", id, " is analytic");
+    fatalIf(args.has("engine") && !figure->takesEngine,
             "--engine only applies to --figure 12 (the "
-            "hardware-evolution study); figure ", figure,
+            "hardware-evolution study); figure ", id,
             " has a single evaluation path");
-
-    if (figure == 10) {
-        core::AmdahlAnalysis analysis(sys);
-        std::vector<core::SerializedConfig> configs;
-        for (const core::ModelLine &line : core::figure10Lines()) {
-            for (std::int64_t tp : space.tpDegrees)
-                configs.push_back({ line.hidden, line.seqLen, tp });
-        }
-        core::SerializedStudyOptions opts;
-        opts.basePlan = parallelFrom(args);
-        opts.runner = runnerFrom(args, "sweep_figure10");
-        const auto points =
-            core::runSerializedStudy(analysis, configs, opts);
-
-        TextTable t({ "H", "SL", "TP", "comm_fraction" });
-        for (const core::AmdahlPoint &p : points) {
-            t.addRowOf(static_cast<long>(p.hidden),
-                       static_cast<long>(p.seqLen), p.tpDegree,
-                       p.commFraction());
-        }
-        csv ? t.printCsv(std::cout) : t.print(std::cout);
-    } else if (figure == 12) {
-        // Hardware evolution: the Figure 10 model lines at each
-        // compute scaling step, optionally under a full 3D plan.
-        const std::string engine = args.get("engine", "model");
-        fatalIf(engine != "model" && engine != "event",
-                "option --engine expects model|event, got '", engine,
-                "'");
-        std::vector<core::EvolutionConfig> configs =
-            core::figure12Configs();
-        if (engine == "model") {
-            core::SerializedStudyOptions opts;
-            opts.basePlan = parallelFrom(args);
-            opts.runner = runnerFrom(args, "sweep_figure12");
-            // An explicit tp= in --parallel pins the TP degree for
-            // every line; otherwise each line keeps its required TP.
-            if (opts.basePlan.tpDegree > 1) {
-                for (core::EvolutionConfig &c : configs)
-                    c.tpDegree = opts.basePlan.tpDegree;
-            }
-            const auto points =
-                core::runHardwareEvolutionStudy(sys, configs, opts);
-
-            TextTable t({ "model", "flop_scale", "H", "SL", "TP",
-                          "plan", "comm_fraction" });
-            for (const core::EvolutionPoint &p : points) {
-                t.addRowOf(p.config.tag, p.config.flopScale,
-                           static_cast<long>(p.config.hidden),
-                           static_cast<long>(p.config.seqLen),
-                           p.point.tpDegree, p.point.plan.summary(),
-                           p.point.commFraction());
-            }
-            csv ? t.printCsv(std::cout) : t.print(std::cout);
-        } else {
-            // Ground truth on the event engine: one compile per
-            // structure, a duration refill and replay per point,
-            // byte-identical to a per-point rebuild (DESIGN.md §16).
-            fatalIf(args.has("parallel"),
-                    "--parallel only applies to --engine model: the "
-                    "event-engine study runs each line at its "
-                    "required TP degree");
-            const auto points = core::runSimulatedEvolutionStudy(
-                sys, configs, runnerFrom(args, "sweep_figure12"));
-
-            TextTable t({ "model", "flop_scale", "H", "SL", "TP",
-                          "iteration", "compute", "serialized_comm",
-                          "exposed_comm", "hidden_comm" });
-            for (const core::SimulatedEvolutionPoint &p : points) {
-                t.addRowOf(p.config.tag, p.config.flopScale,
-                           static_cast<long>(p.config.hidden),
-                           static_cast<long>(p.config.seqLen),
-                           static_cast<long>(p.config.tpDegree),
-                           formatSeconds(p.result.makespan),
-                           formatPercent(p.result.computeFraction()),
-                           formatPercent(
-                               p.result.serializedCommFraction()),
-                           formatPercent(
-                               p.result.exposedCommFraction()),
-                           formatPercent(
-                               p.result.hiddenCommFraction()));
-            }
-            csv ? t.printCsv(std::cout) : t.print(std::cout);
-        }
-    } else if (figure == 2) {
-        // The table-2-style 3D zoo: every published configuration
-        // profiled ground-truth under its full plan.
-        const auto points = core::runParallelZooStudy(
-            sys, runnerFrom(args, "sweep_zoo3d"));
-        TextTable t({ "model", "plan", "devices", "compute",
-                      "serialized_comm", "dp_comm",
-                      "comm_fraction" });
-        for (const core::ZooStudyPoint &p : points) {
-            t.addRowOf(p.model, p.plan.summary(),
-                       static_cast<long>(p.devices),
-                       formatSeconds(p.computeTime),
-                       formatSeconds(p.serializedCommTime),
-                       formatSeconds(p.dpCommTime),
-                       p.commFraction());
-        }
-        csv ? t.printCsv(std::cout) : t.print(std::cout);
-    } else if (figure == 11) {
-        core::SlackAnalysis analysis(sys);
-        struct OverlapConfig
-        {
-            std::int64_t hidden = 0, seqLen = 0, batch = 0;
-        };
-        std::vector<OverlapConfig> configs;
-        for (std::int64_t h : space.hiddens) {
-            for (std::int64_t sl : space.seqLens) {
-                for (std::int64_t b : space.batches)
-                    configs.push_back({ h, sl, b });
-            }
-        }
-        exec::ParallelSweepRunner runner(
-            runnerFrom(args, "sweep_figure11"));
-        const auto points =
-            runner.map(configs, [&](const OverlapConfig &c) {
-                return analysis.evaluate(c.hidden, c.seqLen, c.batch);
-            });
-
-        TextTable t({ "H", "SL_x_B", "overlap_vs_compute" });
-        for (const auto &p : points) {
-            t.addRowOf(static_cast<long>(p.hidden),
-                       static_cast<long>(p.slTimesB()),
-                       p.overlappedCommVsCompute());
-        }
-        csv ? t.printCsv(std::cout) : t.print(std::cout);
-    } else if (figure == 14) {
-        // The case study's scenario bars run on the event engine,
-        // so this is the sweep mode a pass pipeline applies to.
-        core::CaseStudy study;
-        core::CaseStudyConfig base;
-        base.system = sys;
-        base.passes = passes;
-        core::CaseStudyConfig internode = base;
-        internode.interNodeDp = true;
-
-        const std::vector<
-            std::pair<const char *, core::CaseStudyConfig>>
-            scenarios = { { "tp+dp_intra", base },
-                          { "tp+dp_inter", internode } };
-        TextTable t({ "scenario", "iteration", "compute",
-                      "serialized_comm", "exposed_comm",
-                      "hidden_comm" });
-        for (const auto &[name, cfg] : scenarios) {
-            const core::CaseStudyResult r = study.run(cfg);
-            t.addRowOf(name, formatSeconds(r.makespan),
-                       formatPercent(r.computeFraction()),
-                       formatPercent(r.serializedCommFraction()),
-                       formatPercent(r.exposedCommFraction()),
-                       formatPercent(r.hiddenCommFraction()));
-        }
-        csv ? t.printCsv(std::cout) : t.print(std::cout);
-    } else {
-        fatal("--figure must be 2, 10, 11, 12 or 14, got ", figure);
-    }
+    options.plan = parallelFrom(args);
+    options.hasPlan = args.has("parallel");
+    options.engine = args.get("engine", "model");
+    options.runner = runnerFrom(args, "sweep");
+    figure->render(options, std::cout);
     return 0;
 }
 
@@ -924,8 +775,9 @@ buildRegistry()
           cmdCluster });
     registry.push_back(
         { "sweep", "regenerate a figure's data grid",
-          flagsOf({ { { "figure", FlagType::Int, "10",
-                        "figure to regenerate: 2, 10, 11, 12 or 14" },
+          flagsOf({ { { "figure", FlagType::String, "10",
+                        "figure to regenerate: " +
+                            core::figureIdList() },
                       { "csv", FlagType::Bool, "0",
                         "emit CSV instead of a table" },
                       { "passes", FlagType::String, "",

@@ -96,7 +96,7 @@ class OperatorScalingModel
      * origin per operator (and across an all-reduce payload sweep).
      * Averages out the single-point model's bias toward one
      * efficiency operating point; compare in the
-     * ablation_opmodel_fitting bench.
+     * ablation-opmodel-fitting figure.
      */
     static OperatorScalingModel
     calibrateFitted(const profiling::IterationProfiler &profiler,

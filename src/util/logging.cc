@@ -1,5 +1,7 @@
 #include "logging.hh"
 
+#include <iostream>
+
 namespace twocs {
 
 namespace detail {
@@ -9,6 +11,12 @@ verboseFlag()
 {
     static bool verbose = true;
     return verbose;
+}
+
+void
+emitStatus(const char *prefix, const std::string &message)
+{
+    std::cerr << prefix << ": " << message << "\n";
 }
 
 } // namespace detail

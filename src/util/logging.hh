@@ -11,7 +11,6 @@
 #ifndef TWOCS_UTIL_LOGGING_HH
 #define TWOCS_UTIL_LOGGING_HH
 
-#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -51,6 +50,9 @@ concat(Args &&...args)
 /** Global verbosity switch for inform()/warn(). */
 bool &verboseFlag();
 
+/** Write "<prefix>: <message>" as one line to stderr. */
+void emitStatus(const char *prefix, const std::string &message);
+
 } // namespace detail
 
 /** Enable or disable inform()/warn() output (on by default). */
@@ -61,10 +63,9 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    if (detail::verboseFlag()) {
-        std::cerr << "info: "
-                  << detail::concat(std::forward<Args>(args)...) << "\n";
-    }
+    if (detail::verboseFlag())
+        detail::emitStatus("info",
+                           detail::concat(std::forward<Args>(args)...));
 }
 
 /** Alert the user to a suspicious but survivable condition. */
@@ -72,10 +73,9 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (detail::verboseFlag()) {
-        std::cerr << "warn: "
-                  << detail::concat(std::forward<Args>(args)...) << "\n";
-    }
+    if (detail::verboseFlag())
+        detail::emitStatus("warn",
+                           detail::concat(std::forward<Args>(args)...));
 }
 
 /**

@@ -138,8 +138,16 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         "  regenerate a figure's data grid\n"
         "\n"
         "flags:\n"
-        "  --figure INT            figure to regenerate: 2, 10, 11,"
-        " 12 or 14 (default: 10)\n"
+        "  --figure STR            figure to regenerate: 2, 6, 7, 9b,"
+        " 10, 11, 12, 13, 14, 15, table2, speedup-profiling-cost,"
+        " hw-trends, ablation-moe, ablation-pipeline,"
+        " ablation-precision, ablation-comm-acceleration,"
+        " ablation-opmodel-fitting, ablation-dp-bucketing,"
+        " scaling-curves, validation-projection-error,"
+        " network-requirements, inference-decode, straggler,"
+        " sensitivity-tornado, ablation-ring-vs-tree,"
+        " memory-pressure-history or ablation-substrate-sensitivity"
+        " (default: 10)\n"
         "  --csv BOOL              emit CSV instead of a table"
         " (default: 0)\n"
         "  --passes STR            graph pass pipeline (figure 14"
@@ -215,7 +223,7 @@ TEST(CliRegistry, BareNonBooleanFlagIsRejected)
     std::string out, err;
     EXPECT_EQ(run({ "twocs", "sweep", "--figure" }, &out, &err), 2);
     EXPECT_NE(err.find("option '--figure' of command 'sweep' expects "
-                       "an integer value"),
+                       "a string value"),
               std::string::npos)
         << err;
     // Bare booleans are the documented shorthand.

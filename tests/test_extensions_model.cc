@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "analytic/pipeline.hh"
-#include "analytic/zero.hh"
 #include "hw/catalog.hh"
 #include "model/layer_graph.hh"
 #include "model/zoo.hh"
@@ -247,86 +246,6 @@ TEST(Pipeline, IterationTimeAccountsBubbleAndHops)
     EXPECT_THROW(analytic::pipelineIterationTime(0.0, cfg, 1e-3),
                  FatalError);
 }
-
-// --- ZeRO (Section 6.1.3) ---
-
-class ZeroFixture : public ::testing::Test
-{
-  protected:
-    ZeroFixture() : colls_(test::paperSystem().collectiveModel()) {}
-
-    analytic::ZeroCommCost
-    cost(analytic::ZeroStage stage, int dp = 8) const
-    {
-        return analytic::zeroCommCost(colls_, 1e9, dp, stage);
-    }
-
-    comm::CollectiveModel colls_;
-};
-
-TEST_F(ZeroFixture, StageOneMatchesPlainDp)
-{
-    EXPECT_DOUBLE_EQ(cost(analytic::ZeroStage::None).wireBytes,
-                     cost(analytic::ZeroStage::OptimizerSharding)
-                         .wireBytes);
-    EXPECT_NEAR(cost(analytic::ZeroStage::None).trafficVsPlainDp, 1.0,
-                1e-12);
-}
-
-TEST_F(ZeroFixture, StageTwoKeepsTrafficFlat)
-{
-    // RS(grads) + AG(params) equals the all-reduce wire volume.
-    EXPECT_NEAR(cost(analytic::ZeroStage::GradientSharding)
-                    .trafficVsPlainDp,
-                1.0, 1e-9);
-}
-
-TEST_F(ZeroFixture, StageThreeCostsFiftyPercentMore)
-{
-    EXPECT_NEAR(cost(analytic::ZeroStage::ParameterSharding)
-                    .trafficVsPlainDp,
-                1.5, 1e-9);
-    EXPECT_EQ(cost(analytic::ZeroStage::ParameterSharding).collectives,
-              3);
-}
-
-TEST_F(ZeroFixture, Validation)
-{
-    EXPECT_THROW(analytic::zeroCommCost(colls_, 0.0, 8,
-                                        analytic::ZeroStage::None),
-                 FatalError);
-    EXPECT_THROW(analytic::zeroCommCost(colls_, 1e9, 1,
-                                        analytic::ZeroStage::None),
-                 FatalError);
-}
-
-TEST_F(ZeroFixture, StageNames)
-{
-    EXPECT_EQ(analytic::zeroStageName(analytic::ZeroStage::None),
-              "plain-dp");
-    EXPECT_EQ(
-        analytic::zeroStageName(analytic::ZeroStage::ParameterSharding),
-        "zero-3");
-}
-
-/** Property: ZeRO traffic ratios are independent of DP degree. */
-class ZeroTrafficProperty : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(ZeroTrafficProperty, RatiosHoldAcrossDpDegrees)
-{
-    const int dp = GetParam();
-    const auto colls = test::paperSystem().collectiveModel();
-    EXPECT_NEAR(analytic::zeroCommCost(
-                    colls, 2e9, dp,
-                    analytic::ZeroStage::ParameterSharding)
-                    .trafficVsPlainDp,
-                1.5, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(DpDegrees, ZeroTrafficProperty,
-                         ::testing::Values(2, 4, 8, 32, 128));
 
 } // namespace
 } // namespace twocs

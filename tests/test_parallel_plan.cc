@@ -149,22 +149,31 @@ dpGroupWireBytes(const model::LayerGraphBuilder &graph)
     return total;
 }
 
+/** DP-group wire bytes at ZeRO `stage` over those of plain DP. */
+double
+zeroWireRatio(int stage, int dp)
+{
+    model::ParallelPlan base;
+    base.dpDegree = dp;
+    model::ParallelPlan sharded = base;
+    sharded.zeroStage = stage;
+    const Bytes ar = dpGroupWireBytes(
+        model::LayerGraphBuilder(model::bertLarge(), base));
+    EXPECT_GT(ar, 0.0);
+    return dpGroupWireBytes(
+               model::LayerGraphBuilder(model::bertLarge(), sharded)) /
+           ar;
+}
+
 TEST(CollectiveLowering, ZeroTwoMovesExactlyTheAllReduceBytes)
 {
     // ZeRO-2's reduce-scatter + all-gather is a refactoring of the
     // monolithic all-reduce, not extra traffic: per-device wire
-    // volume is conserved at every DP degree.
+    // volume is conserved at every DP degree. ZeRO-1 shards only the
+    // optimizer state and keeps plain DP's all-reduce.
     for (int dp : { 2, 4, 8, 16 }) {
-        model::ParallelPlan base;
-        base.dpDegree = dp;
-        model::ParallelPlan lowered = base;
-        lowered.zeroStage = 2;
-        const Bytes ar = dpGroupWireBytes(
-            model::LayerGraphBuilder(model::bertLarge(), base));
-        const Bytes rs_ag = dpGroupWireBytes(
-            model::LayerGraphBuilder(model::bertLarge(), lowered));
-        EXPECT_GT(ar, 0.0);
-        EXPECT_NEAR(rs_ag / ar, 1.0, 1e-9) << "dp=" << dp;
+        EXPECT_NEAR(zeroWireRatio(2, dp), 1.0, 1e-9) << "dp=" << dp;
+        EXPECT_DOUBLE_EQ(zeroWireRatio(1, dp), 1.0) << "dp=" << dp;
     }
 }
 
@@ -174,18 +183,25 @@ TEST(CollectiveLowering, ZeroThreeParamGathersDoubleTheWire)
     // and the backward use of each sub-layer; weights and gradients
     // share a precision, so the two gathers re-move the gradient
     // exchange's bytes exactly once more.
-    for (int dp : { 2, 8 }) {
-        model::ParallelPlan base;
-        base.dpDegree = dp;
-        model::ParallelPlan z3 = base;
-        z3.zeroStage = 3;
-        const Bytes ar = dpGroupWireBytes(
-            model::LayerGraphBuilder(model::bertLarge(), base));
-        const Bytes wire = dpGroupWireBytes(
-            model::LayerGraphBuilder(model::bertLarge(), z3));
-        EXPECT_NEAR(wire / ar, 2.0, 1e-9) << "dp=" << dp;
-    }
+    for (int dp : { 2, 8 })
+        EXPECT_NEAR(zeroWireRatio(3, dp), 2.0, 1e-9) << "dp=" << dp;
 }
+
+/** Property: the ZeRO wire ratios do not depend on the DP degree. */
+class ZeroTrafficProperty : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(ZeroTrafficProperty, RatiosHoldAcrossDpDegrees)
+{
+    const int dp = GetParam();
+    EXPECT_DOUBLE_EQ(zeroWireRatio(1, dp), 1.0);
+    EXPECT_NEAR(zeroWireRatio(2, dp), 1.0, 1e-9);
+    EXPECT_NEAR(zeroWireRatio(3, dp), 2.0, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(DpDegrees, ZeroTrafficProperty,
+                         ::testing::Values(2, 4, 8, 32, 128));
 
 TEST(CollectiveLowering, PipelineSendsMoveTheActivationTensor)
 {
