@@ -26,7 +26,9 @@
 #include "bench_common.hh"
 #include "core/sweep.hh"
 #include "net/client.hh"
+#include "net/framer.hh"
 #include "net/server.hh"
+#include "net/stream.hh"
 #include "svc/service.hh"
 #include "util/rng.hh"
 
@@ -84,7 +86,8 @@ replay(const std::string &workload, int jobs)
     std::istringstream in(workload);
     std::ostringstream out;
     const auto start = std::chrono::steady_clock::now();
-    service.serve(in, out);
+    net::serveStream(service, in, out,
+                     net::LineFramer::kDefaultMaxLineBytes);
     const double seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)

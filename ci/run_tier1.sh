@@ -18,7 +18,11 @@
 #   2b. `asan`  — AddressSanitizer + UndefinedBehaviorSanitizer build;
 #                 runs the whole suite (UBSan findings are fatal).
 #   3. obs gate — a traced sweep must produce a trace.json that the
-#                 strict parser accepts; a traced 200-trial cluster
+#                 strict parser (json::Reader, behind `twocs validate`)
+#                 accepts, and a truncated copy of it that the parser
+#                 rejects with its `byte N: invalid JSON:` diagnostic
+#                 (the reader's error path on real output, in the
+#                 release binary); a traced 200-trial cluster
 #                 Monte Carlo must print the untraced stdout byte for
 #                 byte, write a valid trace and drop no spans; and
 #                 span sites that are compiled in but disabled must
@@ -86,6 +90,20 @@ rm -f "${trace_out}"
 "${twocs}" sweep --figure 10 --jobs 2 --trace-out "${trace_out}" \
     > /dev/null
 "${twocs}" validate --trace "${trace_out}"
+truncated="build-tier1/ci_trace_truncated.json"
+head -c "$(( $(wc -c < "${trace_out}") / 2 ))" "${trace_out}" \
+    > "${truncated}"
+if "${twocs}" validate --trace "${truncated}" \
+    2> build-tier1/ci_trace_truncated.err; then
+    echo "validate accepted a truncated trace"
+    exit 1
+fi
+if ! grep -q 'byte [0-9]*: invalid JSON: ' \
+    build-tier1/ci_trace_truncated.err; then
+    echo "validate rejected the truncated trace without a byte offset:"
+    cat build-tier1/ci_trace_truncated.err
+    exit 1
+fi
 
 echo "== tier-1: traced Monte Carlo keeps every span, stdout unchanged =="
 cluster_mc="--tp 8 --trials 200 --jitter 0.05 --jobs 2"

@@ -53,37 +53,6 @@ struct RingBuffers
     std::vector<Seconds> durations;
 };
 
-/** Build the stepped ring graph: arrival task per device, then
- *  step s on device d depending on its own and its upstream
- *  neighbour's previous step. Durations are placeholders (zero
- *  arrivals, unit steps) that replay scales. */
-void
-buildRing(sim::EventSimulator &des, int p, int steps,
-          std::vector<sim::TaskId> &finals)
-{
-    std::vector<sim::ResourceId> comm(p);
-    std::vector<sim::TaskId> arrive(p);
-    for (int d = 0; d < p; ++d) {
-        comm[d] = des.addResource("dev" + std::to_string(d));
-        // Arrival modelled as a zero-successor task on the device's
-        // stream whose replayed length is the device's arrival time.
-        arrive[d] = des.addTask("arrive", "arrive", comm[d], 0.0);
-    }
-
-    std::vector<sim::TaskId> prev = arrive;
-    for (int s = 0; s < steps; ++s) {
-        std::vector<sim::TaskId> cur(p);
-        for (int d = 0; d < p; ++d) {
-            const int upstream = (d + p - 1) % p;
-            cur[d] = des.addTask("step" + std::to_string(s),
-                                 "ring_step", comm[d], 1.0,
-                                 { prev[d], prev[upstream] });
-        }
-        prev = std::move(cur);
-    }
-    finals = std::move(prev);
-}
-
 /** Resolve a ring template through the process-wide graph cache.
  *  Keyed by device count AND step count — all-reduce (2(P-1) steps)
  *  and reduce-scatter (P-1) share a P — and by the pass pipeline's
@@ -101,9 +70,18 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
 
     const sim::GraphCache::Compiled cached =
         sim::GraphCache::instance().getOrCompile(key, [&] {
+            // Arrival tasks (replayed as arrival times), then the ring
+            // at unit step durations that replay scales.
             sim::EventSimulator des;
-            std::vector<sim::TaskId> base_finals;
-            buildRing(des, p, steps, base_finals);
+            std::vector<sim::ResourceId> comm(p);
+            std::vector<sim::TaskId> arrive(p);
+            for (int d = 0; d < p; ++d) {
+                comm[d] = des.addResource("dev" + std::to_string(d));
+                arrive[d] = des.addTask("arrive", "arrive", comm[d], 0.0);
+            }
+            std::vector<sim::TaskId> base_finals =
+                emitRing(des, comm, std::move(arrive), steps, 1.0,
+                         "ring_step", "ring_step");
             const std::shared_ptr<const sim::GraphTemplate> base =
                 des.compile();
             auto aux = std::make_shared<RingAux>();
@@ -156,6 +134,30 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
 }
 
 } // namespace
+
+std::vector<sim::TaskId>
+emitRing(sim::EventSimulator &des,
+         const std::vector<sim::ResourceId> &streams,
+         std::vector<sim::TaskId> entry, int steps, Seconds step,
+         std::string_view label, std::string_view tag)
+{
+    const std::size_t p = streams.size();
+    panicIf(entry.size() != p, "emitRing: ", entry.size(),
+            " entry tasks for ", p, " streams");
+    std::vector<sim::TaskId> cur(p), deps;
+    for (int s = 0; s < steps; ++s) {
+        for (std::size_t d = 0; d < p; ++d) {
+            deps.clear();
+            for (const sim::TaskId t : { entry[d], entry[(d + p - 1) % p] }) {
+                if (t != sim::InvalidTask)
+                    deps.push_back(t);
+            }
+            cur[d] = des.addTask(label, tag, streams[d], step, deps);
+        }
+        entry.swap(cur);
+    }
+    return entry;
+}
 
 Seconds
 ringStepTime(const hw::Topology &topology, Bytes payload, int devices,
@@ -236,10 +238,14 @@ simulateRingCollective(const hw::Topology &topology, Bytes payload,
             std::min(earliest_arrival, arrival_times[d]);
     }
     result.collectiveTime = result.finishTime - latest_arrival;
-    result.maxStallTime = result.finishTime - earliest_arrival -
-                          steps * step_time;
-    if (result.maxStallTime < 0.0)
-        result.maxStallTime = 0.0;
+    // Unstalled, the earliest device would finish at its arrival
+    // plus its steps. Summing them one at a time, as replay does,
+    // makes uniform arrivals report exactly zero stall.
+    Seconds unstalled = earliest_arrival;
+    for (int s = 0; s < steps; ++s)
+        unstalled += step_time;
+    result.maxStallTime =
+        std::max(0.0, result.finishTime - unstalled);
     return result;
 }
 

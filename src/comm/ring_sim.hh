@@ -26,6 +26,7 @@
 #define TWOCS_COMM_RING_SIM_HH
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "comm/collectives.hh"
@@ -70,6 +71,21 @@ struct RingSimOptions
      *  path). */
     const sim::PassPipeline *passes = nullptr;
 };
+
+/**
+ * Emit `steps` ring steps onto `des`, the one ring emitter (ring
+ * simulation and the lowering's TP collectives). Step s of device d
+ * runs on streams[d] after step s - 1 of d and of d - 1 (cyclically);
+ * step 0 waits on `entry` (sim::InvalidTask: on nothing). Task ids
+ * run step by step, device by device. Returns each device's last
+ * step.
+ */
+std::vector<sim::TaskId> emitRing(sim::EventSimulator &des,
+                                  const std::vector<sim::ResourceId> &streams,
+                                  std::vector<sim::TaskId> entry,
+                                  int steps, Seconds step,
+                                  std::string_view label,
+                                  std::string_view tag);
 
 /**
  * Duration of one ring step when `payload` bytes are reduced across

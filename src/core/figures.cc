@@ -1584,10 +1584,8 @@ stragglerClaims()
         check("zero jitter reproduces the closed-form finish time "
               "(slowdown exactly 1)",
               exact),
-        // Uniform arrivals leave only floating-point residue in the
-        // ring's stall accounting (below 1e-16 s).
         band("largest zero-jitter stall of the fastest device (s)",
-             exact_stall, 0.0, 1e-15),
+             exact_stall, 0.0, 0.0),
         band("20% compute jitter inflates the synchronized finish "
              "time",
              worst, 1.05, 2.0),

@@ -29,10 +29,11 @@ lowerIteration(const model::LayerGraphBuilder &graph,
             : coll;
 
     sim::EventSimulator des;
+    std::vector<sim::ResourceId> comm_streams(p);
     for (int d = 0; d < p; ++d) {
         const std::string suffix = p == 1 ? "" : std::to_string(d);
         des.addResource("compute" + suffix);
-        des.addResource("comm" + suffix);
+        comm_streams[d] = des.addResource("comm" + suffix);
     }
 
     // Every task is added here, so the recipe mirrors the task ids.
@@ -105,15 +106,14 @@ lowerIteration(const model::LayerGraphBuilder &graph,
             // comm::ringStepTime's pinned per-ring share semantics.
             const Seconds step = comm::ringStepTime(
                 topo, op.commBytes, p, system.linkEfficiency);
-            for (int s = 0; s < 2 * (p - 1); ++s) {
-                std::vector<sim::TaskId> cur(p);
-                for (int d = 0; d < p; ++d) {
-                    deps.clear();
-                    depOn(last[d]);
-                    depOn(last[(d + p - 1) % p]);
-                    cur[d] = add(op, "ring_step", commStream(d), step);
-                }
-                last = std::move(cur);
+            const int steps = 2 * (p - 1);
+            last = comm::emitRing(des, comm_streams, std::move(last),
+                                  steps, step, op.kernel.label,
+                                  "ring_step");
+            if (recipe != nullptr) {
+                recipe->insert(recipe->end(),
+                               static_cast<std::size_t>(steps * p),
+                               DurationRule{ false, {}, step });
             }
             return;
         }

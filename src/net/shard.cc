@@ -112,8 +112,14 @@ ShardPool::overloadedResponse(const std::string &line) const
     const std::string message =
         "server overloaded: shard queue full; retry in " +
         std::to_string(options_.retryAfterMs) + " ms";
+    std::string id_token;
+    try {
+        svc::parseQuery(line, &id_token);
+    } catch (const FatalError &) {
+        // A shed line is answered whether or not it parses.
+    }
     return svc::errorResponseLine(
-        svc::tryExtractIdJson(line), "overloaded", message,
+        id_token, "overloaded", message,
         "\"retry_after_ms\":" + std::to_string(options_.retryAfterMs));
 }
 

@@ -5,10 +5,11 @@
  * serveStream() is the degenerate no-socket backend: it drives the
  * same LineFramer the epoll connections use (so the max-line-bytes
  * cap guards both entrances identically) and feeds complete lines
- * into the same svc::QueryService batching/cache core that
- * QueryService::serve() uses. For any input where no line exceeds
- * the cap, its output is byte-identical to QueryService::serve() —
- * the byte-identity tests pin that. An overlong line is answered
+ * into the svc::QueryService batching/cache core through
+ * processLines(). For any input where no line exceeds the cap, its
+ * output is byte-identical to a plain getline loop over the same
+ * stream — the byte-identity tests pin that against the loop they
+ * keep as their oracle. An overlong line is answered
  * with the shared `line_too_long` structured error at its arrival
  * position and the stream resynchronizes at the next newline.
  */

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <list>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,444 +17,343 @@ namespace twocs::svc {
 
 namespace {
 
-struct Member;
+using Token = json::Reader::Token;
 
-/** One parsed member value of the request object. */
-struct JsonValue
+/** One member of the request object, pointing into the line (or
+ *  into the decoded copy of a name or value with escapes). Members
+ *  of `parallel`/`perturb` follow the object's own entry. */
+struct Field
 {
-    enum class Kind { String, Number, Bool, Null, Object } kind;
-    std::string str;  //!< String payload (decoded).
-    double num = 0.0; //!< Number payload.
-    std::string raw;  //!< Verbatim token (numbers, for id echo).
-    bool boolean = false;
-    /** Nested members (the structured `parallel` object only). */
-    std::vector<Member> object;
+    std::string_view key; //!< Decoded name.
+    Token type = Token::Null; //!< A value token or ObjectBegin.
+    std::string_view raw;  //!< The value as written.
+    std::string_view text; //!< String: the decoded value.
+    double number = 0.0;
+    int parent = -1; //!< Index of the enclosing object's entry.
 };
 
-struct Member
+/** Throw the ParseError for a syntax error at byte `at`. */
+template <typename... Args>
+[[noreturn]] void
+syntaxError(std::size_t at, Args &&...what)
 {
-    std::string key;
-    JsonValue value;
-    std::size_t offset = 0; //!< Byte offset of the key (diagnostics).
-};
+    throw ParseError(at, detail::concat("byte ", at, ": ", what...));
+}
 
-/** End of the number token at `start` (the run of [-+.eE0-9] that a
- *  diagnostic or an id echo names), and whether that token is
- *  exactly one RFC 8259 number. */
-std::pair<std::size_t, bool>
-numberToken(std::string_view text, std::size_t start)
+/** `chars`, the characters of a string token at byte `at`,
+ *  decoded: a view of the line when they hold no escape, else of a
+ *  copy kept in `*decoded`. A surrogate escape is a syntax error. */
+std::string_view
+decodeString(std::string_view chars, std::size_t at,
+             std::list<std::string> *decoded)
 {
-    std::size_t end = start;
-    while (end < text.size() &&
-           std::string_view("-+.eE0123456789").find(text[end]) !=
-               std::string_view::npos)
-        ++end;
-    const json::Scan scan = json::scanNumber(text, start);
-    return { end, scan.error == nullptr && scan.end == end };
+    if (chars.find('\\') == std::string_view::npos)
+        return chars;
+    std::string &out = decoded->emplace_back();
+    const std::size_t surrogate = json::unescape(chars, &out);
+    if (surrogate != std::string_view::npos)
+        syntaxError(at + 1 + surrogate,
+                    "surrogate \\u escapes are not supported");
+    return out;
 }
 
 /**
- * A strict parser for exactly the protocol's shape: one JSON object
- * of string/number/bool/null members, flat except for the single
- * structured `parallel` object (whose own members must be scalars).
- * Any other nested container is rejected — a request has no business
- * containing them, and the restriction keeps the error surface small
- * and the diagnostics exact.
+ * Throw the ParseError for the reader's syntax fault, worded as the
+ * protocol words it: `key` names the member being read. A surrogate
+ * escape earlier in the failed string is the first fault.
  */
-class FlatObjectParser
+[[noreturn]] void
+syntaxFault(const json::Reader &reader, std::string_view line,
+            std::string_view key)
 {
-  public:
-    explicit FlatObjectParser(const std::string &text) : text_(text) {}
-
-    std::vector<Member> parse()
-    {
-        skipSpace();
-        std::vector<Member> members =
-            parseObject("a request must be one JSON object",
-                        /*nested=*/false);
-        trailingGarbageCheck();
-        return members;
+    using Error = json::Reader::Error;
+    const std::size_t at = reader.errorOffset();
+    const std::string_view raw = reader.raw();
+    if (!raw.empty() && raw.front() == '"') {
+        std::list<std::string> ignored;
+        decodeString(raw.substr(1), reader.offset(), &ignored);
     }
+    switch (reader.error()) {
+      case Error::ExpectedKey:
+        syntaxError(at, "expected a quoted member key");
+      case Error::ExpectedColon:
+        syntaxError(at, "expected ':' after key '", key, "'");
+      case Error::ExpectedCommaOrBrace:
+      case Error::UnterminatedObject:
+        syntaxError(at, "expected ',' or '}' after field '", key, "'");
+      case Error::UnexpectedEnd:
+      case Error::ExpectedValue:
+        syntaxError(at, "expected a value for field '", key, "'");
+      case Error::BadLiteral:
+        syntaxError(at, "expected '",
+                    raw.front() == 't'   ? "true"
+                    : raw.front() == 'f' ? "false"
+                                         : "null",
+                    "'");
+      case Error::BadNumber:
+        syntaxError(reader.offset(), "'", raw,
+                    "' is not a valid JSON number");
+      case Error::UnterminatedString:
+        throw ParseError(at, "unterminated string (started before byte " +
+                                 std::to_string(at) + ")");
+      case Error::UnknownEscape:
+        syntaxError(at, "unknown escape '\\", line[at], "'");
+      case Error::TrailingContent:
+        syntaxError(at, "trailing content after the request object");
+      default: // the reader's wording is the protocol's
+        syntaxError(at, reader.message());
+    }
+}
 
-  private:
-    std::vector<Member> parseObject(const std::string &open_what,
-                                    bool nested)
-    {
-        std::vector<Member> members;
-        expect('{', open_what);
-        skipSpace();
-        if (peek() == '}') {
-            ++pos_;
-            return members;
-        }
-        while (true) {
-            skipSpace();
-            Member m;
-            m.offset = pos_;
-            if (peek() != '"')
-                syntaxError(pos_, "expected a quoted member key");
-            m.key = parseString();
-            for (const Member &seen : members) {
-                fatalIf(seen.key == m.key, "duplicate field '", m.key,
-                        "'");
-            }
-            skipSpace();
-            expect(':', "expected ':' after key '" + m.key + "'");
-            skipSpace();
-            m.value = parseValue(m.key, nested);
-            members.push_back(std::move(m));
-            skipSpace();
-            const char c = peek();
-            if (c == ',') {
-                ++pos_;
+/**
+ * The request's members, read in one json::Reader pass. Faults of
+ * the grammar and of the protocol's value rules (only the top-level
+ * `parallel`/`perturb` may be objects, finite numbers, no surrogate
+ * escapes) throw at their byte; a repeated name, met earlier, wins
+ * over any later fault. `*idToken` receives the first top-level `id`
+ * (a number or a string, as written) once that member is accepted.
+ */
+std::vector<Field>
+readFields(std::string_view line, std::list<std::string> *decoded,
+           std::string *idToken)
+{
+    json::Reader reader(line);
+    if (reader.next() != Token::ObjectBegin)
+        syntaxError(reader.offset(), "a request must be one JSON object");
+
+    std::vector<Field> fields;
+    std::optional<std::string_view> duplicate;
+    bool id_seen = false;
+    try {
+        int parent = -1;
+        std::string_view key; // the member read last at this level
+        for (;;) {
+            Token token = reader.next();
+            if (token == Token::ObjectEnd) {
+                if (parent < 0)
+                    break;
+                key = fields[static_cast<std::size_t>(parent)].key;
+                parent = -1;
                 continue;
             }
-            expect('}', "expected ',' or '}' after field '" +
-                            members.back().key + "'");
-            break;
-        }
-        return members;
-    }
-    char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    /** Throw the ParseError for a syntax error at byte `at`. */
-    template <typename... Args>
-    [[noreturn]] static void syntaxError(std::size_t at, Args &&...what)
-    {
-        throw ParseError(at, detail::concat("byte ", at, ": ", what...));
-    }
-
-    void expect(char c, const std::string &what)
-    {
-        if (peek() != c)
-            syntaxError(pos_, what);
-        ++pos_;
-    }
-
-    void trailingGarbageCheck()
-    {
-        skipSpace();
-        if (pos_ < text_.size())
-            syntaxError(pos_,
-                        "trailing content after the request object");
-    }
-
-    JsonValue parseValue(const std::string &key, bool nested)
-    {
-        JsonValue v;
-        const char c = peek();
-        if (c == '{' && !nested &&
-            (key == "parallel" || key == "perturb")) {
-            v.kind = JsonValue::Kind::Object;
-            v.object = parseObject(
-                "expected an object for field '" + key + "'",
-                /*nested=*/true);
-            return v;
-        }
-        if (c == '"') {
-            v.kind = JsonValue::Kind::String;
-            v.str = parseString();
-        } else if (c == 't' || c == 'f') {
-            v.kind = JsonValue::Kind::Bool;
-            v.boolean = (c == 't');
-            const char *word = v.boolean ? "true" : "false";
-            for (const char *p = word; *p != '\0'; ++p)
-                expect(*p, std::string("expected '") + word + "'");
-        } else if (c == 'n') {
-            v.kind = JsonValue::Kind::Null;
-            for (const char *p = "null"; *p != '\0'; ++p)
-                expect(*p, "expected 'null'");
-        } else if (c == '-' || (c >= '0' && c <= '9')) {
-            v.kind = JsonValue::Kind::Number;
-            const std::size_t start = pos_;
-            const auto [end, valid] = numberToken(text_, start);
-            pos_ = end;
-            v.raw = text_.substr(start, end - start);
-            v.num = valid ? std::strtod(v.raw.c_str(), nullptr) : 0.0;
-            if (!valid || !std::isfinite(v.num))
-                syntaxError(start, "'", v.raw,
-                            "' is not a valid JSON number");
-        } else if (c == '{' || c == '[') {
-            syntaxError(pos_, "field '", key,
-                        "' must be a scalar (the only structured "
-                        "fields are the top-level 'parallel' and "
-                        "'perturb' objects)");
-        } else {
-            syntaxError(pos_, "expected a value for field '", key, "'");
-        }
-        return v;
-    }
-
-    std::string parseString()
-    {
-        expect('"', "expected '\"'");
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size())
-                throw ParseError(pos_, "unterminated string (started "
-                                       "before byte " +
-                                           std::to_string(pos_) + ")");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                if (static_cast<unsigned char>(c) < 0x20)
-                    syntaxError(pos_ - 1,
-                                "raw control character in string");
-                out += c;
-                continue;
+            if (token == Token::Key) {
+                const std::string_view raw = reader.raw();
+                key = decodeString(raw.substr(1, raw.size() - 2),
+                                   reader.offset(), decoded);
+                for (const Field &f : fields) {
+                    if (f.parent == parent && f.key == key && !duplicate)
+                        duplicate = key;
+                }
+                token = reader.next();
             }
-            if (pos_ >= text_.size())
-                syntaxError(pos_, "dangling escape");
-            const char e = text_[pos_++];
-            switch (e) {
-              case '"':
-              case '\\':
-              case '/':
-                out += e;
+            if (token == Token::Error)
+                syntaxFault(reader, line, key);
+
+            Field f{ key, token, reader.raw(), {}, 0.0, parent };
+            switch (token) {
+              case Token::ObjectBegin:
+                if (parent < 0 && (key == "parallel" || key == "perturb")) {
+                    fields.push_back(f);
+                    parent = static_cast<int>(fields.size()) - 1;
+                    continue;
+                }
+                [[fallthrough]];
+              case Token::ArrayBegin:
+                syntaxError(reader.offset(), "field '", key,
+                            "' must be a scalar (the only structured "
+                            "fields are the top-level 'parallel' and "
+                            "'perturb' objects)");
+              case Token::String:
+                f.text = decodeString(f.raw.substr(1, f.raw.size() - 2),
+                                      reader.offset(), decoded);
                 break;
-              case 'b':
-                out += '\b';
-                break;
-              case 'f':
-                out += '\f';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'u':
-                out += parseUnicodeEscape();
+              case Token::Number:
+                f.number = std::strtod(std::string(f.raw).c_str(), nullptr);
+                if (!std::isfinite(f.number))
+                    syntaxError(reader.offset(), "'", f.raw,
+                                "' is not a valid JSON number");
                 break;
               default:
-                syntaxError(pos_ - 1, "unknown escape '\\", e, "'");
+                break;
             }
+            if (parent < 0 && key == "id" && !id_seen) {
+                id_seen = true;
+                if (token == Token::Number || token == Token::String)
+                    *idToken = f.raw;
+            }
+            fields.push_back(f);
         }
+        if (reader.next() == Token::Error)
+            syntaxFault(reader, line, key);
+    } catch (const ParseError &) {
+        if (duplicate)
+            fatal("duplicate field '", *duplicate, "'");
+        throw;
     }
+    if (duplicate)
+        fatal("duplicate field '", *duplicate, "'");
+    return fields;
+}
 
-    std::string parseUnicodeEscape()
-    {
-        if (pos_ + 4 > text_.size())
-            syntaxError(pos_, "truncated \\u escape");
-        unsigned cp = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9')
-                cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-                cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-                cp |= static_cast<unsigned>(h - 'A' + 10);
-            else
-                syntaxError(pos_ - 1, "bad hex digit in \\u escape");
-        }
-        if (cp >= 0xd800 && cp <= 0xdfff)
-            syntaxError(pos_ - 6,
-                        "surrogate \\u escapes are not supported");
-        // UTF-8 encode the basic-plane code point.
-        std::string out;
-        if (cp < 0x80) {
-            out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-            out += static_cast<char>(0xc0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        } else {
-            out += static_cast<char>(0xe0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        }
-        return out;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+/** Protocol names of the kinds, in QueryKind order. */
+constexpr const char *kKindNames[] = { "project", "analyze", "slack",
+                                       "memory",  "perturb", "stats" };
 
 QueryKind
-kindFromName(const std::string &name)
+kindFromName(std::string_view name)
 {
-    if (name == "project")
-        return QueryKind::Project;
-    if (name == "analyze")
-        return QueryKind::Analyze;
-    if (name == "slack")
-        return QueryKind::Slack;
-    if (name == "memory")
-        return QueryKind::Memory;
-    if (name == "perturb")
-        return QueryKind::Perturb;
-    if (name == "stats")
-        return QueryKind::Stats;
+    for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
+        if (name == kKindNames[k])
+            return static_cast<QueryKind>(k);
+    }
     fatal("unknown kind '", name,
           "' (project|analyze|slack|memory|perturb|stats)");
 }
 
-/** Whether `key` is a protocol field at all (any kind). */
-bool
-knownField(const std::string &key)
+constexpr unsigned
+bit(QueryKind kind)
 {
-    for (const char *name :
-         { "hidden", "seqlen", "batch", "parallel",
-           "perturb", "model", "precision", "ground_truth", "device",
-           "flop_scale", "bw_scale", "pin" }) {
-        if (key == name)
-            return true;
-    }
-    return false;
+    return 1u << static_cast<unsigned>(kind);
 }
 
-/** Which fields each kind accepts (beyond `kind` and `id`). */
-bool
-fieldAppliesTo(const std::string &key, QueryKind kind)
+/** The kinds a protocol field applies to (every kind takes `kind`
+ *  and `id`), as a mask of bit(kind); 0 for an unknown field. */
+unsigned
+fieldKinds(std::string_view key)
 {
-    auto any = [&](std::initializer_list<QueryKind> kinds) {
-        for (const QueryKind k : kinds) {
-            if (k == kind)
-                return true;
-        }
-        return false;
-    };
     using enum QueryKind;
-    if (key == "hidden" || key == "seqlen")
-        return any({ Project, Slack, Perturb });
-    if (key == "batch")
-        return any({ Project, Slack, Analyze, Perturb });
-    if (key == "parallel")
-        return any({ Project, Analyze, Memory, Perturb });
-    if (key == "perturb")
-        return any({ Perturb });
-    if (key == "model" || key == "precision")
-        return any({ Analyze, Memory });
-    if (key == "ground_truth")
-        return any({ Project });
-    if (key == "device" || key == "flop_scale" || key == "bw_scale" ||
-        key == "pin")
-        return any({ Project, Analyze, Slack, Memory, Perturb });
-    return false;
+    constexpr unsigned plan = bit(Project) | bit(Perturb);
+    constexpr unsigned system = plan | bit(Analyze) | bit(Slack) |
+                                bit(Memory);
+    const std::pair<const char *, unsigned> fields[] = {
+        { "hidden", plan | bit(Slack) },
+        { "seqlen", plan | bit(Slack) },
+        { "batch", plan | bit(Slack) | bit(Analyze) },
+        { "parallel", plan | bit(Analyze) | bit(Memory) },
+        { "perturb", bit(Perturb) },
+        { "model", bit(Analyze) | bit(Memory) },
+        { "precision", bit(Analyze) | bit(Memory) },
+        { "ground_truth", bit(Project) },
+        { "device", system },
+        { "flop_scale", system },
+        { "bw_scale", system },
+        { "pin", system },
+    };
+    for (const auto &[name, kinds] : fields) {
+        if (key == name)
+            return kinds;
+    }
+    return 0;
 }
 
 std::int64_t
-intField(const Member &m, std::int64_t lo, std::int64_t hi)
+intField(const Field &f, std::string_view name, std::int64_t lo,
+         std::int64_t hi)
 {
-    fatalIf(m.value.kind != JsonValue::Kind::Number, "field '", m.key,
+    fatalIf(f.type != Token::Number, "field '", name,
             "' expects a number");
-    const double v = m.value.num;
+    const double v = f.number;
     fatalIf(v != std::floor(v) || std::fabs(v) > 9.007199254740992e15,
-            "field '", m.key, "' expects an integer, got ",
-            m.value.raw);
+            "field '", name, "' expects an integer, got ", f.raw);
     const auto i = static_cast<std::int64_t>(v);
-    fatalIf(i < lo || i > hi, "field '", m.key, "' must be in [", lo,
+    fatalIf(i < lo || i > hi, "field '", name, "' must be in [", lo,
             ", ", hi, "], got ", i);
     return i;
 }
 
 double
-doubleField(const Member &m, double lo)
+doubleField(const Field &f, std::string_view name, double lo)
 {
-    fatalIf(m.value.kind != JsonValue::Kind::Number, "field '", m.key,
+    fatalIf(f.type != Token::Number, "field '", name,
             "' expects a number");
-    fatalIf(m.value.num < lo, "field '", m.key, "' must be >= ", lo,
-            ", got ", m.value.raw);
-    return m.value.num;
+    fatalIf(f.number < lo, "field '", name, "' must be >= ", lo,
+            ", got ", f.raw);
+    return f.number;
 }
 
 std::string
-stringField(const Member &m)
+stringField(const Field &f)
 {
-    fatalIf(m.value.kind != JsonValue::Kind::String, "field '", m.key,
+    fatalIf(f.type != Token::String, "field '", f.key,
             "' expects a string");
-    return m.value.str;
+    return std::string(f.text);
 }
 
 bool
-boolField(const Member &m)
+boolField(const Field &f, std::string_view name)
 {
-    fatalIf(m.value.kind != JsonValue::Kind::Bool, "field '", m.key,
-            "' expects true or false");
-    return m.value.boolean;
+    fatalIf(f.type != Token::True && f.type != Token::False, "field '",
+            name, "' expects true or false");
+    return f.type == Token::True;
 }
 
 /**
- * Apply the structured `parallel` object's members onto `plan`
- * (already seeded with the kind's defaults). Sets `*tp_named` when
- * the object spells out `tp`, which is what flips memory queries from
- * minimum-TP mode to footprint-at-TP mode.
+ * Apply the members of the structured `parallel` object (entry
+ * `index` of `fields`) onto `plan`, already seeded with the kind's
+ * defaults. Sets `*tp_named` when the object spells out `tp`, which
+ * is what flips memory queries from minimum-TP mode to
+ * footprint-at-TP mode. Diagnostics name members by their full path
+ * ('parallel.tp').
  */
 void
-parallelField(const Member &m, model::ParallelPlan *plan,
-              bool *tp_named)
+parallelField(const std::vector<Field> &fields, std::size_t index,
+              model::ParallelPlan *plan, bool *tp_named)
 {
-    fatalIf(m.value.kind != JsonValue::Kind::Object,
+    fatalIf(fields[index].type != Token::ObjectBegin,
             "field 'parallel' expects an object, e.g. "
             "{\"tp\": 8, \"pp\": 4, \"dp\": 2, \"zero\": 1}");
-    for (const Member &sub : m.value.object) {
-        // Re-key diagnostics as 'parallel.tp' etc. so they name the
-        // member's full path.
-        Member named = sub;
-        named.key = "parallel." + sub.key;
+    for (const Field &sub : fields) {
+        if (sub.parent != static_cast<int>(index))
+            continue;
+        const std::string name = "parallel." + std::string(sub.key);
+        const auto degree = [&] {
+            return static_cast<int>(intField(sub, name, 1, 1 << 20));
+        };
         if (sub.key == "tp") {
-            plan->tpDegree =
-                static_cast<int>(intField(named, 1, 1 << 20));
+            plan->tpDegree = degree();
             *tp_named = true;
         } else if (sub.key == "pp")
-            plan->ppDegree =
-                static_cast<int>(intField(named, 1, 1 << 20));
+            plan->ppDegree = degree();
         else if (sub.key == "micro")
-            plan->microBatches =
-                static_cast<int>(intField(named, 1, 1 << 20));
+            plan->microBatches = degree();
         else if (sub.key == "dp")
-            plan->dpDegree =
-                static_cast<int>(intField(named, 1, 1 << 20));
+            plan->dpDegree = degree();
         else if (sub.key == "zero")
-            plan->zeroStage = static_cast<int>(intField(named, 0, 3));
+            plan->zeroStage = static_cast<int>(intField(sub, name, 0, 3));
         else if (sub.key == "ep")
-            plan->epDegree =
-                static_cast<int>(intField(named, 1, 1 << 20));
+            plan->epDegree = degree();
         else if (sub.key == "sp")
-            plan->sequenceParallel = boolField(named);
+            plan->sequenceParallel = boolField(sub, name);
         else if (sub.key == "overlap")
-            plan->overlapDpComm = boolField(named);
+            plan->overlapDpComm = boolField(sub, name);
         else
-            fatal("unknown field 'parallel.", sub.key,
+            fatal("unknown field '", name,
                   "' (tp|pp|micro|dp|zero|ep|sp|overlap)");
     }
 }
 
-/** Apply the structured `perturb` object: the what-if task id and
- *  its duration multiplier. */
+/** Apply the structured `perturb` object (entry `index` of
+ *  `fields`): the what-if task id and its duration multiplier. */
 void
-perturbField(const Member &m, Query *q)
+perturbField(const std::vector<Field> &fields, std::size_t index,
+             Query *q)
 {
-    fatalIf(m.value.kind != JsonValue::Kind::Object,
+    fatalIf(fields[index].type != Token::ObjectBegin,
             "field 'perturb' expects an object, e.g. "
             "{\"task\": 12, \"scale\": 1.05}");
     bool task_named = false;
-    for (const Member &sub : m.value.object) {
-        Member named = sub;
-        named.key = "perturb." + sub.key;
+    for (const Field &sub : fields) {
+        if (sub.parent != static_cast<int>(index))
+            continue;
+        const std::string name = "perturb." + std::string(sub.key);
         if (sub.key == "task") {
             q->perturbTask =
-                intField(named, 0, std::int64_t{ 1 } << 32);
+                intField(sub, name, 0, std::int64_t{ 1 } << 32);
             task_named = true;
         } else if (sub.key == "scale")
-            q->perturbScale = doubleField(named, 0.0);
+            q->perturbScale = doubleField(sub, name, 0.0);
         else
-            fatal("unknown field 'perturb.", sub.key,
-                  "' (task|scale)");
+            fatal("unknown field '", name, "' (task|scale)");
     }
     fatalIf(!task_named, "field 'perturb' requires 'task'");
     q->perturbSet = true;
@@ -462,21 +364,7 @@ perturbField(const Member &m, Query *q)
 const char *
 kindName(QueryKind kind)
 {
-    switch (kind) {
-      case QueryKind::Project:
-        return "project";
-      case QueryKind::Analyze:
-        return "analyze";
-      case QueryKind::Slack:
-        return "slack";
-      case QueryKind::Memory:
-        return "memory";
-      case QueryKind::Perturb:
-        return "perturb";
-      case QueryKind::Stats:
-        return "stats";
-    }
-    panic("unreachable query kind");
+    return kKindNames[static_cast<std::size_t>(kind)];
 }
 
 hw::Precision
@@ -496,19 +384,27 @@ precisionFromName(const std::string &name)
 Query
 parseQuery(const std::string &line)
 {
-    const std::vector<Member> members =
-        FlatObjectParser(line).parse();
+    std::string id_token;
+    return parseQuery(line, &id_token);
+}
 
-    const Member *kind_member = nullptr;
-    for (const Member &m : members) {
-        if (m.key == "kind")
-            kind_member = &m;
+Query
+parseQuery(const std::string &line, std::string *idToken)
+{
+    idToken->clear();
+    std::list<std::string> decoded;
+    const std::vector<Field> fields = readFields(line, &decoded, idToken);
+
+    const Field *kind_field = nullptr;
+    for (const Field &f : fields) {
+        if (f.parent < 0 && f.key == "kind")
+            kind_field = &f;
     }
-    fatalIf(kind_member == nullptr, "request is missing the 'kind' "
+    fatalIf(kind_field == nullptr, "request is missing the 'kind' "
             "field");
 
     Query q;
-    q.kind = kindFromName(stringField(*kind_member));
+    q.kind = kindFromName(stringField(*kind_field));
 
     // Per-kind defaults, mirroring the CLI commands.
     switch (q.kind) {
@@ -549,52 +445,54 @@ parseQuery(const std::string &line)
     q.plan.tpDegree = q.tpDegree;
     q.plan.dpDegree = q.dpDegree;
 
-    for (const Member &m : members) {
-        if (m.key == "kind")
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        const Field &f = fields[i];
+        if (f.parent >= 0 || f.key == "kind")
             continue;
-        if (m.key == "id") {
-            switch (m.value.kind) {
-              case JsonValue::Kind::Number:
-                q.idJson = m.value.raw;
+        if (f.key == "id") {
+            switch (f.type) {
+              case Token::Number:
+                q.idJson = f.raw;
                 break;
-              case JsonValue::Kind::String:
-                q.idJson = json::quote(m.value.str);
+              case Token::String:
+                q.idJson = json::quote(f.text);
                 break;
               default:
                 fatal("field 'id' expects a number or a string");
             }
             continue;
         }
-        fatalIf(!knownField(m.key), "unknown field '", m.key, "'");
-        fatalIf(!fieldAppliesTo(m.key, q.kind), "field '", m.key,
+        const unsigned kinds = fieldKinds(f.key);
+        fatalIf(kinds == 0, "unknown field '", f.key, "'");
+        fatalIf((kinds & bit(q.kind)) == 0, "field '", f.key,
                 "' does not apply to kind '", kindName(q.kind), "'");
-        if (m.key == "hidden")
-            q.hidden = intField(m, 1, std::int64_t{ 1 } << 32);
-        else if (m.key == "seqlen")
-            q.seqLen = intField(m, 1, std::int64_t{ 1 } << 32);
-        else if (m.key == "batch") {
-            q.batch = intField(m, 1, std::int64_t{ 1 } << 32);
+        if (f.key == "hidden")
+            q.hidden = intField(f, f.key, 1, std::int64_t{ 1 } << 32);
+        else if (f.key == "seqlen")
+            q.seqLen = intField(f, f.key, 1, std::int64_t{ 1 } << 32);
+        else if (f.key == "batch") {
+            q.batch = intField(f, f.key, 1, std::int64_t{ 1 } << 32);
             q.batchSet = true;
-        } else if (m.key == "parallel")
-            parallelField(m, &q.plan, &q.tpSet);
-        else if (m.key == "perturb")
-            perturbField(m, &q);
-        else if (m.key == "model")
-            q.model = stringField(m);
-        else if (m.key == "precision")
-            q.precision = stringField(m);
-        else if (m.key == "ground_truth")
-            q.groundTruth = boolField(m);
-        else if (m.key == "device")
-            q.device = stringField(m);
-        else if (m.key == "flop_scale")
-            q.flopScale = doubleField(m, 1e-6);
-        else if (m.key == "bw_scale")
-            q.bwScale = doubleField(m, 1e-6);
-        else if (m.key == "pin")
-            q.inNetworkReduction = boolField(m);
+        } else if (f.key == "parallel")
+            parallelField(fields, i, &q.plan, &q.tpSet);
+        else if (f.key == "perturb")
+            perturbField(fields, i, &q);
+        else if (f.key == "model")
+            q.model = stringField(f);
+        else if (f.key == "precision")
+            q.precision = stringField(f);
+        else if (f.key == "ground_truth")
+            q.groundTruth = boolField(f, f.key);
+        else if (f.key == "device")
+            q.device = stringField(f);
+        else if (f.key == "flop_scale")
+            q.flopScale = doubleField(f, f.key, 1e-6);
+        else if (f.key == "bw_scale")
+            q.bwScale = doubleField(f, f.key, 1e-6);
+        else if (f.key == "pin")
+            q.inNetworkReduction = boolField(f, f.key);
         else
-            panic("field table out of sync for '", m.key, "'");
+            panic("field table out of sync for '", f.key, "'");
     }
 
     // q.tpDegree / q.dpDegree always mirror the full plan.
@@ -714,29 +612,6 @@ fnv1a(std::string_view s)
         hash *= 1099511628211ull;
     }
     return hash;
-}
-
-std::string
-tryExtractIdJson(const std::string &line)
-{
-    const std::size_t key = line.find("\"id\"");
-    if (key == std::string::npos)
-        return "";
-    std::size_t p = key + 4;
-    while (p < line.size() && (line[p] == ' ' || line[p] == '\t'))
-        ++p;
-    if (p >= line.size() || line[p] != ':')
-        return "";
-    ++p;
-    while (p < line.size() && (line[p] == ' ' || line[p] == '\t'))
-        ++p;
-    // Echo the raw token only when it is valid JSON on its own.
-    if (p < line.size() && line[p] == '"') {
-        const json::Scan scan = json::scanString(line, p);
-        return scan.error == nullptr ? line.substr(p, scan.end - p) : "";
-    }
-    const auto [end, valid] = numberToken(line, p);
-    return valid ? line.substr(p, end - p) : "";
 }
 
 std::string

@@ -127,6 +127,15 @@ struct Query
 Query parseQuery(const std::string &line);
 
 /**
+ * parseQuery() that also hands back, from the same pass, the id a
+ * failed line echoes: `*idToken` is the first top-level `id` as
+ * written (a number or a string) once the reader has accepted that
+ * member, else "". So a semantic error echoes the id wherever it
+ * sits, a syntax error only one before the failing byte.
+ */
+Query parseQuery(const std::string &line, std::string *idToken);
+
+/**
  * The canonical textual form of a normalized query: kind, device,
  * evolution scaling and every kind-relevant hyperparameter, with
  * defaults filled in. Identical configurations — however spelled in
@@ -138,14 +147,6 @@ std::string canonicalKey(const Query &query);
 
 /** 64-bit FNV-1a, the service's canonical string hash. */
 std::uint64_t fnv1a(std::string_view s);
-
-/**
- * Best-effort extraction of the `id` field's raw JSON token from a
- * request line that failed strict parsing, so error responses can
- * still echo the id. Returns "" when no plausible id
- * is found; never throws.
- */
-std::string tryExtractIdJson(const std::string &line);
 
 /**
  * A complete response line (no trailing newline) for a failure

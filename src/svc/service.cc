@@ -352,7 +352,7 @@ QueryService::statsPayload() const
 }
 
 void
-QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
+QueryService::processLines(NumberedLines &&lines, std::ostream &out)
 {
     enum class Outcome { ParseError, CacheHit, Duplicate, Compute,
                          Stats };
@@ -397,8 +397,9 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
             BatchEntry &e = entries[i];
             e.lineNo = lines[i].first;
             const auto start = Clock::now();
+            std::string id_token;
             try {
-                e.query = parseQuery(lines[i].second);
+                e.query = parseQuery(lines[i].second, &id_token);
                 e.idJson = e.query.idJson;
                 if (e.query.kind == QueryKind::Stats) {
                     e.outcome = Outcome::Stats;
@@ -420,7 +421,7 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
             } catch (const FatalError &ex) {
                 e.outcome = Outcome::ParseError;
                 e.failed = true;
-                e.idJson = tryExtractIdJson(lines[i].second);
+                e.idJson = std::move(id_token);
                 e.payload = errorPayload(
                     "parse_error",
                     "line " + std::to_string(e.lineNo) + ": ", ex);
@@ -521,27 +522,6 @@ QueryService::processBatch(NumberedLines &&lines, std::ostream &out)
 }
 
 void
-QueryService::serve(std::istream &in, std::ostream &out)
-{
-    NumberedLines batch;
-    std::string line;
-    while (std::getline(in, line)) {
-        ++lineNo_;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        batch.emplace_back(lineNo_, std::move(line));
-        if (batch.size() >= options_.batchCapacity) {
-            processBatch(std::move(batch), out);
-            batch.clear();
-        }
-    }
-    if (!batch.empty())
-        processBatch(std::move(batch), out);
-
-    writeMetricsIfConfigured();
-}
-
-void
 QueryService::writeMetricsIfConfigured()
 {
     if (options_.metricsPath.empty())
@@ -553,12 +533,6 @@ QueryService::writeMetricsIfConfigured()
     inform("wrote service metrics ", options_.metricsPath, " (",
            metrics_.requests(), " requests, hit rate ",
            json::number(metrics_.hitRate()), ")");
-}
-
-void
-QueryService::processLines(NumberedLines &&lines, std::ostream &out)
-{
-    processBatch(std::move(lines), out);
 }
 
 std::string
@@ -573,7 +547,7 @@ QueryService::handle(const std::string &line, std::size_t lineNo)
     NumberedLines batch;
     batch.emplace_back(lineNo, line);
     std::ostringstream os;
-    processBatch(std::move(batch), os);
+    processLines(std::move(batch), os);
     std::string response = os.str();
     if (!response.empty() && response.back() == '\n')
         response.pop_back();

@@ -59,7 +59,8 @@ struct ServiceOptions
     std::size_t cacheCapacity = 4096;
     /** Requests drained per scheduler batch. */
     std::size_t batchCapacity = 32;
-    /** When non-empty, serve() writes the metrics JSON here. */
+    /** When non-empty, writeMetricsIfConfigured() writes the
+     *  metrics JSON here. */
     std::string metricsPath;
 };
 
@@ -76,15 +77,6 @@ class QueryService
 
     QueryService(const QueryService &) = delete;
     QueryService &operator=(const QueryService &) = delete;
-
-    /**
-     * Serve a whole JSON-lines stream: one response line per request
-     * line, in arrival order; blank lines are skipped. Requests that
-     * fail to parse or evaluate produce `"status": "error"` response
-     * lines (the service never dies mid-stream). Writes the metrics
-     * file on completion when options.metricsPath is set.
-     */
-    void serve(std::istream &in, std::ostream &out);
 
     /**
      * Process a single request line through the same batched
@@ -108,14 +100,15 @@ class QueryService
 
     /**
      * Feed one externally assembled batch through the scheduler —
-     * the entry point for drivers that own their read loop (the
-     * framed stdin path in src/net). Lines carry their own stream
-     * positions; responses are written in arrival order.
+     * the entry point for the front-ends that own the read loop
+     * (net::serveStream for stdin, the socket shards). Lines carry
+     * their own stream positions; responses are written in arrival
+     * order.
      */
     void processLines(NumberedLines &&lines, std::ostream &out);
 
-    /** Write the metrics JSON when options.metricsPath is set (a
-     *  serve() epilogue external drivers can invoke themselves). */
+    /** Write the metrics JSON when options.metricsPath is set (the
+     *  epilogue of a served stream). */
     void writeMetricsIfConfigured();
 
     const ServiceMetrics &metrics() const { return metrics_; }
@@ -128,8 +121,6 @@ class QueryService
   private:
     /** One system's resident calibrated analyses. */
     struct SystemEntry;
-
-    void processBatch(NumberedLines &&lines, std::ostream &out);
 
     /** Registry lookup, calibrating on first use. Must be called
      *  from the sequential phases only. */

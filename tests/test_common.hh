@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <istream>
+#include <ostream>
+#include <string>
 
 #include "core/cluster_sim.hh"
 #include "core/system_config.hh"
 #include "model/layer_graph.hh"
 #include "model/zoo.hh"
+#include "svc/service.hh"
 #include "util/rng.hh"
 
 namespace twocs::test {
@@ -67,6 +71,35 @@ perTrialRuns(const core::ClusterSim &sim,
         EXPECT_GE(v_, (lo));                                              \
         EXPECT_LE(v_, (hi));                                              \
     } while (0)
+
+/**
+ * The stdin serve loop, kept as the oracle the framed front-end
+ * (net::serveStream, what `twocs serve` runs) is held to: getline
+ * over `in`, blank lines skipped, lines numbered from 1 and fed
+ * through processLines in batches of options().batchCapacity, then
+ * the metrics file when one is configured.
+ */
+inline void
+serveLines(svc::QueryService &service, std::istream &in,
+           std::ostream &out)
+{
+    svc::QueryService::NumberedLines batch;
+    std::string line;
+    std::size_t line_no = 0;
+    while (std::getline(in, line)) {
+        ++line_no;
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
+            continue;
+        batch.emplace_back(line_no, std::move(line));
+        if (batch.size() >= service.options().batchCapacity) {
+            service.processLines(std::move(batch), out);
+            batch.clear();
+        }
+    }
+    if (!batch.empty())
+        service.processLines(std::move(batch), out);
+    service.writeMetricsIfConfigured();
+}
 
 } // namespace twocs::test
 

@@ -26,6 +26,7 @@
 #include "net/shard.hh"
 #include "net/stream.hh"
 #include "svc/service.hh"
+#include "test_common.hh"
 #include "util/logging.hh"
 
 namespace twocs {
@@ -402,7 +403,7 @@ TEST(NetStream, ByteIdenticalWithClassicServe)
     svc::QueryService classic;
     std::istringstream cin(input);
     std::ostringstream cout;
-    classic.serve(cin, cout);
+    test::serveLines(classic, cin, cout);
 
     svc::QueryService framed;
     std::istringstream fin(input);
@@ -423,7 +424,7 @@ TEST(NetStream, UnterminatedFinalLineStillAnswers)
     svc::QueryService classic;
     std::istringstream cin(input);
     std::ostringstream cout;
-    classic.serve(cin, cout);
+    test::serveLines(classic, cin, cout);
 
     svc::QueryService framed;
     std::istringstream fin(input);
@@ -495,7 +496,7 @@ TEST(NetServer, LoopbackByteIdentityWithStdinPathAcrossShards)
     svc::QueryService reference;
     std::istringstream rin(input);
     std::ostringstream rout;
-    reference.serve(rin, rout);
+    test::serveLines(reference, rin, rout);
 
     for (const int shards : { 1, 3 }) {
         net::Server server(serverOptionsOf(shards));
@@ -513,7 +514,7 @@ TEST(NetServer, SplitAndCoalescedPacketsBothWork)
     svc::QueryService reference;
     std::istringstream rin(input);
     std::ostringstream rout;
-    reference.serve(rin, rout);
+    test::serveLines(reference, rin, rout);
 
     net::Server server(serverOptionsOf(2));
     server.start();

@@ -24,6 +24,7 @@
 #include "obs/session.hh"
 #include "obs/sinks.hh"
 #include "svc/service.hh"
+#include "test_common.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -448,7 +449,7 @@ TEST(ObsDeterminism, ServeStatsSpanSectionIsJobsInvariant)
             "\"parallel\": {\"tp\": 16}}\n"
             "{\"kind\": \"stats\"}\n");
         std::ostringstream out;
-        service.serve(in, out);
+        test::serveLines(service, in, out);
         obs::Tracer::disable();
         return out.str();
     };

@@ -38,6 +38,27 @@ TEST(RingSim, UniformArrivalMatchesClosedForm)
     EXPECT_NEAR(sim.maxStallTime, 0.0, 1e-9);
 }
 
+TEST(RingSim, UniformArrivalsStallExactlyZero)
+{
+    // Nobody waits on a straggler when everyone arrives together,
+    // so the stall is exactly zero, not round-off: the no-stall
+    // reference adds the step time once per step, as replay does.
+    for (int p = 2; p <= 64; ++p) {
+        for (const Seconds arrival : { 0.0, 1.25e-3 }) {
+            for (const RingCollective kind :
+                 { RingCollective::AllReduce,
+                   RingCollective::ReduceScatter }) {
+                RingSimOptions options;
+                options.collective = kind;
+                const RingSimResult r = simulateRingCollective(
+                    node(p), 64e6, std::vector<Seconds>(p, arrival),
+                    options);
+                EXPECT_EQ(r.maxStallTime, 0.0) << p << " " << arrival;
+            }
+        }
+    }
+}
+
 TEST(RingSim, AllDevicesFinishTogetherWhenUniform)
 {
     const std::vector<Seconds> arrivals(6, 1e-3);
@@ -156,8 +177,10 @@ oracleRing(const hw::Topology &topology, Bytes payload,
         earliest = std::min(earliest, arrivals[d]);
     }
     r.collectiveTime = r.finishTime - latest;
-    r.maxStallTime =
-        std::max(0.0, r.finishTime - earliest - steps * step_time);
+    Seconds unstalled = earliest;
+    for (int s = 0; s < steps; ++s)
+        unstalled += step_time;
+    r.maxStallTime = std::max(0.0, r.finishTime - unstalled);
     return r;
 }
 

@@ -169,14 +169,92 @@ TEST(SvcProtocol, NumbersFollowTheJsonGrammar)
         svc::parseQuery("{\"kind\":\"project\",\"hidden\":4096.0}")
             .hidden,
         4096);
+}
 
-    // Error responses echo an id only when it is valid JSON.
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":01,\"kind\":\"x\"}"), "");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":-0.,\"kind\":\"x\"}"), "");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":\"a\\q\",\"kind\":1}"), "");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\": 7, \"kind\": 1}"), "7");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\":\"r\\n9\",\"kind\":1}"),
-              "\"r\\n9\"");
+TEST(SvcProtocol, ErrorResponsesArePinned)
+{
+    // One malformed line per protocol diagnostic, each mapped to its
+    // complete response line. A failed line echoes its top-level `id`
+    // once the reader has accepted that member: wherever it sits for
+    // a semantic error, only before the failing byte for a syntax
+    // error, and never an invalid number or string.
+    const std::pair<std::string, std::string> cases[] = {
+        // Structure: a missing ':' and a missing ',' or '}'.
+        { R"j({"id":1,"kind" "stats"})j",
+          R"j({"id":1,"status":"error","error":{"code":"parse_error","message":"line 1: byte 15: expected ':' after key 'kind'","offset":15}})j" },
+        { R"j({"id":2,"kind":"stats" "x":1})j",
+          R"j({"id":2,"status":"error","error":{"code":"parse_error","message":"line 1: byte 23: expected ',' or '}' after field 'kind'","offset":23}})j" },
+        // Numbers.
+        { R"j({"id":3,"kind":"project","hidden":01})j",
+          R"j({"id":3,"status":"error","error":{"code":"parse_error","message":"line 1: byte 34: '01' is not a valid JSON number","offset":34}})j" },
+        { R"j({"id":4,"kind":"project","hidden":1.})j",
+          R"j({"id":4,"status":"error","error":{"code":"parse_error","message":"line 1: byte 34: '1.' is not a valid JSON number","offset":34}})j" },
+        { R"j({"id":5,"kind":"project","hidden":1e999})j",
+          R"j({"id":5,"status":"error","error":{"code":"parse_error","message":"line 1: byte 34: '1e999' is not a valid JSON number","offset":34}})j" },
+        // Strings.
+        { R"j({"id":6,"kind":"analyze","model":"a\qb"})j",
+          R"j({"id":6,"status":"error","error":{"code":"parse_error","message":"line 1: byte 36: unknown escape '\\q'","offset":36}})j" },
+        { R"j({"id":7,"kind":"analyze","model":"a\ud800b"})j",
+          R"j({"id":7,"status":"error","error":{"code":"parse_error","message":"line 1: byte 35: surrogate \\u escapes are not supported","offset":35}})j" },
+        { R"j({"id":8,"kind":"analyze","model":"\u12)j",
+          R"j({"id":8,"status":"error","error":{"code":"parse_error","message":"line 1: byte 36: truncated \\u escape","offset":36}})j" },
+        { "{\"id\":9,\"kind\":\"analyze\",\"model\":\"a\tb\"}",
+          R"j({"id":9,"status":"error","error":{"code":"parse_error","message":"line 1: byte 35: raw control character in string","offset":35}})j" },
+        { R"j({"id":10,"kind":"analyze","model":"abc)j",
+          R"j({"id":10,"status":"error","error":{"code":"parse_error","message":"line 1: unterminated string (started before byte 38)","offset":38}})j" },
+        // What a value may be, and what may follow the object.
+        { R"j({"id":11,"kind":"stats"} x)j",
+          R"j({"id":11,"status":"error","error":{"code":"parse_error","message":"line 1: byte 25: trailing content after the request object","offset":25}})j" },
+        { R"j({"id":12,"kind":"project","seqlen":{"x":1}})j",
+          R"j({"id":12,"status":"error","error":{"code":"parse_error","message":"line 1: byte 35: field 'seqlen' must be a scalar (the only structured fields are the top-level 'parallel' and 'perturb' objects)","offset":35}})j" },
+        { R"j({"id":13,"kind":"project","hidden":[1]})j",
+          R"j({"id":13,"status":"error","error":{"code":"parse_error","message":"line 1: byte 35: field 'hidden' must be a scalar (the only structured fields are the top-level 'parallel' and 'perturb' objects)","offset":35}})j" },
+        { R"j({"id":14,"kind":"project","ground_truth":tru})j",
+          R"j({"id":14,"status":"error","error":{"code":"parse_error","message":"line 1: byte 44: expected 'true'","offset":44}})j" },
+        // Semantic errors name the field, not a byte.
+        { R"j({"id":15,"kind":"project","hidden":4,"hidden":8})j",
+          R"j({"id":15,"status":"error","error":{"code":"parse_error","message":"line 1: duplicate field 'hidden'"}})j" },
+        { R"j({"id":16})j",
+          R"j({"id":16,"status":"error","error":{"code":"parse_error","message":"line 1: request is missing the 'kind' field"}})j" },
+        // The id echo: the request's own top-level id, wherever it
+        // sits, never a value "id" or a nested member named id ...
+        { R"j({"kind":"memory","precision":"id","id":3})j",
+          R"j({"id":3,"status":"error","error":{"code":"parse_error","message":"line 1: unknown precision 'id' (fp32|fp16|bf16|fp8)"}})j" },
+        { R"j({"kind":"analyze","parallel":{"id":1},"id":2})j",
+          R"j({"id":2,"status":"error","error":{"code":"parse_error","message":"line 1: unknown field 'parallel.id' (tp|pp|micro|dp|zero|ep|sp|overlap)"}})j" },
+        // ... never one past a syntax error, nor one the protocol
+        // rejects ...
+        { R"j({"kind":"stats" "id":5})j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 16: expected ',' or '}' after field 'kind'","offset":16}})j" },
+        { R"j({"id":1e999,"kind":"stats"})j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 6: '1e999' is not a valid JSON number","offset":6}})j" },
+        { R"j({"id":"\ud800","kind":"stats"})j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 7: surrogate \\u escapes are not supported","offset":7}})j" },
+        // ... nor an invalid number or string; valid ones verbatim.
+        { R"j({"id":01,"kind":"x"})j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 6: '01' is not a valid JSON number","offset":6}})j" },
+        { R"j({"id":-0.,"kind":"x"})j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 6: '-0.' is not a valid JSON number","offset":6}})j" },
+        { R"j({"id":"a\q","kind":1})j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 9: unknown escape '\\q'","offset":9}})j" },
+        { R"j({"id": 7, "kind": 1})j",
+          R"j({"id":7,"status":"error","error":{"code":"parse_error","message":"line 1: field 'kind' expects a string"}})j" },
+        { R"j({"id":"r\n9","kind":1})j",
+          R"j({"id":"r\n9","status":"error","error":{"code":"parse_error","message":"line 1: field 'kind' expects a string"}})j" },
+        { R"j({"id": "a b"})j",
+          R"j({"id":"a b","status":"error","error":{"code":"parse_error","message":"line 1: request is missing the 'kind' field"}})j" },
+        { R"j({"id": -12})j",
+          R"j({"id":-12,"status":"error","error":{"code":"parse_error","message":"line 1: request is missing the 'kind' field"}})j" },
+        { R"j({"kind":"stats","x":1})j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: unknown field 'x'"}})j" },
+        { R"j({"id")j",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 5: expected ':' after key 'id'","offset":5}})j" },
+        { "not json at all",
+          R"j({"status":"error","error":{"code":"parse_error","message":"line 1: byte 0: a request must be one JSON object","offset":0}})j" },
+    };
+    svc::QueryService service;
+    for (const auto &[line, response] : cases)
+        EXPECT_EQ(service.handle(line, 1), response) << line;
 }
 
 TEST(SvcProtocol, CanonicalKeyNormalizesSpelling)
@@ -379,7 +457,7 @@ TEST(SvcService, InBatchDuplicatesAreHitsEvenWithoutACache)
         "{\"kind\": \"slack\", \"hidden\": 8192}\n"
         "{\"kind\": \"slack\", \"hidden\": 8192}\n");
     std::ostringstream out;
-    service.serve(in, out);
+    test::serveLines(service, in, out);
     EXPECT_EQ(service.metrics().requests(), 3u);
     EXPECT_EQ(service.metrics().misses(), 1u);
     EXPECT_EQ(service.metrics().hits(), 2u);
@@ -425,7 +503,7 @@ TEST(SvcService, StatsCountsItselfAtItsStreamPosition)
         "{\"kind\": \"stats\"}\n"
         "{\"kind\": \"stats\"}\n");
     std::ostringstream out;
-    service.serve(in, out);
+    test::serveLines(service, in, out);
     // The first stats sees itself as request #2; the second as #3.
     EXPECT_NE(out.str().find("\"requests\":2,\"hits\":0,\"misses\":1,"
                              "\"failures\":0,\"cache_entries\":1"),
@@ -480,7 +558,7 @@ serveAtJobs(int jobs, std::size_t batch)
     svc::QueryService service(options);
     std::istringstream in(mixedWorkload());
     std::ostringstream out;
-    service.serve(in, out);
+    test::serveLines(service, in, out);
     return out.str();
 }
 
@@ -509,7 +587,7 @@ TEST(SvcService, MetricsFileReportsTheRun)
     svc::QueryService service(options);
     std::istringstream in(mixedWorkload());
     std::ostringstream out;
-    service.serve(in, out);
+    test::serveLines(service, in, out);
 
     std::ifstream is(path);
     ASSERT_TRUE(is.good()) << path;
@@ -530,7 +608,7 @@ TEST(SvcService, MetricsFileReportsTheRun)
     svc::QueryService doomed(bad);
     std::istringstream in2("{\"kind\": \"stats\"}\n");
     std::ostringstream out2;
-    EXPECT_THROW(doomed.serve(in2, out2), FatalError);
+    EXPECT_THROW(test::serveLines(doomed, in2, out2), FatalError);
 }
 
 // --- response protocol v2 ---
@@ -613,17 +691,6 @@ TEST(SvcProto, V2StatsReportsProtocolVersion)
     EXPECT_NE(stats.find("\"kind\":\"stats\",\"proto\":2,"),
               std::string::npos)
         << stats;
-}
-
-TEST(SvcProto, IdTokenExtractionIsBestEffort)
-{
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\": 7, \"kind\": 1}"), "7");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\": \"a b\"}"),
-              "\"a b\"");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\": -12}"), "-12");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"kind\": \"stats\"}"), "");
-    EXPECT_EQ(svc::tryExtractIdJson("{\"id\""), "");
-    EXPECT_EQ(svc::tryExtractIdJson("not json at all"), "");
 }
 
 // --- the CLI surface ---
@@ -841,7 +908,7 @@ TEST(SvcPerturb, GraphResidencyStaysBounded)
     for (std::string &pass : passes) {
         std::istringstream in(stream.str());
         std::ostringstream out;
-        service.serve(in, out);
+        test::serveLines(service, in, out);
         pass = out.str();
         EXPECT_LE(cache.stats().entries, 8u);
     }
@@ -872,7 +939,7 @@ TEST(SvcPerturb, ServeIsByteIdenticalAcrossJobs)
         svc::QueryService service(options);
         std::istringstream in(stream.str());
         std::ostringstream out;
-        service.serve(in, out);
+        test::serveLines(service, in, out);
         return out.str();
     };
     const std::string serial = serveAt(1);
