@@ -23,7 +23,6 @@
 #include "core/system_config.hh"
 #include "opmodel/operator_model.hh"
 #include "sim/graph_cache.hh"
-#include "sim/passes.hh"
 
 using namespace twocs;
 
@@ -218,23 +217,20 @@ measureRebuildTasksPerSec()
     return best;
 }
 
-/**
- * Best-of-5 replay rate of a compiled graph, expressed in
- * *source-graph* tasks per second: a pass-rewritten graph is
- * credited with the `equivalents` tasks of the graph it stands in
- * for, so pass-on and pass-off rates compare the same simulated
- * work and their ratio is the pass's replay speedup.
- */
+/** Best-of-5 replay rate of the compiled case-study graph. */
 double
-measureReplayEquivalentsPerSec(const sim::GraphTemplate &graph,
-                               std::size_t equivalents)
+measureReplayTasksPerSec()
 {
+    const core::CaseStudy study;
+    const std::shared_ptr<const sim::GraphTemplate> compiled =
+        study.compileGraph(benchCaseConfig());
+    const sim::GraphTemplate &graph = *compiled;
     sim::ReplayScratch scratch;
     scratch.bind(graph);
 
     // Replays are much cheaper than rebuilds; batch them so each
-    // rep measures well above the clock's resolution. Rewritten
-    // graphs can be tiny, so size the batch to ~1M tasks per rep.
+    // rep measures well above the clock's resolution, at ~1M tasks
+    // per rep.
     const int replays = std::max<int>(
         64, static_cast<int>(
                 1000000 / std::max<std::size_t>(graph.numTasks(), 1)));
@@ -248,45 +244,10 @@ measureReplayEquivalentsPerSec(const sim::GraphTemplate &graph,
         const std::chrono::duration<double> elapsed =
             Clock::now() - start;
         best = std::max(best,
-                        replays * static_cast<double>(equivalents) /
+                        replays * static_cast<double>(graph.numTasks()) /
                             elapsed.count());
     }
     return best;
-}
-
-double
-measureReplayTasksPerSec()
-{
-    const core::CaseStudy study;
-    const std::shared_ptr<const sim::GraphTemplate> graph =
-        study.compileGraph(benchCaseConfig());
-    return measureReplayEquivalentsPerSec(*graph,
-                                          graph->numTasks());
-}
-
-/**
- * A chain-heavy synthetic graph: a few long single-dependency
- * same-resource runs of "compute" tasks — FuseLinearChains'
- * best-case shape, where each chain collapses to one task.
- */
-std::shared_ptr<const sim::GraphTemplate>
-buildChainGraph()
-{
-    constexpr int kChains = 4;
-    constexpr int kLinks = 4096;
-    sim::EventSimulator des;
-    for (int c = 0; c < kChains; ++c) {
-        const sim::ResourceId res =
-            des.addResource("chain" + std::to_string(c));
-        sim::TaskId prev = sim::InvalidTask;
-        for (int i = 0; i < kLinks; ++i) {
-            prev = prev == sim::InvalidTask
-                       ? des.addTask("op", "compute", res, 1e-6, {})
-                       : des.addTask("op", "compute", res, 1e-6,
-                                     { prev });
-        }
-    }
-    return des.compile();
 }
 
 } // namespace
@@ -305,54 +266,6 @@ main(int argc, char **argv)
                     rebuild, replay, replay / rebuild);
         json.set("tasks_per_sec_rebuild", rebuild);
         json.set("tasks_per_sec_replay", replay);
-
-        // Pass-off vs pass-on replay of a chain-heavy graph, the
-        // fuse pass's best case: the fused rate is credited in
-        // source-task equivalents.
-        const std::shared_ptr<const sim::GraphTemplate> chain =
-            buildChainGraph();
-        const sim::PassPipeline fuse =
-            sim::PassPipeline::parse("fuse");
-        using Clock = std::chrono::steady_clock;
-        const auto compile_start = Clock::now();
-        const std::shared_ptr<const sim::GraphTemplate> fused =
-            fuse.apply(chain);
-        const std::chrono::duration<double> compile_elapsed =
-            Clock::now() - compile_start;
-        const double chain_off = measureReplayEquivalentsPerSec(
-            *chain, chain->numTasks());
-        const double chain_on = measureReplayEquivalentsPerSec(
-            *fused, chain->numTasks());
-        std::printf("fuse pass: chain graph %zu -> %zu tasks, "
-                    "%.0f -> %.0f equiv tasks/sec (%.1fx), "
-                    "rewrite %.2f ms\n",
-                    chain->numTasks(), fused->numTasks(), chain_off,
-                    chain_on, chain_on / chain_off,
-                    compile_elapsed.count() * 1e3);
-        json.set("pass_chain_tasks_per_sec_replay", chain_off);
-        json.set("pass_chain_tasks_per_sec_replay_fused", chain_on);
-        json.set("pass_fuse_compile_ms",
-                 compile_elapsed.count() * 1e3);
-
-        // The same pass over the real case-study graph (fewer
-        // fusable runs than the synthetic chains): its speedup over
-        // the unfused case-graph replay, timed back to back, is the
-        // pass's honest number.
-        const core::CaseStudy study;
-        const std::shared_ptr<const sim::GraphTemplate> case_graph =
-            study.compileGraph(benchCaseConfig());
-        const std::shared_ptr<const sim::GraphTemplate> case_fused =
-            fuse.apply(case_graph);
-        const double case_off = measureReplayEquivalentsPerSec(
-            *case_graph, case_graph->numTasks());
-        const double case_on = measureReplayEquivalentsPerSec(
-            *case_fused, case_graph->numTasks());
-        std::printf("fuse pass: case-study graph %zu -> %zu tasks, "
-                    "%.0f -> %.0f equiv tasks/sec (%.2fx)\n",
-                    case_graph->numTasks(), case_fused->numTasks(),
-                    case_off, case_on, case_on / case_off);
-        json.set("tasks_per_sec_replay_fused", case_on);
-        json.set("pass_fuse_speedup", case_on / case_off);
 
         // Hit rate of a warm repeated figure-12 event sweep over a
         // widened compute-scaling axis: after the first run every

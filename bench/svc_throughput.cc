@@ -6,6 +6,9 @@
  * configurations — skew means a popular head of configurations
  * repeats often, the realistic shape for a design-space service —
  * at --jobs 1/2/4 and reports QPS and cache hit rate per job count.
+ * Each job count replays the stream on a fresh service over and over
+ * for a fixed wall-time window and keeps its fastest pass, so one
+ * noisy pass does not set the number.
  * Queries use "ground_truth": true (full simulated iterations), the
  * heavyweight path, so the per-miss work is large enough for the
  * fan-out to matter. The responses are also compared across job
@@ -76,8 +79,9 @@ struct RunResult
     std::string responses;
 };
 
+/** One replay of `workload` through a fresh service (cold cache). */
 RunResult
-replay(const std::string &workload, int jobs)
+replayOnce(const std::string &workload, int jobs)
 {
     svc::ServiceOptions options;
     options.jobs = jobs;
@@ -99,6 +103,21 @@ replay(const std::string &workload, int jobs)
     result.hitRate = service.metrics().hitRate();
     result.responses = out.str();
     return result;
+}
+
+/** The first pass's result with the best QPS of back-to-back
+ *  passes, repeated until kMeasureWindow of wall time has passed.
+ *  Every pass starts cold, so each has the same hit rate. */
+RunResult
+replay(const std::string &workload, int jobs)
+{
+    using Clock = std::chrono::steady_clock;
+    constexpr std::chrono::milliseconds kMeasureWindow(1000);
+    RunResult best = replayOnce(workload, jobs);
+    const auto window_start = Clock::now();
+    while (Clock::now() - window_start < kMeasureWindow)
+        best.qps = std::max(best.qps, replayOnce(workload, jobs).qps);
+    return best;
 }
 
 /** Split one rendered workload back into request lines. */
@@ -311,8 +330,9 @@ main(int argc, char **argv)
 
     const unsigned cores = std::thread::hardware_concurrency();
     std::cout << "(" << kRequests << " requests over 196 configs, "
-              << "Zipf s=" << kSkew << ", ground-truth evaluation; "
-              << cores << " hardware threads)\n";
+              << "Zipf s=" << kSkew << ", ground-truth evaluation, "
+              << "fastest pass of 1 s of repeats; " << cores
+              << " hardware threads)\n";
 
     bool identical = true;
     for (const RunResult &r : results)

@@ -143,11 +143,6 @@ grep -q '"schema": "twocs-bench-1"' "${msp_json}"
 grep -q '"bench": "micro_sim_perf"' "${msp_json}"
 grep -q '"tasks_per_sec_rebuild"' "${msp_json}"
 grep -q '"tasks_per_sec_replay"' "${msp_json}"
-grep -q '"tasks_per_sec_replay_fused"' "${msp_json}"
-grep -q '"pass_chain_tasks_per_sec_replay"' "${msp_json}"
-grep -q '"pass_chain_tasks_per_sec_replay_fused"' "${msp_json}"
-grep -q '"pass_fuse_speedup"' "${msp_json}"
-grep -q '"pass_fuse_compile_ms"' "${msp_json}"
 grep -q '"graph_cache_hit_rate"' "${msp_json}"
 
 cj_json="${artifacts}/BENCH_cluster_jitter.json"

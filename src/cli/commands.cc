@@ -285,9 +285,20 @@ cmdPlan(const Args &args)
     return 0;
 }
 
+/** `--passes` is deprecated and ignored for one release: every DES
+ *  run replays the lowered graph as built. */
+void
+warnIgnoredPasses(const Args &args)
+{
+    if (!args.get("passes").empty())
+        warn("--passes is deprecated and ignored (removed in the next "
+             "release); running the lowered graph as built");
+}
+
 int
 cmdCluster(const Args &args)
 {
+    warnIgnoredPasses(args);
     core::ClusterSim sim;
     core::ClusterSimConfig cfg;
     cfg.hidden = args.getInt("hidden", 8192);
@@ -302,7 +313,6 @@ cmdCluster(const Args &args)
     cfg.computeJitter = args.getDouble("jitter", 0.0);
     cfg.seed = args.getInt("seed", 1);
     cfg.system = systemFrom(args);
-    cfg.passes = args.get("passes");
 
     const int trials = static_cast<int>(args.getInt("trials", 1));
     fatalIf(trials < 1, "option --trials expects a positive count, got ",
@@ -355,12 +365,7 @@ cmdSweep(const Args &args)
     core::FigureOptions options;
     options.csv = args.getInt("csv", 0) != 0;
     options.system = systemFrom(args);
-    options.passes = args.get("passes");
-    // Only the case study runs a task graph for a pass pipeline to
-    // rewrite.
-    fatalIf(!options.passes.empty() && !figure->takesPasses,
-            "--passes only applies to --figure 14 (the event-engine "
-            "case study); figure ", id, " is analytic");
+    warnIgnoredPasses(args);
     fatalIf(args.has("engine") && !figure->takesEngine,
             "--engine only applies to --figure 12 (the "
             "hardware-evolution study); figure ", id,
@@ -770,7 +775,8 @@ buildRegistry()
                       { "trials", FlagType::Int, "1",
                         "independent jittered trials" },
                       { "passes", FlagType::String, "",
-                        "graph pass pipeline, e.g. fuse,dce" } },
+                        "deprecated and ignored; removed in the next "
+                        "release" } },
                     parallel, system, runner, trace }),
           cmdCluster });
     registry.push_back(
@@ -781,7 +787,8 @@ buildRegistry()
                       { "csv", FlagType::Bool, "0",
                         "emit CSV instead of a table" },
                       { "passes", FlagType::String, "",
-                        "graph pass pipeline (figure 14 only)" },
+                        "deprecated and ignored; removed in the next "
+                        "release" },
                       { "engine", FlagType::String, "model",
                         "figure 12 evaluation engine: model|event" } },
                     parallel, system, runner, trace }),

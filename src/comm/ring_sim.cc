@@ -13,29 +13,16 @@ namespace twocs::comm {
 
 namespace {
 
-/** Immutable derived data cached alongside a ring template in the
- *  process-wide sim::GraphCache (its type-erased aux slot). */
-struct RingAux
-{
-    /** Task id of the final ring step on each device. */
-    std::vector<sim::TaskId> finals;
-    /** For each compiled task: the device whose arrival time fills
-     *  its duration, or -1 for ring steps, whose duration is the
-     *  task's base duration (its step multiplicity after any pass
-     *  rewriting) times the step time. */
-    std::vector<int> fillDevice;
-};
-
 /** A ring template resolved through the shared cache, plus the
- *  calling thread's replay buffers. The template and aux rows are
- *  immutable and shared by every thread; the buffers are the one
- *  thread-local piece left. */
+ *  calling thread's replay buffers. The template and its final-step
+ *  ids are immutable and shared by every thread; the buffers are the
+ *  one thread-local piece left. */
 struct CompiledRing
 {
     std::shared_ptr<const sim::GraphTemplate> graph;
-    std::shared_ptr<const RingAux> aux;
-    const std::vector<sim::TaskId> *finals = nullptr;
-    const std::vector<int> *fillDevice = nullptr;
+    /** Task id of the final ring step on each device (the cache
+     *  row's aux slot). */
+    std::shared_ptr<const std::vector<sim::TaskId>> finals;
     sim::ReplayScratch *scratch = nullptr;
     std::vector<Seconds> *durations = nullptr;
 };
@@ -55,23 +42,19 @@ struct RingBuffers
 
 /** Resolve a ring template through the process-wide graph cache.
  *  Keyed by device count AND step count — all-reduce (2(P-1) steps)
- *  and reduce-scatter (P-1) share a P — and by the pass pipeline's
- *  spec for rewritten variants. The compile callable builds both the
- *  template and its RingAux derived rows; every thread then replays
+ *  and reduce-scatter (P-1) share a P. The compile callable builds
+ *  the template and its final-step ids; every thread then replays
  *  the one shared immutable copy through its own RingBuffers. */
 CompiledRing
-compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
+compiledRingFor(int p, int steps)
 {
-    const bool rewritten = passes != nullptr && !passes->empty();
-    const std::string key =
-        "ring|p=" + std::to_string(p) +
-        "|steps=" + std::to_string(steps) +
-        "|passes=" + (rewritten ? passes->describe() : "");
+    const std::string key = "ring|p=" + std::to_string(p) +
+                            "|steps=" + std::to_string(steps);
 
     const sim::GraphCache::Compiled cached =
         sim::GraphCache::instance().getOrCompile(key, [&] {
-            // Arrival tasks (replayed as arrival times), then the ring
-            // at unit step durations that replay scales.
+            // Arrival tasks 0..p-1 (replayed as arrival times), then
+            // the ring steps (replayed at the step time).
             sim::EventSimulator des;
             std::vector<sim::ResourceId> comm(p);
             std::vector<sim::TaskId> arrive(p);
@@ -79,41 +62,11 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
                 comm[d] = des.addResource("dev" + std::to_string(d));
                 arrive[d] = des.addTask("arrive", "arrive", comm[d], 0.0);
             }
-            std::vector<sim::TaskId> base_finals =
+            auto finals = std::make_shared<std::vector<sim::TaskId>>(
                 emitRing(des, comm, std::move(arrive), steps, 1.0,
-                         "ring_step", "ring_step");
-            const std::shared_ptr<const sim::GraphTemplate> base =
-                des.compile();
-            auto aux = std::make_shared<RingAux>();
-            sim::GraphCache::Compiled out;
-            if (rewritten) {
-                // Mark the final steps terminal so elimination keeps
-                // them and fusion/tiling retargets them, then track
-                // where the arrival tasks (template ids 0..p-1)
-                // landed.
-                const sim::GraphBuilder::Compiled compiled =
-                    passes->rewrite(*base, base_finals);
-                out.graph = compiled.graph;
-                aux->finals = compiled.terminals;
-                aux->fillDevice.assign(out.graph->numTasks(), -1);
-                for (int d = 0; d < p; ++d) {
-                    const sim::TaskId cid =
-                        compiled
-                            .taskMap[static_cast<std::size_t>(d)];
-                    if (cid != sim::InvalidTask) {
-                        aux->fillDevice[static_cast<std::size_t>(
-                            cid)] = d;
-                    }
-                }
-            } else {
-                out.graph = base;
-                aux->finals = std::move(base_finals);
-                aux->fillDevice.assign(out.graph->numTasks(), -1);
-                for (int d = 0; d < p; ++d)
-                    aux->fillDevice[static_cast<std::size_t>(d)] = d;
-            }
-            out.aux = std::move(aux);
-            return out;
+                         "ring_step", "ring_step"));
+            return sim::GraphCache::Compiled{ des.compile(),
+                                              std::move(finals) };
         });
 
     thread_local RingBuffers buffers;
@@ -125,9 +78,7 @@ compiledRingFor(int p, int steps, const sim::PassPipeline *passes)
 
     CompiledRing ring;
     ring.graph = cached.graph;
-    ring.aux = sim::GraphCache::auxAs<RingAux>(cached);
-    ring.finals = &ring.aux->finals;
-    ring.fillDevice = &ring.aux->fillDevice;
+    ring.finals = sim::GraphCache::auxAs<std::vector<sim::TaskId>>(cached);
     ring.scratch = &buffers.scratch;
     ring.durations = &buffers.durations;
     return ring;
@@ -202,20 +153,14 @@ simulateRingCollective(const hw::Topology &topology, Bytes payload,
                           ? 2 * (p - 1)
                           : p - 1;
 
-    const CompiledRing ring = compiledRingFor(p, steps, options.passes);
-    // Duration fill mirrors the template's placeholders: an arrival
-    // task takes its device's arrival time; a ring step takes its
-    // base duration (1.0, or the fused step count after pass
-    // rewriting) times the step time.
-    const std::vector<Seconds> &base = ring.graph->baseDurations();
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        (*ring.durations)[i] =
-            (*ring.fillDevice)[i] >= 0
-                ? arrival_times[static_cast<std::size_t>(
-                      (*ring.fillDevice)[i])]
-                : base[i] * step_time;
-    }
-    sim::replay(*ring.graph, *ring.durations, *ring.scratch);
+    const CompiledRing ring = compiledRingFor(p, steps);
+    // Arrival task d takes device d's arrival time; every ring step
+    // after them takes the step time.
+    std::vector<Seconds> &durations = *ring.durations;
+    std::copy(arrival_times.begin(), arrival_times.end(),
+              durations.begin());
+    std::fill(durations.begin() + p, durations.end(), step_time);
+    sim::replay(*ring.graph, durations, *ring.scratch);
 
     RingSimResult result;
     result.schedule =

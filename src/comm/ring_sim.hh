@@ -17,9 +17,7 @@
  * compiled once into the shared sim::GraphCache and replayed per
  * arrival-time vector with zero graph construction. The tests keep
  * an independent from-scratch build of the same ring as the
- * bit-identity oracle. A sim::PassPipeline can rewrite the ring
- * graph (e.g. fusing step chains) before replay; rewritten variants
- * are cached separately per pipeline.
+ * bit-identity oracle.
  */
 
 #ifndef TWOCS_COMM_RING_SIM_HH
@@ -31,7 +29,6 @@
 
 #include "comm/collectives.hh"
 #include "sim/engine.hh"
-#include "sim/passes.hh"
 
 namespace twocs::comm {
 
@@ -66,10 +63,6 @@ struct RingSimOptions
 {
     hw::LinkEfficiencyParams linkParams;
     RingCollective collective = RingCollective::AllReduce;
-    /** Optional graph rewrite applied between build and replay
-     *  (not owned; nullptr or an empty pipeline = the reference
-     *  path). */
-    const sim::PassPipeline *passes = nullptr;
 };
 
 /**

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "sim/graph_cache.hh"
-#include "sim/passes.hh"
 #include "util/logging.hh"
 
 namespace twocs::core {
@@ -51,19 +50,12 @@ CaseStudy::lower(const CaseStudyConfig &config,
                           config.system, options, recipe);
 }
 
-std::shared_ptr<const sim::GraphTemplate>
-CaseStudy::compileUncached(const CaseStudyConfig &config) const
-{
-    return sim::PassPipeline::parse(config.passes)
-        .apply(lower(config).compile());
-}
-
 sim::Schedule
 CaseStudy::buildSchedule(const CaseStudyConfig &config) const
 {
     // Uncached: one replay of the base durations.
     const std::shared_ptr<const sim::GraphTemplate> graph =
-        compileUncached(config);
+        lower(config).compile();
     sim::ReplayScratch scratch;
     sim::replay(*graph, {}, scratch);
     return sim::Schedule(graph, scratch.placements());
@@ -92,37 +84,22 @@ CaseStudy::cacheKey(const CaseStudyConfig &config) const
        << "|intf=" << config.commInterferenceSlowdown
        << "|off=" << (config.offloadCommunication ? 1 : 0)
        << "|bkt=" << config.dpBucketBytes
-       << "|prec=" << hw::precisionName(precision_)
-       << "|passes=" << config.passes;
+       << "|prec=" << hw::precisionName(precision_);
     return os.str();
 }
 
 std::shared_ptr<const sim::GraphTemplate>
 CaseStudy::compileGraph(const CaseStudyConfig &config) const
 {
-    // Both entry points share one cache row per key: an empty pass
-    // pipeline routes through the recipe-building compile, so a
-    // later compileCaseWithRecipe() hit never recompiles.
-    if (config.passes.empty())
-        return compileCaseWithRecipe(config).graph;
-    return sim::GraphCache::instance()
-        .getOrCompile(cacheKey(config),
-                      [&] {
-                          return sim::GraphCache::Compiled{
-                              compileUncached(config), nullptr };
-                      })
-        .graph;
+    // Both entry points share one cache row per key, built with
+    // its recipe, so a later compileCaseWithRecipe() hit never
+    // recompiles.
+    return compileCaseWithRecipe(config).graph;
 }
 
 CompiledCase
 CaseStudy::compileCaseWithRecipe(const CaseStudyConfig &config) const
 {
-    fatalIf(!config.passes.empty(),
-            "duration recipes require an empty pass pipeline: pass "
-            "rewriting merges task durations, so per-task refill "
-            "rules stop being well-defined (got passes '",
-            config.passes, "')");
-
     const sim::GraphCache::Compiled cached =
         sim::GraphCache::instance().getOrCompile(
             cacheKey(config), [&] {
@@ -138,8 +115,8 @@ CaseStudy::compileCaseWithRecipe(const CaseStudyConfig &config) const
     cc.graph = cached.graph;
     cc.recipe =
         sim::GraphCache::auxAs<std::vector<DurationRule>>(cached);
-    // Only this function writes a passes-free `case|` row, and it
-    // always stores the recipe.
+    // Only this function writes a `case|` row, and it always stores
+    // the recipe.
     panicIf(cc.recipe == nullptr, "case-study cache row without a "
                                   "duration recipe");
     return cc;

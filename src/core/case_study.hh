@@ -70,11 +70,6 @@ struct CaseStudyConfig
      * after the last bucket lands, as real frameworks do.
      */
     Bytes dpBucketBytes = 0.0;
-
-    /** Graph pass pipeline (sim::PassPipeline::parse syntax, e.g.
-     *  "fuse") applied between build and compile. Empty = the
-     *  byte-identity reference path. */
-    std::string passes;
 };
 
 /** Timeline decomposition of one training iteration. */
@@ -139,7 +134,7 @@ class CaseStudy
      * compileGraph() plus the duration recipe, for evaluating a
      * family of configurations that share this one's structure but
      * re-cost compute under different hardware scaling (the
-     * incremental sweep engine). Requires an empty pass pipeline.
+     * incremental sweep engine).
      */
     CompiledCase
     compileCaseWithRecipe(const CaseStudyConfig &config) const;
@@ -164,9 +159,6 @@ class CaseStudy
     sim::EventSimulator
     lower(const CaseStudyConfig &config,
           std::vector<DurationRule> *recipe = nullptr) const;
-    /** lower() compiled and rewritten by config.passes, uncached. */
-    std::shared_ptr<const sim::GraphTemplate>
-    compileUncached(const CaseStudyConfig &config) const;
     /** The structural cache key compileGraph()/compileCaseWithRecipe()
      *  store under. */
     std::string cacheKey(const CaseStudyConfig &config) const;

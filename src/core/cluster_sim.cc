@@ -4,7 +4,6 @@
 
 #include "core/lowering.hh"
 #include "sim/graph_cache.hh"
-#include "sim/passes.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -22,7 +21,8 @@ validateConfig(const ClusterSimConfig &config)
 }
 
 /** Tasks that draw a noise factor during replay: every compute
- *  task, in increasing task id order. An index list instead of a
+ *  task — one per device per compute op of the lowered stream — in
+ *  increasing task id order. An index list instead of a
  *  mask so the per-trial fill is a bulk copy plus the draws, not a
  *  branchy pass over every task. */
 std::vector<std::uint32_t>
@@ -91,16 +91,14 @@ layerGraph(const model::Hyperparams &baseline, hw::Precision precision,
     return model::LayerGraphBuilder(hp, par, precision);
 }
 
-/** Lower, compile and run config.passes, bypassing the cache. */
+/** Lower and compile, bypassing the cache. */
 std::shared_ptr<const sim::GraphTemplate>
 compileUncached(const model::LayerGraphBuilder &graph,
                 const ClusterSimConfig &config)
 {
     LoweringOptions options;
     options.devices = config.tpDegree;
-    const std::shared_ptr<const sim::GraphTemplate> lowered =
-        lowerIteration(graph, config.system, options).compile();
-    return sim::PassPipeline::parse(config.passes).apply(lowered);
+    return lowerIteration(graph, config.system, options).compile();
 }
 
 } // namespace
@@ -132,17 +130,16 @@ ClusterSim::compileIteration(const ClusterSimConfig &config) const
     validateConfig(config);
     // The cache key covers exactly what the lowering reads into the
     // graph's shape and base durations: the derived hyperparameters,
-    // the plan, the system under study, the precision, and the pass
-    // pipeline. Seeds and jitter are replay inputs, not compile
-    // inputs, and stay out of the key.
+    // the plan, the system under study and the precision. Seeds and
+    // jitter are replay inputs, not compile inputs, and stay out of
+    // the key.
     const model::LayerGraphBuilder graph =
         layerGraph(baseline_, precision_, config);
     const std::string key =
         "cluster|" + graph.hyperparams().fingerprint() +
         "|plan=" + graph.parallel().summary() +
         "|sys=" + config.system.fingerprint() +
-        "|prec=" + hw::precisionName(precision_) +
-        "|passes=" + config.passes;
+        "|prec=" + hw::precisionName(precision_);
     return sim::GraphCache::instance()
         .getOrCompile(key,
                       [&] {

@@ -59,11 +59,6 @@ struct ClusterSimConfig
     /** Per-kernel, per-device relative timing jitter (0 = exact). */
     double computeJitter = 0.0;
     std::uint64_t seed = 1;
-
-    /** Graph pass pipeline (sim::PassPipeline::parse syntax, e.g.
-     *  "fuse,dce") applied to the compiled iteration graph before
-     *  any replay. Empty = the byte-identity reference path. */
-    std::string passes;
 };
 
 /** Cluster-simulation outputs. */
@@ -126,9 +121,10 @@ class ClusterSim
 
     /**
      * Freeze the iteration graph for `config` (base durations, no
-     * jitter applied), with config.passes already run over it.
-     * Exposed for the replay benches and tests; runTrials() uses it
-     * internally.
+     * jitter applied): exactly what core::lowerIteration built, one
+     * `compute` task per device per compute op, each drawing one
+     * noise factor per trial. Exposed for the replay benches and
+     * tests; runTrials() uses it internally.
      */
     std::shared_ptr<const sim::GraphTemplate>
     compileIteration(const ClusterSimConfig &config) const;

@@ -304,7 +304,17 @@ figure11Claims()
             }
         }
     }
-    // Section 4.3.5 claims.
+    // Section 4.3.5: "17% to 140% for the range of H, SL, and B
+    // values" also holds over a coarser H x SL*B grid at B = 1.
+    double grid_lo = 1e18, grid_hi = 0.0;
+    for (std::int64_t h : { 1024, 4096, 16384, 65536 }) {
+        for (std::int64_t slb : { 1024, 4096, 8192, 32768 }) {
+            const double r =
+                analysis.evaluate(h, slb, 1).overlappedCommVsCompute();
+            grid_lo = std::min(grid_lo, r);
+            grid_hi = std::max(grid_hi, r);
+        }
+    }
     const double at4k_small =
         analysis.evaluate(1024, 4096, 1).overlappedCommVsCompute();
     const double at4k_large =
@@ -316,6 +326,10 @@ figure11Claims()
         band("overlap range over the Table 3 sweep, high end (paper: "
              "140%)",
              hi, 0.60, 3.0),
+        band("overlap range over the H x SL*B grid, low end", grid_lo,
+             0.0, 0.17),
+        band("overlap range over the H x SL*B grid, high end", grid_hi,
+             0.60, 3.0),
         band("overlap at SL*B=4K, small H (paper: up to ~55%)",
              at4k_small, 0.20, 0.60),
         band("overlap at SL*B=4K, large H (paper: ~20%)", at4k_large,
@@ -500,12 +514,10 @@ figure13Claims()
 void
 renderFigure14(const FigureOptions &o, std::ostream &os)
 {
-    // The case study's scenario bars run on the event engine, so
-    // this is the figure a pass pipeline applies to.
+    // The case study's scenario bars run on the event engine.
     CaseStudy study;
     CaseStudyConfig base;
     base.system = o.system;
-    base.passes = o.passes;
     CaseStudyConfig internode = base;
     internode.interNodeDp = true;
 
@@ -1835,79 +1847,79 @@ substrateClaims()
 // --- The registry -------------------------------------------------
 
 constexpr Figure kFigures[] = {
-    { "2", "Table-2 zoo under its published 3D plans", false, false,
+    { "2", "Table-2 zoo under its published 3D plans", false,
       renderZoo3d, zoo3dClaims },
-    { "6", "Model and device memory capacity trends", false, false,
+    { "6", "Model and device memory capacity trends", false,
       renderFigure6, figure6Claims },
-    { "7", "Algorithmic scaling of slack and edge", false, false,
+    { "7", "Algorithmic scaling of slack and edge", false,
       renderFigure7, figure7Claims },
-    { "9b", "TP scaling with model size", false, false, renderFigure9b,
+    { "9b", "TP scaling with model size", false, renderFigure9b,
       figure9bClaims },
-    { "10", "Fraction of serialized comm. time", false, false,
-      renderFigure10, figure10Claims },
+    { "10", "Fraction of serialized comm. time", false, renderFigure10,
+      figure10Claims },
     { "11", "Overlapped comm. as a percentage of comp. time", false,
-      false, renderFigure11, figure11Claims },
-    { "12", "Hardware evolution vs serialized comm. fraction", false,
-      true, renderFigure12, figure12Claims },
+      renderFigure11, figure11Claims },
+    { "12", "Hardware evolution vs serialized comm. fraction", true,
+      renderFigure12, figure12Claims },
     { "13", "Hardware evolution vs overlapped comm. percentage", false,
-      false, renderFigure13, figure13Claims },
-    { "14", "Overall Comp-vs-Comm case study", true, false,
-      renderFigure14, figure14Claims },
-    { "15", "Effectiveness of operator-level modeling", false, false,
+      renderFigure13, figure13Claims },
+    { "14", "Overall Comp-vs-Comm case study", false, renderFigure14,
+      figure14Claims },
+    { "15", "Effectiveness of operator-level modeling", false,
       renderFigure15, figure15Claims },
-    { "table2", "Different NLP model hyperparameters", false, false,
+    { "table2", "Different NLP model hyperparameters", false,
       renderTable2, table2Claims },
     { "speedup-profiling-cost", "Section 4.3.8: profiling speedups",
-      false, false, renderProfilingCost, profilingCostClaims },
+      false, renderProfilingCost, profilingCostClaims },
     { "hw-trends",
       "Section 4.3.6 / 2.4: compute vs network bandwidth scaling "
       "across GPU generations",
-      false, false, renderHwTrends, hwTrendsClaims },
+      false, renderHwTrends, hwTrendsClaims },
     { "ablation-moe",
       "Section 6.1.1: expert parallelism vs dense Comp-vs-Comm", false,
-      false, renderMoe, moeClaims },
+      renderMoe, moeClaims },
     { "ablation-pipeline",
       "Section 6.1.2: pipeline-parallel bubbles and p2p transfers",
-      false, false, renderPipeline, pipelineClaims },
+      false, renderPipeline, pipelineClaims },
     { "ablation-precision",
       "Section 6.2: number formats: compute scales faster than bytes",
-      false, false, renderPrecision, precisionClaims },
+      false, renderPrecision, precisionClaims },
     { "ablation-comm-acceleration",
-      "Section 5: accelerating communication", false, false,
+      "Section 5: accelerating communication", false,
       renderAcceleration, accelerationClaims },
     { "ablation-opmodel-fitting",
       "Section 4.3.8: operator-model calibration strategies", false,
-      false, renderCalibration, calibrationClaims },
+      renderCalibration, calibrationClaims },
     { "ablation-dp-bucketing", "DP gradient-bucket granularity", false,
-      false, renderBucketing, bucketingClaims },
+      renderBucketing, bucketingClaims },
     { "scaling-curves",
-      "Best-layout throughput vs device count (GPT-3)", false, false,
+      "Best-layout throughput vs device count (GPT-3)", false,
       renderScaling, scalingClaims },
     { "validation-projection-error",
       "Projection vs ground truth over the full Table 3 serialized "
       "grid",
-      false, false, renderValidation, validationClaims },
+      false, renderValidation, validationClaims },
     { "network-requirements",
       "Section 5: required network scaling to keep comm <= 25%", false,
-      false, renderRequirements, requirementClaims },
+      renderRequirements, requirementClaims },
     { "inference-decode",
       "Section 6.3: distributed inference: prefill vs decode", false,
-      false, renderInference, inferenceClaims },
+      renderInference, inferenceClaims },
     { "straggler",
       "Tail-latency amplification through the ring all-reduce", false,
-      false, renderStraggler, stragglerClaims },
+      renderStraggler, stragglerClaims },
     { "sensitivity-tornado",
-      "Comm-fraction tornado at H=16K, SL=2K, TP=64", false, false,
+      "Comm-fraction tornado at H=16K, SL=2K, TP=64", false,
       renderTornado, tornadoClaims },
     { "ablation-ring-vs-tree",
       "Ring vs tree all-reduce: the latency/bandwidth trade", false,
-      false, renderRingVsTree, ringVsTreeClaims },
+      renderRingVsTree, ringVsTreeClaims },
     { "memory-pressure-history",
       "Section 3.5: memory pressure history: B down, TP up, era by era",
-      false, false, renderMemoryPressure, memoryPressureClaims },
+      false, renderMemoryPressure, memoryPressureClaims },
     { "ablation-substrate-sensitivity",
       "Robustness of the headline result to substrate tuning", false,
-      false, renderSubstrate, substrateClaims },
+      renderSubstrate, substrateClaims },
 };
 
 } // namespace

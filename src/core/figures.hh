@@ -53,8 +53,6 @@ struct FigureOptions
     bool hasPlan = false;
     /** `--engine`: model or event (figure 12 only). */
     std::string engine = "model";
-    /** `--passes` (figure 14 only). */
-    std::string passes;
     /** Jobs and report path; each figure names its own study. */
     exec::RunnerOptions runner;
     /** `--csv`: every table as CSV instead of aligned text. */
@@ -67,8 +65,7 @@ struct Figure
     /** `--figure` value: "10", "9b", "table2", "ablation-moe", ... */
     const char *id;
     const char *title;
-    /** Whether the figure reads `--passes` / `--engine`. */
-    bool takesPasses;
+    /** Whether the figure reads `--engine`. */
     bool takesEngine;
     void (*render)(const FigureOptions &options, std::ostream &os);
     /** The figure's claims at the default system. */

@@ -29,9 +29,9 @@ namespace twocs::core {
  * configuration that shares the graph's structure: either a baked
  * value every sibling shares (collective costs, which never read the
  * compute-scaling knobs), or a kernel descriptor the sibling re-costs
- * under its own system. The rules are indexed by compiled task id
- * and only exist for empty pass pipelines (pass rewriting merges
- * durations, so per-task rules stop being well-defined).
+ * under its own system. The rules are indexed by compiled task id:
+ * every DES consumer replays the lowered graph as built, so task i
+ * of the template is task i of the lowering.
  */
 struct DurationRule
 {

@@ -15,8 +15,8 @@
  *
  * Key discipline: the key must capture everything the compiled
  * artifact depends on — builder fingerprint (hyperparameters,
- * topology, plan summary) and the pass-pipeline spec — and nothing
- * that only feeds replay (durations, jitter seeds, arrival times).
+ * topology, plan summary) — and nothing that only feeds replay
+ * (durations, jitter seeds, arrival times).
  * Keys are compared by full string equality; the hash only picks the
  * shard, so a hash collision can never alias two configurations.
  *

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/amdahl.hh"
 #include "core/case_study.hh"
 #include "core/cluster_sim.hh"
@@ -183,6 +185,42 @@ TEST(ClusterReplay, CompiledIterationExposesShape)
     EXPECT_EQ(graph->resourceName(1), "comm0");
     EXPECT_EQ(graph->resourceName(6), "compute3");
     EXPECT_EQ(graph->resourceName(7), "comm3");
+
+    // Jitter is drawn once per `compute` task, and the replayed graph
+    // is the lowering as built: one compute task per device per
+    // compute op of the iteration stream, for both Monte Carlo plans
+    // the benchmark runs.
+    for (const auto &[hidden, layers, plan] :
+         { std::tuple{ 4096, 4, "tp=4,dp=2" },
+           std::tuple{ 8192, 2, "tp=8,dp=4" } }) {
+        ClusterSimConfig mc;
+        mc.hidden = hidden;
+        mc.numLayers = layers;
+        mc.plan = model::ParallelPlan::parse(plan);
+        mc.tpDegree = mc.plan.tpDegree;
+        model::Hyperparams hp = model::bertLarge()
+                                    .withHidden(mc.hidden)
+                                    .withSequenceLength(mc.seqLen)
+                                    .withBatchSize(mc.batch)
+                                    .withCompatibleHeads(mc.tpDegree);
+        hp.numLayers = mc.numLayers;
+        std::size_t compute_ops = 0;
+        for (const model::TrainingOp &op :
+             model::LayerGraphBuilder(hp, mc.plan).iterationOps())
+            compute_ops += op.isComm() ? 0 : 1;
+
+        const std::shared_ptr<const sim::GraphTemplate> lowered =
+            sim.compileIteration(mc);
+        std::size_t compute_tasks = 0;
+        for (std::size_t i = 0; i < lowered->numTasks(); ++i)
+            compute_tasks +=
+                lowered->taskTag(static_cast<sim::TaskId>(i)) ==
+                "compute";
+        EXPECT_GT(compute_ops, 0u) << plan;
+        EXPECT_EQ(compute_tasks,
+                  static_cast<std::size_t>(mc.tpDegree) * compute_ops)
+            << plan;
+    }
 }
 
 /**

@@ -128,14 +128,12 @@ TEST(RingSim, ScheduleIsExportable)
  * The independent oracle for the compiled ring: build the stepped
  * ring from scratch on sim::EventSimulator with the real durations
  * baked in (arrival task per device, then step s on device d after
- * its own and its upstream neighbour's step s - 1), optionally
- * rewrite that build with `passes`, and derive the result fields
- * from the resulting schedule.
+ * its own and its upstream neighbour's step s - 1), and derive the
+ * result fields from its schedule.
  */
 RingSimResult
 oracleRing(const hw::Topology &topology, Bytes payload,
-           const std::vector<Seconds> &arrivals,
-           const sim::PassPipeline *passes = nullptr)
+           const std::vector<Seconds> &arrivals)
 {
     const int p = static_cast<int>(arrivals.size());
     const int steps = 2 * (p - 1);
@@ -158,20 +156,10 @@ oracleRing(const hw::Topology &topology, Bytes payload,
     }
 
     RingSimResult r;
-    std::vector<sim::TaskId> finals = prev;
-    if (passes != nullptr) {
-        const sim::GraphBuilder::Compiled compiled =
-            passes->rewrite(*des.compile(), finals);
-        finals = compiled.terminals;
-        sim::ReplayScratch scratch;
-        sim::replay(*compiled.graph, {}, scratch);
-        r.schedule = sim::Schedule(compiled.graph, scratch.placements());
-    } else {
-        r.schedule = des.run();
-    }
+    r.schedule = des.run();
     Seconds latest = 0.0, earliest = 1e300;
     for (int d = 0; d < p; ++d) {
-        r.deviceFinish.push_back(r.schedule.placement(finals[d]).end);
+        r.deviceFinish.push_back(r.schedule.placement(prev[d]).end);
         r.finishTime = std::max(r.finishTime, r.deviceFinish[d]);
         latest = std::max(latest, arrivals[d]);
         earliest = std::min(earliest, arrivals[d]);
@@ -329,38 +317,6 @@ TEST(RingReplay, StepCountsForOneDeviceCountDoNotCollide)
     // earlier and in about half the collective time.
     EXPECT_LT(rs1.finishTime, ar.finishTime);
     EXPECT_NEAR(rs1.collectiveTime / ar.collectiveTime, 0.5, 0.05);
-}
-
-TEST(RingReplay, PassRewrittenTemplateMatchesRebuild)
-{
-    // Tiling every ring step into two chained half-steps preserves
-    // each device's finish time, and the pass-rewritten compiled
-    // template must agree with the pass-rewritten from-scratch
-    // build bit for bit.
-    const int p = 4;
-    const std::vector<Seconds> skewed = { 0.0, 2e-3, 5e-4, 1e-3 };
-    const sim::PassPipeline tile =
-        sim::PassPipeline::parse("tile_gemm=2:ring_step");
-    RingSimOptions replayOpts;
-    replayOpts.passes = &tile;
-    const RingSimResult rewritten =
-        simulateRingCollective(node(p), 64e6, skewed, replayOpts);
-    expectIdentical(rewritten, oracleRing(node(p), 64e6, skewed, &tile));
-
-    // Twice the step tasks; same device finish times as the
-    // untouched reference (t/2 + t/2 == t exactly, starts shift by
-    // at most FP association).
-    const RingSimResult reference =
-        simulateRingCollective(node(p), 64e6, skewed);
-    EXPECT_EQ(rewritten.schedule.numTasks(),
-              static_cast<std::size_t>(p) +
-                  static_cast<std::size_t>(p) * 2 * 2 * (p - 1));
-    ASSERT_EQ(rewritten.deviceFinish.size(),
-              reference.deviceFinish.size());
-    for (std::size_t d = 0; d < reference.deviceFinish.size(); ++d)
-        EXPECT_NEAR(rewritten.deviceFinish[d],
-                    reference.deviceFinish[d], 1e-12)
-            << d;
 }
 
 } // namespace
