@@ -98,9 +98,10 @@ replayOnce(const std::string &workload, int jobs)
             .count();
 
     RunResult result;
-    result.qps = static_cast<double>(service.metrics().requests()) /
-                 seconds;
-    result.hitRate = service.metrics().hitRate();
+    result.qps =
+        static_cast<double>(service.metrics().value("requests")) /
+        seconds;
+    result.hitRate = service.metrics().ratioValue("hit_rate");
     result.responses = out.str();
     return result;
 }

@@ -59,6 +59,10 @@
 #                 be answered (computed or a structured `overloaded`
 #                 shed), at least one shed must occur, and SIGTERM
 #                 must drain cleanly (exit 0 + "drained:" report).
+#                 The `--metrics` file written after the drain must
+#                 agree with what the client saw: its `sheds` equals
+#                 the driver's `overloaded=` count and its
+#                 `connections_opened` the "drained:" connection count.
 #
 # Usage: ci/run_tier1.sh [jobs]
 
@@ -228,12 +232,18 @@ if "${twocs}" cluster --trials 4 --engine batched > /dev/null 2>&1; then
     echo "cluster accepted the removed --engine batched"
     exit 1
 fi
+# So is --passes: every DES run replays the lowered graph as built.
+if "${twocs}" cluster --passes fuse > /dev/null 2>&1; then
+    echo "cluster accepted the removed --passes"
+    exit 1
+fi
 
 echo "== tier-1: loopback serve smoke (shed under saturation, clean drain) =="
 serve_log="build-tier1/ci_serve.log"
-rm -f "${serve_log}"
+serve_metrics="build-tier1/ci_serve_metrics.json"
+rm -f "${serve_log}" "${serve_metrics}"
 "${twocs}" serve --listen 0 --shards 2 --queue-depth 2 --jobs 1 \
-    2> "${serve_log}" &
+    --metrics "${serve_metrics}" 2> "${serve_log}" &
 serve_pid=$!
 port=""
 for _ in $(seq 1 50); do
@@ -252,5 +262,22 @@ echo "${driver_out}" | grep -Eq 'overloaded=[1-9][0-9]*'
 kill -TERM "${serve_pid}"
 wait "${serve_pid}"
 grep -q 'drained:' "${serve_log}"
+# Each serve event is counted once, so the metrics file agrees with
+# the client's view and with the drain report.
+metric() {
+    sed -n "s/^  \"$1\": \([0-9]*\),\{0,1\}\$/\1/p" "${serve_metrics}"
+}
+overloaded="$(echo "${driver_out}" | sed -n 's/.*overloaded=\([0-9]*\).*/\1/p')"
+drained_connections="$(sed -n 's/.*drained: \([0-9]*\) connections.*/\1/p' \
+    "${serve_log}")"
+[ "$(metric sheds)" = "${overloaded}" ] || {
+    echo "metrics sheds=$(metric sheds) but the driver saw ${overloaded}"
+    exit 1
+}
+[ "$(metric connections_opened)" = "${drained_connections}" ] || {
+    echo "metrics connections_opened=$(metric connections_opened) but" \
+        "the drain reported ${drained_connections}"
+    exit 1
+}
 
 echo "tier-1 gate: all green (artifacts in ${artifacts})"

@@ -26,6 +26,7 @@
 #include "net/server.hh"
 #include "net/shard.hh"
 #include "net/stream.hh"
+#include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/session.hh"
 #include "profiling/roofline.hh"
@@ -285,20 +286,9 @@ cmdPlan(const Args &args)
     return 0;
 }
 
-/** `--passes` is deprecated and ignored for one release: every DES
- *  run replays the lowered graph as built. */
-void
-warnIgnoredPasses(const Args &args)
-{
-    if (!args.get("passes").empty())
-        warn("--passes is deprecated and ignored (removed in the next "
-             "release); running the lowered graph as built");
-}
-
 int
 cmdCluster(const Args &args)
 {
-    warnIgnoredPasses(args);
     core::ClusterSim sim;
     core::ClusterSimConfig cfg;
     cfg.hidden = args.getInt("hidden", 8192);
@@ -365,7 +355,6 @@ cmdSweep(const Args &args)
     core::FigureOptions options;
     options.csv = args.getInt("csv", 0) != 0;
     options.system = systemFrom(args);
-    warnIgnoredPasses(args);
     fatalIf(args.has("engine") && !figure->takesEngine,
             "--engine only applies to --figure 12 (the "
             "hardware-evolution study); figure ", id,
@@ -510,7 +499,7 @@ cmdServe(const Args &args)
     fatalIf(batch <= 0, "serve: --batch expects a positive batch "
             "size, got ", batch);
     options.batchCapacity = static_cast<std::size_t>(batch);
-    options.metricsPath = args.get("metrics");
+    const std::string metricsPath = args.get("metrics");
 
     const std::int64_t maxLine = args.getInt(
         "max-line-bytes",
@@ -537,10 +526,6 @@ cmdServe(const Args &args)
         serverOptions.retryAfterMs =
             args.getInt("retry-after-ms", 50);
         serverOptions.maxLineBytes = maxLineBytes;
-        // The server writes the aggregate of every shard's registry;
-        // per-shard services must not race it for the same file.
-        serverOptions.metricsPath = options.metricsPath;
-        options.metricsPath.clear();
         serverOptions.service = options;
 
         net::Server server(std::move(serverOptions));
@@ -563,10 +548,13 @@ cmdServe(const Args &args)
         ::sigaction(SIGINT, &oldInt, nullptr);
         g_serveStopFd.store(-1, std::memory_order_relaxed);
 
-        const net::ServerStats stats = server.stats();
-        inform("drained: ", stats.accepted, " connections, ",
-               stats.requests, " requests, ", stats.sheds,
-               " shed, ", stats.overlongLines, " overlong");
+        const obs::Metrics metrics = server.metrics();
+        if (!metricsPath.empty())
+            svc::writeServeMetrics(metrics, metricsPath);
+        inform("drained: ", metrics.value("connections_opened"),
+               " connections, ", metrics.value("requests"),
+               " requests, ", metrics.value("sheds"), " shed, ",
+               metrics.value("overlong_lines"), " overlong");
         return 0;
     }
 
@@ -580,6 +568,8 @@ cmdServe(const Args &args)
         net::serveStream(service, std::cin, std::cout,
                          maxLineBytes);
     }
+    if (!metricsPath.empty())
+        svc::writeServeMetrics(service.metrics(), metricsPath);
     return 0;
 }
 
@@ -773,10 +763,7 @@ buildRegistry()
                       { "seed", FlagType::Int, "1",
                         "base RNG seed" },
                       { "trials", FlagType::Int, "1",
-                        "independent jittered trials" },
-                      { "passes", FlagType::String, "",
-                        "deprecated and ignored; removed in the next "
-                        "release" } },
+                        "independent jittered trials" } },
                     parallel, system, runner, trace }),
           cmdCluster });
     registry.push_back(
@@ -786,9 +773,6 @@ buildRegistry()
                             core::figureIdList() },
                       { "csv", FlagType::Bool, "0",
                         "emit CSV instead of a table" },
-                      { "passes", FlagType::String, "",
-                        "deprecated and ignored; removed in the next "
-                        "release" },
                       { "engine", FlagType::String, "model",
                         "figure 12 evaluation engine: model|event" } },
                     parallel, system, runner, trace }),

@@ -77,8 +77,7 @@ figure10Lines()
 std::vector<AmdahlPoint>
 runSerializedStudy(const AmdahlAnalysis &analysis,
                    const std::vector<SerializedConfig> &configs,
-                   const SerializedStudyOptions &options,
-                   exec::RunReport *report)
+                   const SerializedStudyOptions &options)
 {
     exec::ParallelSweepRunner runner(options.runner);
     std::vector<AmdahlPoint> points =
@@ -91,8 +90,6 @@ runSerializedStudy(const AmdahlAnalysis &analysis,
                        : analysis.evaluate(c.hidden, c.seqLen, 1,
                                            plan);
         });
-    if (report != nullptr)
-        *report = runner.lastReport();
     return points;
 }
 
@@ -112,8 +109,7 @@ figure12Configs(const std::vector<double> &flop_scales)
 std::vector<EvolutionPoint>
 runHardwareEvolutionStudy(const SystemConfig &base,
                           const std::vector<EvolutionConfig> &configs,
-                          const SerializedStudyOptions &options,
-                          exec::RunReport *report)
+                          const SerializedStudyOptions &options)
 {
     // One calibration per distinct compute scaling, built up front so
     // worker threads only read them.
@@ -143,16 +139,13 @@ runHardwareEvolutionStudy(const SystemConfig &base,
                                               plan);
             return p;
         });
-    if (report != nullptr)
-        *report = runner.lastReport();
     return points;
 }
 
 std::vector<SimulatedEvolutionPoint>
 runSimulatedEvolutionStudy(const SystemConfig &base,
                            const std::vector<EvolutionConfig> &configs,
-                           const exec::RunnerOptions &runner_options,
-                           exec::RunReport *report)
+                           const exec::RunnerOptions &runner_options)
 {
     // Reorder the grid so the cells that share a graph structure —
     // same model line, different compute scaling — form one work
@@ -208,15 +201,12 @@ runSimulatedEvolutionStudy(const SystemConfig &base,
             points[groups[g][k]] = per_group[g][k];
     }
 
-    if (report != nullptr)
-        *report = runner.lastReport();
     return points;
 }
 
 std::vector<ZooStudyPoint>
 runParallelZooStudy(const SystemConfig &system,
-                    const exec::RunnerOptions &runner_options,
-                    exec::RunReport *report)
+                    const exec::RunnerOptions &runner_options)
 {
     const profiling::IterationProfiler profiler = system.profiler();
     const std::vector<model::ParallelZooEntry> &zoo =
@@ -239,8 +229,6 @@ runParallelZooStudy(const SystemConfig &system,
             p.dpCommTime = prof.dpCommTime();
             return p;
         });
-    if (report != nullptr)
-        *report = runner.lastReport();
     return points;
 }
 

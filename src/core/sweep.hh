@@ -84,14 +84,12 @@ struct SerializedStudyOptions
  * Evaluate every configuration of the serialized study, in parallel
  * across options.runner.jobs worker threads, returning points in
  * input order (deterministic: `--jobs 1` and `--jobs N` agree
- * byte-for-byte). When `report` is non-null the map's RunReport is
- * copied there.
+ * byte-for-byte).
  */
 std::vector<AmdahlPoint>
 runSerializedStudy(const AmdahlAnalysis &analysis,
                    const std::vector<SerializedConfig> &configs,
-                   const SerializedStudyOptions &options = {},
-                   exec::RunReport *report = nullptr);
+                   const SerializedStudyOptions &options = {});
 
 /** One Figure 12 cell: a model line at one compute-scaling step. */
 struct EvolutionConfig
@@ -129,8 +127,7 @@ struct EvolutionPoint
 std::vector<EvolutionPoint>
 runHardwareEvolutionStudy(const SystemConfig &base,
                           const std::vector<EvolutionConfig> &configs,
-                          const SerializedStudyOptions &options = {},
-                          exec::RunReport *report = nullptr);
+                          const SerializedStudyOptions &options = {});
 
 /** One Figure 12 cell evaluated on the event engine. */
 struct SimulatedEvolutionPoint
@@ -154,8 +151,7 @@ struct SimulatedEvolutionPoint
 std::vector<SimulatedEvolutionPoint>
 runSimulatedEvolutionStudy(const SystemConfig &base,
                            const std::vector<EvolutionConfig> &configs,
-                           const exec::RunnerOptions &runner = {},
-                           exec::RunReport *report = nullptr);
+                           const exec::RunnerOptions &runner = {});
 
 /** One 3D-zoo model's ground-truth profile under its plan. */
 struct ZooStudyPoint
@@ -182,8 +178,7 @@ struct ZooStudyPoint
  */
 std::vector<ZooStudyPoint>
 runParallelZooStudy(const SystemConfig &system,
-                    const exec::RunnerOptions &runner = {},
-                    exec::RunReport *report = nullptr);
+                    const exec::RunnerOptions &runner = {});
 
 } // namespace twocs::core
 

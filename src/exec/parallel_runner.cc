@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "util/json.hh"
+#include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -60,24 +60,21 @@ RunReport::latencyP95() const
 void
 RunReport::writeJson(std::ostream &os) const
 {
-    os << "{\n"
-       << "  \"study\": " << json::quote(study) << ",\n"
-       << "  \"jobs\": " << jobs << ",\n"
-       << "  \"num_tasks\": " << numTasks << ",\n"
-       << "  \"num_failures\": " << failures.size() << ",\n"
-       << "  \"wall_seconds\": " << json::number(wallTime) << ",\n"
-       << "  \"task_seconds_p50\": " << json::number(latencyP50())
-       << ",\n"
-       << "  \"task_seconds_p95\": " << json::number(latencyP95())
-       << ",\n"
-       << "  \"failures\": [";
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        os << (i == 0 ? "\n" : ",\n")
-           << "    { \"index\": " << failures[i].index
-           << ", \"message\": " << json::quote(failures[i].message)
-           << " }";
-    }
-    os << (failures.empty() ? "]\n" : "\n  ]\n") << "}\n";
+    std::vector<obs::JsonWriter> rows;
+    for (const TaskFailure &f : failures)
+        rows.push_back(obs::JsonWriter()
+                           .member("index", f.index)
+                           .member("message", f.message));
+    obs::JsonWriter()
+        .member("study", study)
+        .member("jobs", jobs)
+        .member("num_tasks", numTasks)
+        .member("num_failures", failures.size())
+        .member("wall_seconds", wallTime)
+        .member("task_seconds_p50", latencyP50())
+        .member("task_seconds_p95", latencyP95())
+        .member("failures", rows)
+        .write(os);
 }
 
 void

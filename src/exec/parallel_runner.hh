@@ -85,6 +85,7 @@ struct RunReport
     Seconds latencyP50() const;
     Seconds latencyP95() const;
 
+    /** The `--report` document, in obs::JsonWriter's layout. */
     void writeJson(std::ostream &os) const;
 };
 

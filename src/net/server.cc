@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -200,6 +199,16 @@ Server::acceptReady()
                 return;
             if (errno == EINTR || errno == ECONNABORTED)
                 continue;
+            if (errno == EMFILE || errno == ENFILE) {
+                // The listener is level-triggered: left armed, it
+                // stays readable and the loop spins on this error.
+                warn("net: accept failed: ", std::strerror(errno),
+                     "; pausing accepts until a connection closes");
+                acceptsPaused_ = true;
+                acceptPauses_.add();
+                armListener(false);
+                return;
+            }
             warn("net: accept failed: ", std::strerror(errno));
             return;
         }
@@ -226,10 +235,19 @@ Server::acceptReady()
             continue;
         }
         TWOCS_OBS_INSTANT(obs::Category::Net, "net.accept");
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        netMetrics_.recordConnectionOpen();
+        accepts_.add();
         connections_.emplace(conn->id, std::move(conn));
+        openHighWater_.observe(connections_.size());
     }
+}
+
+void
+Server::armListener(bool armed)
+{
+    epoll_event ev{};
+    ev.events = armed ? static_cast<std::uint32_t>(EPOLLIN) : 0u;
+    ev.data.u64 = kListenerTag;
+    ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, listenFd_, &ev);
 }
 
 void
@@ -238,7 +256,7 @@ Server::enqueueResponse(Connection &conn, std::uint64_t seq,
 {
     line += '\n';
     conn.pendingOut.emplace(seq, std::move(line));
-    responses_.fetch_add(1, std::memory_order_relaxed);
+    responses_.add();
     advanceWriteQueue(conn);
 }
 
@@ -313,7 +331,7 @@ Server::pauseReads(Connection &conn)
     if (conn.readPaused || conn.peerClosed || draining_)
         return;
     conn.readPaused = true;
-    readPauses_.fetch_add(1, std::memory_order_relaxed);
+    readPauses_.add();
     updateEpoll(conn);
 }
 
@@ -338,12 +356,10 @@ Server::processFrames(Connection &conn, bool atEof)
                  : conn.framer.pop(frame)) {
         ++conn.lineNo;
         if (frame.kind == Frame::Kind::Overlong) {
-            overlong_.fetch_add(1, std::memory_order_relaxed);
-            netMetrics_.recordOverlong();
-            enqueueResponse(
-                conn, conn.nextSeq++,
-                overlongResponseLine(conn.lineNo, frame.droppedBytes,
-                                     options_.maxLineBytes));
+            enqueueResponse(conn, conn.nextSeq++,
+                            answerOverlong(overlong_, conn.lineNo,
+                                           frame.droppedBytes,
+                                           options_.maxLineBytes));
             continue;
         }
         // The stdin path skips whitespace-only lines (but counts
@@ -352,18 +368,14 @@ Server::processFrames(Connection &conn, bool atEof)
             std::string::npos) {
             continue;
         }
-        requests_.fetch_add(1, std::memory_order_relaxed);
         TWOCS_OBS_INSTANT(obs::Category::Net, "net.dispatch");
         Envelope env;
         env.connection = conn.id;
         env.seq = conn.nextSeq++;
         env.lineNo = conn.lineNo;
         env.line = std::move(frame.text);
-        const Admit admitted = pool_->submit(std::move(env));
-        if (admitted != Admit::Enqueued) {
-            sheds_.fetch_add(1, std::memory_order_relaxed);
-            netMetrics_.recordShed();
-        }
+        if (pool_->submit(std::move(env)) != Admit::Enqueued)
+            sheds_.add();
     }
 }
 
@@ -453,8 +465,12 @@ Server::closeConnection(std::uint64_t id)
     }
     ::close(conn.fd);
     conn.fd = -1;
-    netMetrics_.recordConnectionClose();
     connections_.erase(it);
+    if (acceptsPaused_ && listenFd_ >= 0) {
+        // A descriptor is free again.
+        acceptsPaused_ = false;
+        armListener(true);
+    }
 }
 
 void
@@ -550,19 +566,6 @@ Server::run()
                 closeConnection(id);
         }
     }
-
-    if (!options_.metricsPath.empty()) {
-        const svc::ServiceMetrics merged = aggregatedMetrics();
-        std::ofstream os(options_.metricsPath);
-        fatalIf(!os, "cannot open metrics file '",
-                options_.metricsPath, "' for writing");
-        merged.writeJson(os, pool_ ? pool_->shardMetrics()
-                                   : std::vector<
-                                         const svc::ServiceMetrics *>{});
-        inform("wrote service metrics ", options_.metricsPath, " (",
-               merged.requests(), " requests, ", merged.sheds(),
-               " sheds)");
-    }
 }
 
 void
@@ -586,28 +589,23 @@ Server::join()
         loopThread_.join();
 }
 
-ServerStats
-Server::stats() const
+obs::Metrics
+Server::metrics() const
 {
-    ServerStats stats;
-    stats.accepted = accepted_.load(std::memory_order_relaxed);
-    stats.requests = requests_.load(std::memory_order_relaxed);
-    stats.responses = responses_.load(std::memory_order_relaxed);
-    stats.sheds = sheds_.load(std::memory_order_relaxed);
-    stats.overlongLines =
-        overlong_.load(std::memory_order_relaxed);
-    stats.readPauses = readPauses_.load(std::memory_order_relaxed);
-    stats.queueHighWater = pool_ ? pool_->queueHighWater() : 0;
-    return stats;
-}
-
-svc::ServiceMetrics
-Server::aggregatedMetrics() const
-{
-    svc::ServiceMetrics merged = netMetrics_;
-    if (pool_)
-        pool_->foldMetrics(merged);
-    return merged;
+    obs::Metrics total = svc::serveMetrics();
+    std::vector<obs::Metrics> &rows = total.list("shards");
+    for (int i = 0; i < pool_->shards(); ++i) {
+        const obs::Metrics &shard = pool_->service(i).metrics();
+        total.merge(shard);
+        obs::Metrics row;
+        row.gauge("shard").observe(static_cast<std::uint64_t>(i));
+        row.counter("requests").add(shard.value("requests"));
+        row.histogram("latency_seconds", { 0.50, 0.99, 1.0 })
+            .merge(*shard.findHistogram("latency_seconds"));
+        rows.push_back(std::move(row));
+    }
+    total.merge(loop_);
+    return total;
 }
 
 } // namespace twocs::net

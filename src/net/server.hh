@@ -18,6 +18,12 @@
  * high-water mark has its *reads* paused until the buffer drains —
  * backpressure instead of growth.
  *
+ * Running out of file descriptors pauses accepts instead of spinning:
+ * on EMFILE/ENFILE the listener leaves the epoll interest set (warned
+ * once, counted as an `accept_pauses` episode) and the next closed
+ * connection re-arms it, so a pending client is accepted as soon as a
+ * descriptor is free.
+ *
  * Shutdown (stop()/SIGTERM via the stop eventfd) is a graceful
  * drain: the listener closes, reads stop, every already-admitted
  * request still completes and flushes, then connections close and
@@ -28,7 +34,6 @@
 #ifndef TWOCS_NET_SERVER_HH
 #define TWOCS_NET_SERVER_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -41,7 +46,7 @@
 
 #include "net/framer.hh"
 #include "net/shard.hh"
-#include "svc/metrics.hh"
+#include "obs/metrics.hh"
 
 namespace twocs::net {
 
@@ -71,23 +76,6 @@ struct ServerOptions
     int sendBufferBytes = 0;
     /** Per-shard service knobs (jobs, cache capacity, batch). */
     svc::ServiceOptions service;
-    /** When non-empty, the aggregated metrics JSON is written here
-     *  after the drain completes. */
-    std::string metricsPath;
-};
-
-/** Event-loop counters (single-writer; read after run() returns,
- *  or racily mid-run from another thread for progress displays). */
-struct ServerStats
-{
-    std::uint64_t accepted = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t responses = 0;
-    std::uint64_t sheds = 0;
-    std::uint64_t overlongLines = 0;
-    std::uint64_t readPauses = 0;
-    /** Deepest any shard mailbox has been (valid once drained). */
-    std::size_t queueHighWater = 0;
 };
 
 class Server
@@ -124,12 +112,21 @@ class Server
     /** Join the start() thread (after stop(), or a self-drain). */
     void join();
 
-    ServerStats stats() const;
+    /**
+     * The event loop's own registry: connections_opened and
+     * connections_high_water, sheds, overlong_lines, responses,
+     * read_pauses and accept_pauses (descriptor-exhaustion episodes).
+     * Its counters are atomics, so any thread may read them mid-run.
+     */
+    const obs::Metrics &loopMetrics() const { return loop_; }
 
-    /** Aggregated service registry: every shard's counters plus the
-     *  net-level connection/shed/queue metrics. Call after run()
-     *  returns (shards are drained then). */
-    svc::ServiceMetrics aggregatedMetrics() const;
+    /**
+     * The `--metrics` registry: every shard service's registry (with
+     * its mailbox high-water mark) merged with the loop's, and one
+     * `shards` row per shard (its requests and latency p50/p99/max).
+     * Call after run() returns (the shards are drained then).
+     */
+    obs::Metrics metrics() const;
 
   private:
     struct Connection;
@@ -142,6 +139,7 @@ class Server
 
     void openListener();
     void acceptReady();
+    void armListener(bool armed);
     void handleReadable(Connection &conn);
     void handleWritable(Connection &conn);
     void processFrames(Connection &conn, bool atEof);
@@ -175,13 +173,18 @@ class Server
     bool draining_ = false;
     std::int64_t drainDeadlineNs_ = 0;
 
-    svc::ServiceMetrics netMetrics_;
-    std::atomic<std::uint64_t> accepted_{ 0 };
-    std::atomic<std::uint64_t> requests_{ 0 };
-    std::atomic<std::uint64_t> responses_{ 0 };
-    std::atomic<std::uint64_t> sheds_{ 0 };
-    std::atomic<std::uint64_t> overlong_{ 0 };
-    std::atomic<std::uint64_t> readPauses_{ 0 };
+    /** Set while the listener is disarmed for want of descriptors;
+     *  the next closed connection re-arms it. */
+    bool acceptsPaused_ = false;
+
+    obs::Metrics loop_;
+    obs::Counter &accepts_ = loop_.counter("connections_opened");
+    obs::Counter &openHighWater_ = loop_.gauge("connections_high_water");
+    obs::Counter &sheds_ = loop_.counter("sheds");
+    obs::Counter &overlong_ = loop_.counter("overlong_lines");
+    obs::Counter &responses_ = loop_.counter("responses");
+    obs::Counter &readPauses_ = loop_.counter("read_pauses");
+    obs::Counter &acceptPauses_ = loop_.counter("accept_pauses");
 
     std::thread loopThread_;
 };

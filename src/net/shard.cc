@@ -63,9 +63,6 @@ ShardPool::ShardPool(ShardPoolOptions options, ReplyFn reply)
             "--queue-depth expects a positive count");
     fatalIf(options_.retryAfterMs < 0,
             "retry_after_ms must be non-negative");
-    // Shards own their caches; the per-shard service never writes
-    // a metrics file of its own (the server aggregates).
-    options_.service.metricsPath.clear();
     shards_.reserve(static_cast<std::size_t>(options_.shards));
     for (int i = 0; i < options_.shards; ++i) {
         auto shard = std::make_unique<Shard>(options_.queueDepth);
@@ -149,6 +146,10 @@ ShardPool::workerLoop(Shard &shard, int index)
             shard.service->handle(env.line, env.lineNo);
         reply_(std::move(env), std::move(response));
     }
+    // The mailbox is closed and drained: its depth is final.
+    shard.service->metrics()
+        .gauge("queue_depth_high_water")
+        .observe(shard.mailbox.highWater());
 }
 
 void
@@ -163,34 +164,6 @@ ShardPool::drain()
         if (shard->thread.joinable())
             shard->thread.join();
     }
-}
-
-std::size_t
-ShardPool::queueHighWater() const
-{
-    std::size_t high = 0;
-    for (const auto &shard : shards_)
-        high = std::max(high, shard->mailbox.highWater());
-    return high;
-}
-
-void
-ShardPool::foldMetrics(svc::ServiceMetrics &into) const
-{
-    for (const auto &shard : shards_) {
-        into.absorb(shard->service->metrics());
-        into.noteQueueDepth(shard->mailbox.highWater());
-    }
-}
-
-std::vector<const svc::ServiceMetrics *>
-ShardPool::shardMetrics() const
-{
-    std::vector<const svc::ServiceMetrics *> out;
-    out.reserve(shards_.size());
-    for (const auto &shard : shards_)
-        out.push_back(&shard->service->metrics());
-    return out;
 }
 
 } // namespace twocs::net

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "net/mailbox.hh"
-#include "svc/metrics.hh"
 #include "svc/service.hh"
 
 namespace twocs::net {
@@ -138,16 +137,12 @@ class ShardPool
 
     int shards() const { return static_cast<int>(shards_.size()); }
 
-    /** Deepest any shard mailbox has been. */
-    std::size_t queueHighWater() const;
-
-    /** Fold every shard service's registry (plus the mailbox
-     *  high-water marks) into `into`. Call after drain(). */
-    void foldMetrics(svc::ServiceMetrics &into) const;
-
-    /** Each shard service's registry, in shard order — the metrics
-     *  export's per-shard latency section. Call after drain(). */
-    std::vector<const svc::ServiceMetrics *> shardMetrics() const;
+    /** Shard `shard`'s service; read its registry after drain(). It
+     *  holds the shard's own mailbox high-water mark too. */
+    const svc::QueryService &service(int shard) const
+    {
+        return *shards_[static_cast<std::size_t>(shard)]->service;
+    }
 
     /** The deterministic `overloaded` response for a request line. */
     std::string overloadedResponse(const std::string &line) const;

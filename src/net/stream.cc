@@ -9,9 +9,10 @@
 namespace twocs::net {
 
 std::string
-overlongResponseLine(std::size_t lineNo, std::size_t droppedBytes,
-                     std::size_t capBytes)
+answerOverlong(obs::Counter &overlong, std::size_t lineNo,
+               std::size_t droppedBytes, std::size_t capBytes)
 {
+    overlong.add();
     const std::string message =
         "line " + std::to_string(lineNo) + ": request line of " +
         std::to_string(droppedBytes) +
@@ -20,12 +21,13 @@ overlongResponseLine(std::size_t lineNo, std::size_t droppedBytes,
     return svc::errorResponseLine("", "line_too_long", message);
 }
 
-StreamStats
+void
 serveStream(svc::QueryService &service, std::istream &in,
             std::ostream &out, std::size_t maxLineBytes)
 {
     LineFramer framer(maxLineBytes);
-    StreamStats stats;
+    obs::Counter &overlong =
+        service.metrics().counter("overlong_lines");
     svc::QueryService::NumberedLines batch;
     const std::size_t batchCapacity =
         service.options().batchCapacity;
@@ -40,14 +42,12 @@ serveStream(svc::QueryService &service, std::istream &in,
 
     const auto handleFrame = [&](Frame &&frame) {
         ++lineNo;
-        ++stats.lines;
         if (frame.kind == Frame::Kind::Overlong) {
-            ++stats.overlongLines;
             // Arrival order: everything queued before this line
             // must answer before its error does.
             flushBatch();
-            out << overlongResponseLine(lineNo, frame.droppedBytes,
-                                        maxLineBytes)
+            out << answerOverlong(overlong, lineNo, frame.droppedBytes,
+                                  maxLineBytes)
                 << "\n";
             return;
         }
@@ -70,9 +70,6 @@ serveStream(svc::QueryService &service, std::istream &in,
         handleFrame(std::move(frame));
     flushBatch();
     out.flush();
-
-    service.writeMetricsIfConfigured();
-    return stats;
 }
 
 } // namespace twocs::net

@@ -18,38 +18,31 @@
 #define TWOCS_NET_STREAM_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
+#include "obs/metrics.hh"
 #include "svc/service.hh"
 
 namespace twocs::net {
 
-/** What one serveStream() pass saw (exit-report material). */
-struct StreamStats
-{
-    std::uint64_t lines = 0;
-    std::uint64_t overlongLines = 0;
-};
-
 /**
  * Serve a whole byte stream: frame it, batch it through `service`,
- * answer overlong lines with the structured error, write the
- * metrics file on completion (when configured). One response line
- * per request line, in arrival order.
+ * answer overlong lines with the structured error (counted in the
+ * service's `overlong_lines`). One response line per request line, in
+ * arrival order.
  */
-StreamStats serveStream(svc::QueryService &service, std::istream &in,
-                        std::ostream &out,
-                        std::size_t maxLineBytes);
+void serveStream(svc::QueryService &service, std::istream &in,
+                 std::ostream &out, std::size_t maxLineBytes);
 
 /**
- * The deterministic `line_too_long` response both serve paths emit
- * for a line dropped by the framer's cap.
+ * Count one line dropped by the framer's cap in `overlong` and return
+ * the deterministic `line_too_long` response both serve paths emit
+ * for it.
  */
-std::string overlongResponseLine(std::size_t lineNo,
-                                 std::size_t droppedBytes,
-                                 std::size_t capBytes);
+std::string answerOverlong(obs::Counter &overlong, std::size_t lineNo,
+                           std::size_t droppedBytes,
+                           std::size_t capBytes);
 
 } // namespace twocs::net
 

@@ -18,6 +18,7 @@
 #include "model/zoo.hh"
 #include "obs/obs.hh"
 #include "sim/graph.hh"
+#include "sim/graph_cache.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -115,6 +116,50 @@ struct QueryService::SystemEntry
     {
     }
 };
+
+obs::Metrics
+serveMetrics()
+{
+    obs::Metrics m;
+    for (const char *name : { "requests", "hits", "misses", "failures" })
+        m.counter(name);
+    m.ratio("hit_rate", "hits", { "requests" });
+    for (const char *name : { "batches", "sheds", "overlong_lines" })
+        m.counter(name);
+    m.gauge("queue_depth_high_water");
+    m.counter("connections_opened");
+    m.gauge("connections_high_water");
+    m.histogram("latency_seconds");
+    m.section("graph_cache");
+    m.list("shards");
+    m.tally("batch_size_histogram", "size");
+    return m;
+}
+
+void
+writeServeMetrics(obs::Metrics metrics, const std::string &path)
+{
+    // Process-wide compiled-graph cache behind the resident perturb
+    // templates. Operator telemetry only: hit/miss splits depend on
+    // scheduling, so this never appears in deterministic query
+    // responses.
+    const sim::GraphCacheStats gc = sim::GraphCache::instance().stats();
+    obs::Metrics &cache = metrics.section("graph_cache");
+    cache.counter("hits").add(gc.hits);
+    cache.counter("misses").add(gc.misses);
+    cache.counter("evictions").add(gc.evictions);
+    cache.gauge("entries").observe(gc.entries);
+    cache.gauge("capacity").observe(gc.capacity);
+    cache.ratio("hit_rate", "hits", { "hits", "misses" });
+
+    std::ofstream os(path);
+    fatalIf(!os, "cannot open metrics file '", path, "' for writing");
+    metrics.writeJson(os);
+    inform("wrote service metrics ", path, " (",
+           metrics.value("requests"), " requests, hit rate ",
+           json::number(metrics.ratioValue("hit_rate")), ", ",
+           metrics.value("sheds"), " sheds)");
+}
 
 QueryService::QueryService(ServiceOptions options)
     : options_(std::move(options)),
@@ -322,12 +367,11 @@ QueryService::statsPayload() const
     std::string out = "\"status\":\"ok\",\"kind\":\"stats\"";
     out += field("proto", std::int64_t{ 2 });
     out += field("requests",
-                 static_cast<std::int64_t>(metrics_.requests()));
-    out += field("hits", static_cast<std::int64_t>(metrics_.hits()));
-    out += field("misses",
-                 static_cast<std::int64_t>(metrics_.misses()));
+                 static_cast<std::int64_t>(requests_.value()));
+    out += field("hits", static_cast<std::int64_t>(hits_.value()));
+    out += field("misses", static_cast<std::int64_t>(misses_.value()));
     out += field("failures",
-                 static_cast<std::int64_t>(metrics_.failures()));
+                 static_cast<std::int64_t>(failures_.value()));
     out += field("cache_entries",
                  static_cast<std::int64_t>(cache_.size()));
     // Deterministic span counts (durations are wall-clock noise and
@@ -380,7 +424,8 @@ QueryService::processLines(NumberedLines &&lines, std::ostream &out)
         }
     };
 
-    metrics_.recordBatch(lines.size());
+    batches_.add();
+    ++batchSizes_[lines.size()];
     std::vector<BatchEntry> entries(lines.size());
 
     // Phase 1 (sequential, arrival order): parse, normalize,
@@ -469,15 +514,15 @@ QueryService::processLines(NumberedLines &&lines, std::ostream &out)
     {
         TWOCS_OBS_SPAN(obs::Category::Svc, "svc.batch.commit");
         for (BatchEntry &e : entries) {
-            metrics_.recordRequest();
+            requests_.add();
             switch (e.outcome) {
               case Outcome::ParseError:
-                metrics_.recordFailure();
+                failures_.add();
                 break;
               case Outcome::CacheHit:
                 TWOCS_OBS_INSTANT(obs::Category::Svc,
                                   "svc.cache.hit");
-                metrics_.recordHit();
+                hits_.add();
                 break;
               case Outcome::Duplicate: {
                 const BatchEntry &source = entries[e.dupOf];
@@ -492,17 +537,16 @@ QueryService::processLines(NumberedLines &&lines, std::ostream &out)
                     TWOCS_OBS_INSTANT(obs::Category::Svc,
                                       "svc.cache.hit");
                 }
-                e.failed ? metrics_.recordFailure()
-                         : metrics_.recordHit();
+                (e.failed ? failures_ : hits_).add();
                 break;
               }
               case Outcome::Compute:
                 if (e.failed) {
-                    metrics_.recordFailure();
+                    failures_.add();
                 } else {
                     TWOCS_OBS_INSTANT(obs::Category::Svc,
                                       "svc.cache.miss");
-                    metrics_.recordMiss();
+                    misses_.add();
                     // Store the very bytes we are about to emit —
                     // one allocation, zero copies.
                     e.shared = std::make_shared<const std::string>(
@@ -514,25 +558,11 @@ QueryService::processLines(NumberedLines &&lines, std::ostream &out)
                 e.payload = statsPayload();
                 break;
             }
-            metrics_.recordLatency(e.seconds);
+            latency_.record(e.seconds);
             out << assemble(e.idJson, e.body()) << "\n";
         }
     }
     out.flush();
-}
-
-void
-QueryService::writeMetricsIfConfigured()
-{
-    if (options_.metricsPath.empty())
-        return;
-    std::ofstream os(options_.metricsPath);
-    fatalIf(!os, "cannot open metrics file '", options_.metricsPath,
-            "' for writing");
-    metrics_.writeJson(os);
-    inform("wrote service metrics ", options_.metricsPath, " (",
-           metrics_.requests(), " requests, hit rate ",
-           json::number(metrics_.hitRate()), ")");
 }
 
 std::string

@@ -30,6 +30,12 @@
  * phases; worker threads only evaluate pure functions into their own
  * slots. Wall-clock latencies are deliberately quarantined in the
  * `--metrics FILE` export, which is outside the contract.
+ *
+ * Telemetry goes to one obs::Metrics registry per service (the
+ * `--metrics` schema is serveMetrics()), recorded in the commit phase
+ * only: its counters are a deterministic function of the input, its
+ * latency histogram and batch-size tally are fixed-size, and the
+ * socket front-end merges the shards' registries with its own.
  */
 
 #ifndef TWOCS_SVC_SERVICE_HH
@@ -43,8 +49,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "svc/cache.hh"
-#include "svc/metrics.hh"
 #include "svc/protocol.hh"
 
 namespace twocs::svc {
@@ -59,10 +65,22 @@ struct ServiceOptions
     std::size_t cacheCapacity = 4096;
     /** Requests drained per scheduler batch. */
     std::size_t batchCapacity = 32;
-    /** When non-empty, writeMetricsIfConfigured() writes the
-     *  metrics JSON here. */
-    std::string metricsPath;
 };
+
+/**
+ * A registry with every `--metrics` key declared in file order:
+ * request counters and hit rate, the front-ends' shed, overlong and
+ * connection counts, the latency histogram, the `graph_cache`
+ * section, the per-shard `shards` rows and the batch-size tally.
+ */
+obs::Metrics serveMetrics();
+
+/**
+ * Write `metrics` to `path` as the `--metrics` JSON, after filling
+ * its `graph_cache` section from the process-wide sim::GraphCache;
+ * fatal() when the file cannot be opened.
+ */
+void writeServeMetrics(obs::Metrics metrics, const std::string &path);
 
 /**
  * A resident query service over one result cache and one analysis
@@ -107,11 +125,10 @@ class QueryService
      */
     void processLines(NumberedLines &&lines, std::ostream &out);
 
-    /** Write the metrics JSON when options.metricsPath is set (the
-     *  epilogue of a served stream). */
-    void writeMetricsIfConfigured();
-
-    const ServiceMetrics &metrics() const { return metrics_; }
+    /** The service's registry (serveMetrics() keys). The stdin
+     *  front-end records its overlong lines here too. */
+    const obs::Metrics &metrics() const { return metrics_; }
+    obs::Metrics &metrics() { return metrics_; }
     const ShardedLruCache &cache() const { return cache_; }
     const ServiceOptions &options() const { return options_; }
 
@@ -138,7 +155,15 @@ class QueryService
 
     ServiceOptions options_;
     ShardedLruCache cache_;
-    ServiceMetrics metrics_;
+    obs::Metrics metrics_ = serveMetrics();
+    obs::Counter &requests_ = metrics_.counter("requests");
+    obs::Counter &hits_ = metrics_.counter("hits");
+    obs::Counter &misses_ = metrics_.counter("misses");
+    obs::Counter &failures_ = metrics_.counter("failures");
+    obs::Counter &batches_ = metrics_.counter("batches");
+    obs::Tally &batchSizes_ =
+        metrics_.tally("batch_size_histogram", "size");
+    obs::Histogram &latency_ = metrics_.histogram("latency_seconds");
     std::map<std::string, std::unique_ptr<SystemEntry>> systems_;
     std::size_t lineNo_ = 0;
 };

@@ -2,9 +2,9 @@
  * @file
  * The library's one JSON layer: writing helpers and one reader.
  *
- * Every JSON emitter in the library — the exec RunReport, the
- * Chrome-trace export, the svc query protocol and metrics registry —
- * must agree on how strings are escaped and how doubles are rendered
+ * Every JSON emitter in the library — obs::Metrics and its
+ * JsonWriter (the `--metrics` and `--report` files), the Chrome-trace
+ * export and the svc query protocol — must agree on how strings are escaped and how doubles are rendered
  * (shortest round-trippable `%.17g`, so byte-identical output is a
  * meaningful determinism contract); escape() and number() are that
  * single definition.

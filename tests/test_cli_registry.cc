@@ -150,8 +150,6 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         " (default: 10)\n"
         "  --csv BOOL              emit CSV instead of a table"
         " (default: 0)\n"
-        "  --passes STR            deprecated and ignored; removed in"
-        " the next release\n"
         "  --engine STR            figure 12 evaluation engine:"
         " model|event (default: model)\n"
         "  --parallel STR          3D plan, e.g."
@@ -283,28 +281,22 @@ TEST(CliRegistry, SweepFigure12EngineIsValidated)
                  FatalError);
 }
 
-TEST(CliRegistry, DeprecatedPassesFlagWarnsOnceAndChangesNothing)
+TEST(CliRegistry, RemovedPassesFlagIsAnUnknownOption)
 {
-    // --passes is accepted for one release: any value warns once on
-    // stderr and the command prints what it prints without the flag.
-    const auto expectIgnored =
-        [](std::initializer_list<const char *> plain,
-           std::initializer_list<const char *> with_passes) {
-            std::string out, err, plain_out, plain_err;
-            EXPECT_EQ(run(plain, &plain_out, &plain_err), 0);
-            EXPECT_EQ(run(with_passes, &out, &err), 0);
-            EXPECT_EQ(out, plain_out);
-            EXPECT_EQ(err, "warn: --passes is deprecated and ignored "
-                           "(removed in the next release); running "
-                           "the lowered graph as built\n" +
-                               plain_err);
-        };
-    expectIgnored({ "twocs", "cluster", "--parallel", "tp=8,dp=4" },
-                  { "twocs", "cluster", "--parallel", "tp=8,dp=4",
-                    "--passes", "fuse,dce" });
-    expectIgnored({ "twocs", "sweep", "--figure", "14" },
-                  { "twocs", "sweep", "--figure", "14", "--passes",
-                    "dce" });
+    // Every DES run replays the lowered graph as built; the pass
+    // pipeline and its flag are gone from both commands.
+    for (const char *command : { "cluster", "sweep" }) {
+        std::string out, err;
+        EXPECT_EQ(run({ "twocs", command, "--passes", "fuse" }, &out,
+                      &err),
+                  2)
+            << command;
+        EXPECT_EQ(out, "");
+        EXPECT_NE(err.find("unknown option '--passes' for command '" +
+                           std::string(command) + "'"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(CliRegistry, StrayPositionalIsRejected)

@@ -98,7 +98,6 @@ serveLines(svc::QueryService &service, std::istream &in,
     }
     if (!batch.empty())
         service.processLines(std::move(batch), out);
-    service.writeMetricsIfConfigured();
 }
 
 } // namespace twocs::test

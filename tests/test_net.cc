@@ -11,8 +11,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <fcntl.h>
+#include <list>
 #include <sstream>
 #include <string>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <thread>
 #include <vector>
@@ -25,6 +30,7 @@
 #include "net/server.hh"
 #include "net/shard.hh"
 #include "net/stream.hh"
+#include "obs/metrics.hh"
 #include "svc/service.hh"
 #include "test_common.hh"
 #include "util/logging.hh"
@@ -375,10 +381,11 @@ TEST(NetShardPool, FoldMetricsAggregatesShards)
     }
     pool.drain();
     EXPECT_EQ(delivered, 6);
-    svc::ServiceMetrics merged;
-    pool.foldMetrics(merged);
-    EXPECT_EQ(merged.requests(), 6u);
-    EXPECT_GE(merged.queueDepthHighWater(), 1u);
+    obs::Metrics merged;
+    for (int i = 0; i < pool.shards(); ++i)
+        merged.merge(pool.service(i).metrics());
+    EXPECT_EQ(merged.value("requests"), 6u);
+    EXPECT_GE(merged.value("queue_depth_high_water"), 1u);
 }
 
 // --- the framed stream backend (stdin path) ---
@@ -408,12 +415,12 @@ TEST(NetStream, ByteIdenticalWithClassicServe)
     svc::QueryService framed;
     std::istringstream fin(input);
     std::ostringstream fout;
-    const net::StreamStats stats = net::serveStream(
-        framed, fin, fout, net::LineFramer::kDefaultMaxLineBytes);
+    net::serveStream(framed, fin, fout,
+                     net::LineFramer::kDefaultMaxLineBytes);
 
     EXPECT_EQ(fout.str(), cout.str());
-    EXPECT_EQ(stats.lines, 6u);
-    EXPECT_EQ(stats.overlongLines, 0u);
+    EXPECT_EQ(framed.metrics().value("requests"), 5u); // blank skipped
+    EXPECT_EQ(framed.metrics().value("overlong_lines"), 0u);
 }
 
 TEST(NetStream, UnterminatedFinalLineStillAnswers)
@@ -429,8 +436,8 @@ TEST(NetStream, UnterminatedFinalLineStillAnswers)
     svc::QueryService framed;
     std::istringstream fin(input);
     std::ostringstream fout;
-    (void)net::serveStream(framed, fin, fout,
-                           net::LineFramer::kDefaultMaxLineBytes);
+    net::serveStream(framed, fin, fout,
+                     net::LineFramer::kDefaultMaxLineBytes);
     EXPECT_EQ(fout.str(), cout.str());
 }
 
@@ -444,9 +451,8 @@ TEST(NetStream, OverlongLineAnswersInArrivalOrderAndResyncs)
     svc::QueryService service;
     std::istringstream is(in.str());
     std::ostringstream os;
-    const net::StreamStats stats =
-        net::serveStream(service, is, os, 128);
-    EXPECT_EQ(stats.overlongLines, 1u);
+    net::serveStream(service, is, os, 128);
+    EXPECT_EQ(service.metrics().value("overlong_lines"), 1u);
 
     std::istringstream lines(os.str());
     std::string first, second, third;
@@ -464,11 +470,13 @@ TEST(NetStream, OverlongLineAnswersInArrivalOrderAndResyncs)
 TEST(NetStream, OverlongResponseLineShapePerProto)
 {
     // One response protocol: the structured error object, no id.
-    EXPECT_EQ(net::overlongResponseLine(3, 500, 128),
+    obs::Counter overlong;
+    EXPECT_EQ(net::answerOverlong(overlong, 3, 500, 128),
               "{\"status\":\"error\",\"error\":{\"code\":"
               "\"line_too_long\",\"message\":\"line 3: request line "
               "of 500 bytes exceeds --max-line-bytes 128; dropped to "
               "the next newline\"}}");
+    EXPECT_EQ(overlong.value(), 1u);
 }
 
 // --- loopback end-to-end ---
@@ -535,7 +543,23 @@ TEST(NetServer, SplitAndCoalescedPacketsBothWork)
     }
     server.stop();
     server.join();
-    EXPECT_EQ(server.stats().accepted, 2u);
+    EXPECT_EQ(server.loopMetrics().value("connections_opened"), 2u);
+}
+
+/** The value of a top-level integer member of a `--metrics` file. */
+std::uint64_t
+metricsFileValue(const std::string &path, const std::string &key)
+{
+    std::ifstream is(path);
+    std::stringstream text;
+    text << is.rdbuf();
+    const std::string needle = "\n  \"" + key + "\": ";
+    const std::size_t at = text.str().find(needle);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << key << " missing from " << path;
+        return 0;
+    }
+    return std::stoull(text.str().substr(at + needle.size()));
 }
 
 TEST(NetServer, OverlongLineOverSocketMatchesStreamPath)
@@ -545,10 +569,16 @@ TEST(NetServer, OverlongLineOverSocketMatchesStreamPath)
     in << std::string(300, 'x') << "\n";
     in << kProjectB << "\n";
 
+    // Both paths write --metrics; they must count the same events.
+    const std::string stdinPath =
+        testing::TempDir() + "/twocs_net_overlong_stdin.json";
+    const std::string socketPath =
+        testing::TempDir() + "/twocs_net_overlong_socket.json";
     svc::QueryService service;
     std::istringstream sis(in.str());
     std::ostringstream sos;
-    (void)net::serveStream(service, sis, sos, 128);
+    net::serveStream(service, sis, sos, 128);
+    svc::writeServeMetrics(service.metrics(), stdinPath);
 
     net::ServerOptions options = serverOptionsOf(1);
     options.maxLineBytes = 128;
@@ -557,8 +587,17 @@ TEST(NetServer, OverlongLineOverSocketMatchesStreamPath)
     const std::string out = roundTrip(server, in.str());
     server.stop();
     server.join();
+    svc::writeServeMetrics(server.metrics(), socketPath);
     EXPECT_EQ(out, sos.str());
-    EXPECT_EQ(server.stats().overlongLines, 1u);
+    for (const char *key : { "requests", "overlong_lines" }) {
+        EXPECT_EQ(metricsFileValue(stdinPath, key),
+                  metricsFileValue(socketPath, key))
+            << key;
+    }
+    EXPECT_EQ(metricsFileValue(stdinPath, "requests"), 2u);
+    EXPECT_EQ(metricsFileValue(stdinPath, "overlong_lines"), 1u);
+    std::remove(stdinPath.c_str());
+    std::remove(socketPath.c_str());
 }
 
 TEST(NetServer, TinyQueueShedsButAnswersEveryRequest)
@@ -598,7 +637,7 @@ TEST(NetServer, TinyQueueShedsButAnswersEveryRequest)
     }
     EXPECT_EQ(responses, kRequests); // shed or computed, never lost
     EXPECT_GT(overloaded, 0);
-    EXPECT_EQ(server.stats().sheds,
+    EXPECT_EQ(server.loopMetrics().value("sheds"),
               static_cast<std::uint64_t>(overloaded));
 }
 
@@ -626,7 +665,7 @@ TEST(NetServer, SlowReaderIsBackpressuredNotBuffered)
     int sent = 0;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (server.stats().readPauses == 0 &&
+    while (server.loopMetrics().value("read_pauses") == 0 &&
            std::chrono::steady_clock::now() < deadline) {
         client.sendAll(batch);
         sent += kBatch;
@@ -638,7 +677,7 @@ TEST(NetServer, SlowReaderIsBackpressuredNotBuffered)
     server.stop();
     server.join();
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), sent);
-    EXPECT_GT(server.stats().readPauses, 0u);
+    EXPECT_GT(server.loopMetrics().value("read_pauses"), 0u);
 }
 
 TEST(NetServer, GracefulDrainAnswersAdmittedWorkThenCloses)
@@ -661,10 +700,10 @@ TEST(NetServer, GracefulDrainAnswersAdmittedWorkThenCloses)
     EXPECT_EQ(client.drainAll(), ""); // clean EOF, no stray bytes
     server.join();
 
-    const svc::ServiceMetrics merged = server.aggregatedMetrics();
-    EXPECT_EQ(merged.requests(),
+    const obs::Metrics merged = server.metrics();
+    EXPECT_EQ(merged.value("requests"),
               static_cast<std::uint64_t>(kRequests));
-    EXPECT_EQ(merged.connectionsOpened(), 1u);
+    EXPECT_EQ(merged.value("connections_opened"), 1u);
 
     // A drain that races in-flight requests still answers whatever
     // was admitted — exercised separately: admit, stop immediately,
@@ -680,7 +719,83 @@ TEST(NetServer, GracefulDrainAnswersAdmittedWorkThenCloses)
     const std::string out = burst.drainAll(); // EOF must arrive
     racing.join();
     EXPECT_LE(std::count(out.begin(), out.end(), '\n'), kRequests);
-    EXPECT_EQ(racing.stats().requests, racing.stats().responses);
+    // Every line read is answered once: computed or shed.
+    const obs::Metrics raced = racing.metrics();
+    EXPECT_EQ(raced.value("responses"),
+              raced.value("requests") + raced.value("sheds"));
+}
+
+double
+processCpuSeconds()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    const auto seconds = [](const timeval &t) {
+        return static_cast<double>(t.tv_sec) +
+               static_cast<double>(t.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(NetServer, DescriptorExhaustionPausesAcceptsUntilAClose)
+{
+    net::Server server(serverOptionsOf(1));
+    server.start();
+
+    // The clients live in this process too, so a served connection
+    // costs two descriptors. Lower the soft limit to leave seven free:
+    // three served connections, then one more client socket whose
+    // accept fails with EMFILE.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlim_t limit = 0;
+    for (int free = 0; free < 7; ++limit) {
+        if (::fcntl(static_cast<int>(limit), F_GETFD) < 0)
+            ++free;
+    }
+    ASSERT_LE(limit, saved.rlim_cur);
+    struct RestoreLimit
+    {
+        rlimit saved;
+        ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+    } restore{ saved };
+    rlimit lowered = saved;
+    lowered.rlim_cur = limit;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+    std::list<net::BlockingClient> served;
+    std::string response;
+    for (int i = 0; i < 3; ++i) {
+        served.emplace_back(server.port());
+        served.back().sendLine(kProjectA);
+        ASSERT_TRUE(served.back().recvLine(response)) << i;
+    }
+    // The kernel completes this handshake from the listen backlog,
+    // but the server has no descriptor left to accept it with.
+    net::BlockingClient pending(server.port());
+    const timeval timeout{ 10, 0 };
+    ::setsockopt(pending.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof timeout);
+    pending.sendLine(kProjectB);
+
+    const double cpuBefore = processCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double cpuSpent = processCpuSeconds() - cpuBefore;
+    const obs::Metrics &loop = server.loopMetrics();
+    EXPECT_EQ(loop.value("accept_pauses"), 1u);
+    EXPECT_EQ(loop.value("connections_opened"), 3u);
+    EXPECT_LT(cpuSpent, 0.1) << "the event loop spins on EMFILE";
+
+    // Closing one connection frees a descriptor and re-arms accepts.
+    served.pop_front();
+    ASSERT_TRUE(pending.recvLine(response));
+    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
+    EXPECT_EQ(loop.value("connections_opened"), 4u);
+    EXPECT_EQ(loop.value("accept_pauses"), 1u);
+
+    served.clear();
+    server.stop();
+    server.join();
 }
 
 TEST(NetServer, StatsAndMetricsSurfaceNetCounters)
@@ -699,13 +814,13 @@ TEST(NetServer, StatsAndMetricsSurfaceNetCounters)
     server.stop();
     server.join();
 
-    const net::ServerStats stats = server.stats();
-    EXPECT_EQ(stats.accepted, 1u);
-    EXPECT_EQ(stats.requests, 1u);
-    EXPECT_EQ(stats.responses, 1u);
+    const obs::Metrics metrics = server.metrics();
+    EXPECT_EQ(metrics.value("connections_opened"), 1u);
+    EXPECT_EQ(metrics.value("requests"), 1u);
+    EXPECT_EQ(metrics.value("responses"), 1u);
 
     std::ostringstream json;
-    server.aggregatedMetrics().writeJson(json);
+    metrics.writeJson(json);
     EXPECT_NE(json.str().find("\"sheds\""), std::string::npos);
     EXPECT_NE(json.str().find("\"queue_depth_high_water\""),
               std::string::npos);

@@ -401,9 +401,9 @@ TEST(SvcService, WarmHitIsByteIdenticalToColdMiss)
     const std::string warm = service.handle(line);
     EXPECT_EQ(cold, warm);
     EXPECT_NE(cold.find("\"status\":\"ok\""), std::string::npos);
-    EXPECT_EQ(service.metrics().requests(), 2u);
-    EXPECT_EQ(service.metrics().misses(), 1u);
-    EXPECT_EQ(service.metrics().hits(), 1u);
+    EXPECT_EQ(service.metrics().value("requests"), 2u);
+    EXPECT_EQ(service.metrics().value("misses"), 1u);
+    EXPECT_EQ(service.metrics().value("hits"), 1u);
     EXPECT_EQ(service.cache().size(), 1u);
 }
 
@@ -458,9 +458,9 @@ TEST(SvcService, InBatchDuplicatesAreHitsEvenWithoutACache)
         "{\"kind\": \"slack\", \"hidden\": 8192}\n");
     std::ostringstream out;
     test::serveLines(service, in, out);
-    EXPECT_EQ(service.metrics().requests(), 3u);
-    EXPECT_EQ(service.metrics().misses(), 1u);
-    EXPECT_EQ(service.metrics().hits(), 2u);
+    EXPECT_EQ(service.metrics().value("requests"), 3u);
+    EXPECT_EQ(service.metrics().value("misses"), 1u);
+    EXPECT_EQ(service.metrics().value("hits"), 2u);
     EXPECT_EQ(service.cache().size(), 0u);
 
     // All three response lines carry the same payload.
@@ -481,8 +481,8 @@ TEST(SvcService, ErrorsAreDiagnosedInlineAndNeverCached)
     // The diagnostic names the request's line number in the stream.
     EXPECT_NE(first.find("line 1:"), std::string::npos);
     service.handle(bad);
-    EXPECT_EQ(service.metrics().failures(), 2u);
-    EXPECT_EQ(service.metrics().hits(), 0u);
+    EXPECT_EQ(service.metrics().value("failures"), 2u);
+    EXPECT_EQ(service.metrics().value("hits"), 0u);
     EXPECT_EQ(service.cache().size(), 0u);
 
     // An eval-time failure (unknown zoo model passes parsing) is an
@@ -491,7 +491,7 @@ TEST(SvcService, ErrorsAreDiagnosedInlineAndNeverCached)
         "{\"kind\": \"memory\", \"model\": \"ELIZA\"}");
     EXPECT_NE(evalError.find("\"status\":\"error\""),
               std::string::npos);
-    EXPECT_EQ(service.metrics().failures(), 3u);
+    EXPECT_EQ(service.metrics().value("failures"), 3u);
     EXPECT_EQ(service.cache().size(), 0u);
 }
 
@@ -582,12 +582,12 @@ TEST(SvcService, MetricsFileReportsTheRun)
         testing::TempDir() + "/twocs_svc_metrics_test.json";
     std::remove(path.c_str());
     svc::ServiceOptions options;
-    options.metricsPath = path;
     options.batchCapacity = 4;
     svc::QueryService service(options);
     std::istringstream in(mixedWorkload());
     std::ostringstream out;
     test::serveLines(service, in, out);
+    svc::writeServeMetrics(service.metrics(), path);
 
     std::ifstream is(path);
     ASSERT_TRUE(is.good()) << path;
@@ -603,12 +603,10 @@ TEST(SvcService, MetricsFileReportsTheRun)
     EXPECT_NE(ss.str().find("\"size\": 4"), std::string::npos);
     std::remove(path.c_str());
 
-    svc::ServiceOptions bad;
-    bad.metricsPath = testing::TempDir() + "/twocs_no_dir/m.json";
-    svc::QueryService doomed(bad);
-    std::istringstream in2("{\"kind\": \"stats\"}\n");
-    std::ostringstream out2;
-    EXPECT_THROW(test::serveLines(doomed, in2, out2), FatalError);
+    EXPECT_THROW(svc::writeServeMetrics(
+                     service.metrics(),
+                     testing::TempDir() + "/twocs_no_dir/m.json"),
+                 FatalError);
 }
 
 // --- response protocol v2 ---
