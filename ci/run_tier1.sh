@@ -49,8 +49,10 @@
 #                 event` must be byte-identical across --jobs, and so
 #                 must the jittered cluster Monte Carlo, TP-only
 #                 (`--tp 4`) and with overlapped DP collectives
-#                 (`--parallel tp=4,dp=2`). `cluster --parallel
-#                 tp=4,dp=8` must print something different with
+#                 (`--parallel tp=4,dp=2`), and the largest ring the
+#                 cluster-mc benchmark runs (`--tp 16`, 200 trials).
+#                 `cluster --parallel tp=4,dp=8` must print
+#                 something different with
 #                 `overlap=0` (DP collectives serialized at the end of
 #                 the iteration) than with the default overlap.
 #   6. loopback serve smoke — `twocs serve --listen` with a 2-deep
@@ -196,7 +198,8 @@ f2_one="$("${twocs}" sweep --figure 2 --jobs 1)"
 
 echo "== tier-1: Monte Carlo cluster trials byte-identical across --jobs =="
 for cluster_flags in "--trials 8 --jitter 0.05 --tp 4" \
-    "--trials 8 --jitter 0.05 --parallel tp=4,dp=2"; do
+    "--trials 8 --jitter 0.05 --parallel tp=4,dp=2" \
+    "--hidden 16384 --tp 16 --layers 2 --parallel tp=16 --trials 200 --jitter 0.05"; do
     seq_out="$("${twocs}" cluster ${cluster_flags} --jobs 1)"
     [ "${seq_out}" = "$("${twocs}" cluster ${cluster_flags} --jobs 4)" ]
 done

@@ -22,9 +22,8 @@ validateConfig(const ClusterSimConfig &config)
 
 /** Tasks that draw a noise factor during replay: every compute
  *  task — one per device per compute op of the lowered stream — in
- *  increasing task id order. An index list instead of a
- *  mask so the per-trial fill is a bulk copy plus the draws, not a
- *  branchy pass over every task. */
+ *  increasing task id order. An index list instead of a mask, so a
+ *  trial rewrites only these slots in one noise pass. */
 std::vector<std::uint32_t>
 jitterIndices(const sim::GraphTemplate &graph)
 {
@@ -39,6 +38,18 @@ jitterIndices(const sim::GraphTemplate &graph)
     return jitterable;
 }
 
+/** A worker's reusable trial buffers. Between trials of one
+ *  template, `durations` equals its base durations everywhere but
+ *  the jittered slots, which every trial rewrites; so the base is
+ *  copied only when the arena binds a different template. */
+struct TrialArena
+{
+    sim::ReplayScratch scratch;
+    std::vector<Seconds> durations;
+    /** GraphTemplate::serial() of the bound template (0 = none). */
+    std::uint64_t serial = 0;
+};
+
 /** One jittered replay of a compiled iteration graph with the
  *  jitter drawn from `seed`, aggregated over the lowering's streams
  *  (compute d at 2d, comm d at 2d + 1). */
@@ -46,18 +57,20 @@ ClusterSimResult
 replayTrial(const sim::GraphTemplate &graph,
             const std::vector<std::uint32_t> &jitter_idx,
             const ClusterSimConfig &config, std::uint64_t seed,
-            sim::ReplayScratch &scratch, std::vector<Seconds> &durations)
+            TrialArena &arena)
 {
-    // The worker arenas are deliberately recycled across runTrials
-    // calls with different graphs — the explicit rebind opt-in.
-    scratch.bind(graph);
-    const std::vector<Seconds> &base = graph.baseDurations();
-    durations.assign(base.begin(), base.end());
-    Rng rng(seed);
-    for (const std::uint32_t i : jitter_idx)
-        durations[i] =
-            base[i] * rng.noiseFactor(config.computeJitter);
-    sim::replay(graph, durations, scratch);
+    if (arena.serial != graph.serial()) {
+        // The worker arenas are deliberately recycled across
+        // runTrials calls with different graphs — the explicit
+        // rebind opt-in.
+        arena.scratch.bind(graph);
+        arena.durations = graph.baseDurations();
+        arena.serial = graph.serial();
+    }
+    Rng(seed).scaleByNoise(config.computeJitter, graph.baseDurations(),
+                           jitter_idx, arena.durations);
+    sim::replay(graph, arena.durations, arena.scratch);
+    const sim::ReplayScratch &scratch = arena.scratch;
 
     const int p = config.tpDegree;
     ClusterSimResult r;
@@ -118,10 +131,9 @@ ClusterSim::run(const ClusterSimConfig &config) const
     const std::shared_ptr<const sim::GraphTemplate> graph =
         compileUncached(layerGraph(baseline_, precision_, config),
                         config);
-    sim::ReplayScratch scratch;
-    std::vector<Seconds> durations;
+    TrialArena arena;
     return replayTrial(*graph, jitterIndices(*graph), config, config.seed,
-                       scratch, durations);
+                       arena);
 }
 
 std::shared_ptr<const sim::GraphTemplate>
@@ -169,7 +181,7 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
         options.study = "cluster_trials";
     exec::ParallelSweepRunner runner(options);
 
-    // Compile once; each trial only fills a duration vector and
+    // Compile once; each trial only jitters its duration slots and
     // replays.
     const std::shared_ptr<const sim::GraphTemplate> graph =
         compileIteration(config);
@@ -179,12 +191,11 @@ ClusterSim::runTrials(const ClusterSimConfig &config, int num_trials,
     summary.trials =
         runner.map(seeds, [&](std::uint64_t seed) {
             // One arena per worker thread, reused across the trials
-            // that worker executes: the per-trial work is a duration
-            // fill + one allocation-free replay.
-            thread_local sim::ReplayScratch scratch;
-            thread_local std::vector<Seconds> durations;
-            return replayTrial(*graph, jitterable, config, seed, scratch,
-                               durations);
+            // that worker executes: the per-trial work is one noise
+            // pass over the jittered slots + one allocation-free
+            // replay.
+            thread_local TrialArena arena;
+            return replayTrial(*graph, jitterable, config, seed, arena);
         });
 
     for (const ClusterSimResult &r : summary.trials) {

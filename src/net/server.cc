@@ -25,6 +25,10 @@ constexpr std::uint64_t kListenerTag = 1;
 constexpr std::uint64_t kWakeTag = 2;
 constexpr std::uint64_t kStopTag = 3;
 
+/** While accepts are paused, how often the loop retries one. */
+constexpr int kAcceptRetryMs = 50;
+constexpr std::int64_t kAcceptRetryNs = kAcceptRetryMs * 1'000'000LL;
+
 std::int64_t
 nowNs()
 {
@@ -202,15 +206,25 @@ Server::acceptReady()
             if (errno == EMFILE || errno == ENFILE) {
                 // The listener is level-triggered: left armed, it
                 // stays readable and the loop spins on this error.
+                // A timed retry that fails again stays in the same
+                // episode: no second warning, no second count.
+                if (acceptsPaused_)
+                    return;
                 warn("net: accept failed: ", std::strerror(errno),
-                     "; pausing accepts until a connection closes");
+                     "; pausing accepts until a descriptor is free");
                 acceptsPaused_ = true;
+                acceptRetryNs_ = nowNs() + kAcceptRetryNs;
                 acceptPauses_.add();
                 armListener(false);
                 return;
             }
             warn("net: accept failed: ", std::strerror(errno));
             return;
+        }
+        if (acceptsPaused_) {
+            // A timed retry got a descriptor: the episode is over.
+            acceptsPaused_ = false;
+            armListener(true);
         }
         const int yes = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &yes, sizeof yes);
@@ -509,7 +523,11 @@ Server::run()
     obs::Tracer::setThreadName("net.loop");
     epoll_event events[64];
     while (!(draining_ && connections_.empty())) {
-        const int timeout = draining_ ? 50 : -1;
+        // Paused accepts wake the loop too: descriptors can free up
+        // outside this server, where no close of ours re-arms it.
+        const int timeout = draining_         ? 50
+                            : acceptsPaused_ ? kAcceptRetryMs
+                                             : -1;
         const int n = ::epoll_wait(epollFd_, events, 64, timeout);
         if (n < 0) {
             if (errno == EINTR)
@@ -554,6 +572,10 @@ Server::run()
             }
         }
         drainCompletions();
+        if (acceptsPaused_ && !draining_ && nowNs() >= acceptRetryNs_) {
+            acceptRetryNs_ = nowNs() + kAcceptRetryNs;
+            acceptReady();
+        }
         if (draining_ && drainDeadlineNs_ != 0 &&
             nowNs() > drainDeadlineNs_ && !connections_.empty()) {
             warn("net: drain deadline passed with ",

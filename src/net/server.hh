@@ -20,9 +20,11 @@
  *
  * Running out of file descriptors pauses accepts instead of spinning:
  * on EMFILE/ENFILE the listener leaves the epoll interest set (warned
- * once, counted as an `accept_pauses` episode) and the next closed
- * connection re-arms it, so a pending client is accepted as soon as a
- * descriptor is free.
+ * once, counted as an `accept_pauses` episode). The next closed
+ * connection re-arms it, and so does a timed retry of the accept
+ * every 50 ms while paused: descriptors freed elsewhere in the
+ * process wake a server that holds no connection. A retry that fails
+ * again stays in the same episode.
  *
  * Shutdown (stop()/SIGTERM via the stop eventfd) is a graceful
  * drain: the listener closes, reads stop, every already-admitted
@@ -174,8 +176,10 @@ class Server
     std::int64_t drainDeadlineNs_ = 0;
 
     /** Set while the listener is disarmed for want of descriptors;
-     *  the next closed connection re-arms it. */
+     *  the next closed connection or successful retry re-arms it. */
     bool acceptsPaused_ = false;
+    /** When the paused loop next retries an accept (steady ns). */
+    std::int64_t acceptRetryNs_ = 0;
 
     obs::Metrics loop_;
     obs::Counter &accepts_ = loop_.counter("connections_opened");

@@ -1,6 +1,7 @@
 #include "engine.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "obs/obs.hh"
 #include "util/logging.hh"
@@ -177,6 +178,7 @@ ResourceId
 EventSimulator::addResource(std::string name)
 {
     resourceNames_.push_back(std::move(name));
+    lastTask_.push_back(InvalidTask);
     return static_cast<ResourceId>(resourceNames_.size()) - 1;
 }
 
@@ -202,16 +204,29 @@ EventSimulator::addTask(std::string_view label, std::string_view tag,
     tags_.push_back(interner_->intern(tag));
     resources_.push_back(resource);
     durations_.push_back(duration);
-    depEdges_.insert(depEdges_.end(), deps.begin(), deps.end());
+    // A dependency on the task just before this one on its own
+    // stream is already implied by the FIFO: replay starts from
+    // resource_free[resource], which is exactly that task's end, so
+    // max(ready, end) cannot change ready for any duration vector.
+    // Dropping it here halves the edges of a lowered ring.
+    const TaskId stream_prev = lastTask_[resource];
+    for (TaskId dep : deps) {
+        if (dep != stream_prev)
+            depEdges_.push_back(dep);
+    }
     depOffsets_.push_back(
         static_cast<std::uint32_t>(depEdges_.size()));
+    lastTask_[resource] = id;
     return id;
 }
 
 std::shared_ptr<const GraphTemplate>
 EventSimulator::compile() const
 {
+    // Serials start at 1, so a default 0 never names a template.
+    static std::atomic<std::uint64_t> next_serial{ 1 };
     auto tmpl = std::make_shared<GraphTemplate>();
+    tmpl->serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
     tmpl->resourceNames_ = resourceNames_;
     tmpl->labels_ = labels_;
     tmpl->tags_ = tags_;

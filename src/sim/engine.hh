@@ -130,9 +130,12 @@ class EventSimulator
 
     /**
      * Append a task to a resource's FIFO queue. Dependencies must be
-     * previously-added task ids. Label and tag are interned; in
-     * steady state (vocabulary already seen) the only growth is the
-     * flat task/edge arrays — no per-task heap vector.
+     * previously-added task ids. A dependency on the task added just
+     * before this one on the same resource is implied by the FIFO
+     * and is not stored (GraphTemplate::deps() lists only the
+     * dependencies beyond stream order). Label and tag are interned;
+     * in steady state (vocabulary already seen) the only growth is
+     * the flat task/edge arrays — no per-task heap vector.
      */
     TaskId addTask(std::string_view label, std::string_view tag,
                    ResourceId resource, Seconds duration,
@@ -176,6 +179,9 @@ class EventSimulator
     std::vector<Seconds> durations_;
     std::vector<std::uint32_t> depOffsets_ = { 0 };
     std::vector<TaskId> depEdges_;
+    /** Last task added to each resource (InvalidTask before its
+     *  first): the dependency addTask() drops as FIFO-implied. */
+    std::vector<TaskId> lastTask_;
     std::shared_ptr<util::StringInterner> interner_ =
         std::make_shared<util::StringInterner>();
 };

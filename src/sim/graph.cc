@@ -143,7 +143,8 @@ replay(const GraphTemplate &graph,
     // Tasks were compiled in program order and dependencies point
     // backwards (validated at build), so one forward pass is a valid
     // simulation — the same recurrence EventSimulator::run() always
-    // used, now over flat arrays.
+    // used, now over flat arrays. `ready` starts at the stream's free
+    // time, so the edges walked are only those beyond stream order.
     for (std::size_t i = 0; i < n; ++i) {
         const ResourceId r = res[i];
         Seconds ready = resource_free[r];

@@ -9,7 +9,16 @@
  * freezes that shape once: tasks are stored flat (interned label/tag
  * ids, resource, base duration in parallel arrays) and dependencies
  * in CSR form (one offsets[] plus one edges[] array instead of a
- * per-task heap vector), all validated at compile time. replay()
+ * per-task heap vector), all validated at compile time.
+ *
+ * The CSR holds only the dependencies beyond stream order. A task
+ * that depends on the task just before it on its own resource needs
+ * no edge: replay starts each task at its resource's free time,
+ * which *is* that predecessor's end, so the max over the edge could
+ * never move the start, for any duration vector. The builder drops
+ * such edges once (EventSimulator::addTask), which removes about
+ * half the edges of a lowered ring iteration — every ring step and
+ * every compute task waits on its stream predecessor. replay()
  * then runs the template against a caller-supplied duration vector
  * into a caller-owned ReplayScratch, so a trial performs **zero**
  * allocations and no re-validation — a what-if sweep is a graph
@@ -83,7 +92,15 @@ class GraphTemplate
 
     std::size_t numTasks() const { return resources_.size(); }
     std::size_t numResources() const { return resourceNames_.size(); }
+    /** Dependencies stored beyond stream order (see deps()). */
     std::size_t numEdges() const { return depEdges_.size(); }
+
+    /**
+     * Unique per compiled template within the process, never 0. It
+     * names a template where its address cannot: a freed template's
+     * storage may be reused by the next one compiled.
+     */
+    std::uint64_t serial() const { return serial_; }
 
     /** Name of a resource (stream), as registered. */
     const std::string &resourceName(ResourceId resource) const;
@@ -102,7 +119,10 @@ class GraphTemplate
     std::string_view taskLabel(TaskId id) const;
     std::string_view taskTag(TaskId id) const;
 
-    /** Dependencies of one task (a view into the CSR edges array). */
+    /** Dependencies of one task beyond stream order: every declared
+     *  dependency except the task's predecessor on its own resource,
+     *  which the FIFO already implies (a view into the CSR edges
+     *  array). */
     std::span<const TaskId> deps(TaskId id) const;
 
     /** The label/tag intern table shared with the builder. */
@@ -126,7 +146,7 @@ class GraphTemplate
     std::vector<util::StringInterner::Id> tags_;
     std::vector<ResourceId> resources_;
     std::vector<Seconds> durations_;
-    /** CSR dependencies: task i depends on
+    /** CSR dependencies beyond stream order: task i depends on
      *  depEdges_[depOffsets_[i] .. depOffsets_[i + 1]). */
     std::vector<std::uint32_t> depOffsets_;
     std::vector<TaskId> depEdges_;
@@ -135,6 +155,7 @@ class GraphTemplate
     std::vector<std::pair<util::StringInterner::Id, std::uint32_t>>
         tagCounts_;
     std::shared_ptr<const util::StringInterner> interner_;
+    std::uint64_t serial_ = 0;
 };
 
 /**

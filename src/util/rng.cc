@@ -162,6 +162,17 @@ Rng::nextGaussian()
 }
 
 double
+Rng::noiseSigma(double rel_stddev)
+{
+    if (rel_stddev != cachedRelStddev_) {
+        cachedRelStddev_ = rel_stddev;
+        cachedSigma_ =
+            std::sqrt(std::log(1.0 + rel_stddev * rel_stddev));
+    }
+    return cachedSigma_;
+}
+
+double
 Rng::noiseFactor(double rel_stddev)
 {
     fatalIf(rel_stddev < 0.0, "noise stddev must be >= 0");
@@ -169,13 +180,35 @@ Rng::noiseFactor(double rel_stddev)
         return 1.0;
     // Log-normal with unit mean: exp(sigma*Z - sigma^2/2) where
     // sigma approximates the relative stddev for small values.
-    if (rel_stddev != cachedRelStddev_) {
-        cachedRelStddev_ = rel_stddev;
-        cachedSigma_ =
-            std::sqrt(std::log(1.0 + rel_stddev * rel_stddev));
-    }
-    const double sigma = cachedSigma_;
+    const double sigma = noiseSigma(rel_stddev);
     return std::exp(sigma * nextGaussian() - 0.5 * sigma * sigma);
+}
+
+void
+Rng::scaleByNoise(double rel_stddev, std::span<const double> base,
+                  std::span<const std::uint32_t> indices,
+                  std::span<double> out)
+{
+    fatalIf(rel_stddev < 0.0, "noise stddev must be >= 0");
+    panicIf(base.size() != out.size(), "scaleByNoise() base has ",
+            base.size(), " slots, out ", out.size());
+    if (rel_stddev == 0.0) {
+        for (const std::uint32_t i : indices) {
+            panicIf(i >= out.size(), "scaleByNoise() index ", i,
+                    " out of range");
+            out[i] = base[i];
+        }
+        return;
+    }
+    // noiseFactor()'s expression, with (0.5 * sigma) * sigma hoisted:
+    // the same operations in the same order, so the same bits.
+    const double sigma = noiseSigma(rel_stddev);
+    const double shift = 0.5 * sigma * sigma;
+    for (const std::uint32_t i : indices) {
+        panicIf(i >= out.size(), "scaleByNoise() index ", i,
+                " out of range");
+        out[i] = base[i] * std::exp(sigma * nextGaussian() - shift);
+    }
 }
 
 } // namespace twocs

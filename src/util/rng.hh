@@ -10,6 +10,7 @@
 #define TWOCS_UTIL_RNG_HH
 
 #include <cstdint>
+#include <span>
 
 namespace twocs {
 
@@ -50,7 +51,23 @@ class Rng
      */
     double noiseFactor(double rel_stddev);
 
+    /**
+     * One noise pass: out[indices[k]] = base[indices[k]] *
+     * noiseFactor(rel_stddev) for every k, in order, drawing exactly
+     * the sequence the per-call form would (same bits). The sigma
+     * setup and the stddev check run once per pass, not per draw.
+     * base and out have one slot per item; slots not named by
+     * `indices` are left alone.
+     */
+    void scaleByNoise(double rel_stddev, std::span<const double> base,
+                      std::span<const std::uint32_t> indices,
+                      std::span<double> out);
+
   private:
+    /** The log-normal sigma for rel_stddev > 0, via the cache. */
+    double noiseSigma(double rel_stddev);
+
+
     std::uint64_t state_[4];
     /** noiseFactor()'s derived sigma, cached per rel_stddev: the
      *  sqrt/log setup dominates a draw and almost every caller uses

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "core/amdahl.hh"
@@ -145,6 +146,70 @@ TEST(ClusterReplay, SingleTrialMatchesRun)
               direct.computeTimePerDevice);
     EXPECT_EQ(trials.trials[0].stallTimePerDevice,
               direct.stallTimePerDevice);
+}
+
+TEST(ClusterReplay, AlternatingGraphsNeverReplayAStaleBase)
+{
+    // A worker refills its duration buffer from the base only when
+    // it binds a different template. Two graphs of one shape but
+    // different base durations, alternated on one thread, must each
+    // replay from their own base.
+    ClusterSim sim;
+    ClusterSimConfig small = smallConfig(4, 0.05);
+    ClusterSimConfig wide = small;
+    wide.hidden = 8192;
+    ASSERT_EQ(sim.compileIteration(small)->numTasks(),
+              sim.compileIteration(wide)->numTasks());
+    ASSERT_NE(sim.compileIteration(small)->baseDurations(),
+              sim.compileIteration(wide)->baseDurations());
+    exec::RunnerOptions runner;
+    runner.jobs = 1;
+    const ClusterTrialSummary ref_small =
+        test::perTrialRuns(sim, small, 3);
+    const ClusterTrialSummary ref_wide = test::perTrialRuns(sim, wide, 3);
+    for (int round = 0; round < 3; ++round) {
+        expectIdentical(ref_small, sim.runTrials(small, 3, runner));
+        expectIdentical(ref_wide, sim.runTrials(wide, 3, runner));
+    }
+}
+
+/** FNV-1a over the bit patterns of every per-trial field. */
+std::uint64_t
+trialHash(const ClusterTrialSummary &summary)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const ClusterSimResult &r : summary.trials) {
+        for (const double v :
+             { r.iterationTime, r.commTimePerDevice,
+               r.computeTimePerDevice, r.stallTimePerDevice }) {
+            std::uint64_t bits;
+            std::memcpy(&bits, &v, sizeof bits);
+            for (int b = 0; b < 8; ++b) {
+                h ^= (bits >> (8 * b)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        }
+    }
+    return h;
+}
+
+TEST(ClusterReplay, JitteredTrialsArePinned)
+{
+    // Absolute jittered Monte Carlo bits, so that a change to the
+    // trial loop (duration fill, noise pass, edge walk) that keeps
+    // runTrials() equal to run() but moves both shows up here. The
+    // values depend on libm's exp() through the log-normal noise
+    // factor: a different libm may move the last bits.
+    ClusterSim sim;
+    ClusterSimConfig cfg = smallConfig(4, 0.05);
+    cfg.plan = model::ParallelPlan::parse("tp=4,dp=2");
+    const ClusterTrialSummary s = sim.runTrials(cfg, 16);
+    EXPECT_EQ(s.meanIterationTime, 0x1.36747d22b588p-7)
+        << std::hexfloat << s.meanIterationTime;
+    EXPECT_EQ(s.worstIterationTime, 0x1.3ad1dd00db71p-7)
+        << std::hexfloat << s.worstIterationTime;
+    EXPECT_EQ(trialHash(s), 0xc736a12d41ade027ULL)
+        << std::hex << trialHash(s);
 }
 
 TEST(ClusterReplay, AdjacentBaseSeedsDrawDistinctTrialStreams)

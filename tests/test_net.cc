@@ -737,6 +737,34 @@ processCpuSeconds()
     return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
+/** Lowers this process's soft RLIMIT_NOFILE so that exactly `free`
+ *  descriptors remain; restore() (or the destructor) raises it back. */
+class LoweredFdLimit
+{
+  public:
+    explicit LoweredFdLimit(int free)
+    {
+        ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+        rlim_t limit = 0;
+        for (int left = 0; left < free; ++limit) {
+            if (::fcntl(static_cast<int>(limit), F_GETFD) < 0)
+                ++left;
+        }
+        rlimit lowered = saved_;
+        lowered.rlim_cur = limit;
+        ok_ = ok_ && limit <= saved_.rlim_cur &&
+              ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+    }
+    ~LoweredFdLimit() { restore(); }
+
+    bool ok() const { return ok_; }
+    void restore() const { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  private:
+    rlimit saved_{};
+    bool ok_ = false;
+};
+
 TEST(NetServer, DescriptorExhaustionPausesAcceptsUntilAClose)
 {
     net::Server server(serverOptionsOf(1));
@@ -746,22 +774,8 @@ TEST(NetServer, DescriptorExhaustionPausesAcceptsUntilAClose)
     // costs two descriptors. Lower the soft limit to leave seven free:
     // three served connections, then one more client socket whose
     // accept fails with EMFILE.
-    rlimit saved{};
-    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
-    rlim_t limit = 0;
-    for (int free = 0; free < 7; ++limit) {
-        if (::fcntl(static_cast<int>(limit), F_GETFD) < 0)
-            ++free;
-    }
-    ASSERT_LE(limit, saved.rlim_cur);
-    struct RestoreLimit
-    {
-        rlimit saved;
-        ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
-    } restore{ saved };
-    rlimit lowered = saved;
-    lowered.rlim_cur = limit;
-    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    const LoweredFdLimit limit(7);
+    ASSERT_TRUE(limit.ok());
 
     std::list<net::BlockingClient> served;
     std::string response;
@@ -794,6 +808,50 @@ TEST(NetServer, DescriptorExhaustionPausesAcceptsUntilAClose)
     EXPECT_EQ(loop.value("accept_pauses"), 1u);
 
     served.clear();
+    server.stop();
+    server.join();
+}
+
+TEST(NetServer, PausedAcceptsRetryWithoutAHeldConnection)
+{
+    // With no connection of its own to close, only the timed retry
+    // can wake a paused listener once descriptors free up elsewhere.
+    net::Server server(serverOptionsOf(1));
+    server.start();
+    ::testing::internal::CaptureStderr();
+    {
+        // One free descriptor: the client's socket takes it, and the
+        // server's accept fails with EMFILE.
+        LoweredFdLimit limit(1);
+        ASSERT_TRUE(limit.ok());
+        net::BlockingClient pending(server.port());
+        const timeval timeout{ 10, 0 };
+        ::setsockopt(pending.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof timeout);
+        pending.sendLine(kProjectB);
+
+        // Several retries fail within this window; they all belong
+        // to the one episode.
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        const obs::Metrics &loop = server.loopMetrics();
+        EXPECT_EQ(loop.value("accept_pauses"), 1u);
+        EXPECT_EQ(loop.value("connections_opened"), 0u);
+
+        limit.restore();
+        std::string response;
+        ASSERT_TRUE(pending.recvLine(response));
+        EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
+        EXPECT_EQ(loop.value("connections_opened"), 1u);
+        EXPECT_EQ(loop.value("accept_pauses"), 1u);
+    }
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    std::size_t pauses = 0;
+    for (std::size_t at = warnings.find("pausing accepts");
+         at != std::string::npos;
+         at = warnings.find("pausing accepts", at + 1))
+        ++pauses;
+    EXPECT_EQ(pauses, 1u) << warnings;
+
     server.stop();
     server.join();
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,11 +128,20 @@ TEST(Rng, GaussianStreamIsPinned)
         0x1.f3d24320109cbp-1, 0x1.07141d1fd3081p+0,
         0x1.01801610a8cf4p+0, 0x1.14ca43e56e11bp+0,
     };
-    Rng normal(1), noise(1);
+    Rng normal(1), noise(1), pass(1);
     for (int i = 0; i < 8; ++i) {
         EXPECT_EQ(normal.nextGaussian(), gaussians[i]) << "draw " << i;
         EXPECT_EQ(noise.noiseFactor(0.05), factors[i]) << "draw " << i;
     }
+    // The one-pass form draws the same stream: slot 7 - k gets draw
+    // k (unit bases), and the slot it does not name stays untouched.
+    const std::vector<double> base(9, 1.0);
+    std::vector<double> out(9, -1.0);
+    const std::vector<std::uint32_t> slots = { 7, 6, 5, 4, 3, 2, 1, 0 };
+    pass.scaleByNoise(0.05, base, slots, out);
+    for (int k = 0; k < 8; ++k)
+        EXPECT_EQ(out[slots[k]], factors[k]) << "draw " << k;
+    EXPECT_EQ(out[8], -1.0);
 }
 
 TEST(Rng, NoiseFactorHasUnitMean)
@@ -144,6 +154,13 @@ TEST(Rng, NoiseFactorHasUnitMean)
     EXPECT_NEAR(stddev(xs), 0.10, 0.01);
     EXPECT_DOUBLE_EQ(rng.noiseFactor(0.0), 1.0);
     EXPECT_THROW(rng.noiseFactor(-0.1), FatalError);
+
+    const std::vector<double> base = { 2.0, 3.0 };
+    std::vector<double> out = { 0.0, 0.0 };
+    const std::vector<std::uint32_t> slots = { 1 };
+    rng.scaleByNoise(0.0, base, slots, out);
+    EXPECT_EQ(out, (std::vector<double>{ 0.0, 3.0 }));
+    EXPECT_THROW(rng.scaleByNoise(-0.1, base, slots, out), FatalError);
 }
 
 // --- NoiseModel ---
