@@ -758,7 +758,11 @@ class LoweredFdLimit
     ~LoweredFdLimit() { restore(); }
 
     bool ok() const { return ok_; }
-    void restore() const { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+    void restore() const
+    {
+        if (ok_)
+            ::setrlimit(RLIMIT_NOFILE, &saved_);
+    }
 
   private:
     rlimit saved_{};
