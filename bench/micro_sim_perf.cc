@@ -267,8 +267,8 @@ main(int argc, char **argv)
         json.set("tasks_per_sec_rebuild", rebuild);
         json.set("tasks_per_sec_replay", replay);
 
-        // Hit rate of a warm repeated figure-12 event sweep over a
-        // widened compute-scaling axis: after the first run every
+        // Hit rate of a warm repeated 12-des study over a widened
+        // compute-scaling axis: after the first run every cell's
         // structural key is resident.
         const std::vector<core::EvolutionConfig> evo =
             core::figure12Configs(
@@ -280,7 +280,7 @@ main(int argc, char **argv)
         cache.resetStats();
         core::runSimulatedEvolutionStudy(sys(), evo, one_job);
         const double hit_rate = cache.stats().hitRate();
-        std::printf("figure-12 event sweep (%zu points): warm graph "
+        std::printf("12-des study (%zu points): warm graph "
                     "cache hit rate %.2f\n",
                     evo.size(), hit_rate);
         json.set("graph_cache_hit_rate", hit_rate);

@@ -110,11 +110,17 @@ main()
 
     double ratio = 1e300;
     for (int attempt = 0; attempt < 3 && ratio >= limit; ++attempt) {
-        // Interleave-order the variants across attempts so drift in
-        // machine load cannot systematically favor either side.
-        const double with_spans =
-            minSeconds(loopWithSpanSites, iterations, reps);
-        const double plain = minSeconds(loopPlain, iterations, reps);
+        // Alternate which variant runs first on each attempt, so
+        // drift in machine load cannot systematically favor either
+        // side.
+        double with_spans = 0.0, plain = 0.0;
+        if (attempt % 2 == 0) {
+            with_spans = minSeconds(loopWithSpanSites, iterations, reps);
+            plain = minSeconds(loopPlain, iterations, reps);
+        } else {
+            plain = minSeconds(loopPlain, iterations, reps);
+            with_spans = minSeconds(loopWithSpanSites, iterations, reps);
+        }
         ratio = with_spans / plain;
         std::printf("attempt %d: plain %.3f ms, with spans %.3f ms, "
                     "ratio %.4f\n",

@@ -45,8 +45,9 @@
 #                 the collective_lowering_* and zoo_study_ms schema
 #                 keys, `twocs sweep --figure 2` (the zoo study),
 #                 `twocs sweep --figure 12` under a full `--parallel`
-#                 plan (flat and hierarchical topology) and `--engine
-#                 event` must be byte-identical across --jobs, and so
+#                 plan (flat and hierarchical topology) and `twocs
+#                 sweep --figure 12-des` (the same grid on the DES)
+#                 must be byte-identical across --jobs, and so
 #                 must the jittered cluster Monte Carlo, TP-only
 #                 (`--tp 4`) and with overlapped DP collectives
 #                 (`--parallel tp=4,dp=2`), and the largest ring the
@@ -224,12 +225,17 @@ hier_two="$("${twocs}" sweep --figure 12 --parallel "${plan}" \
 [ "${hier_one}" = "${hier_two}" ]
 
 echo "== tier-1: figure-12 event sweep byte-identical across --jobs =="
-# The event path groups points by structure through the process-wide
-# graph cache (gated against a per-point CaseStudy::run in the
-# GraphCacheSweep tests); its CLI output must not depend on --jobs.
-f12_event="$("${twocs}" sweep --figure 12 --engine event --jobs 1)"
-[ "${f12_event}" = "$("${twocs}" sweep --figure 12 --engine event \
-    --jobs 4)" ]
+# 12-des runs one case-study iteration per cell through the
+# process-wide graph cache (gated against an uncached per-point
+# CaseStudy::run in the GraphCacheSweep tests); its CLI output must
+# not depend on --jobs.
+f12_des="$("${twocs}" sweep --figure 12-des --jobs 1)"
+[ "${f12_des}" = "$("${twocs}" sweep --figure 12-des --jobs 4)" ]
+# Figure 12's DES view is its own figure: sweep has no --engine.
+if "${twocs}" sweep --figure 12 --engine event > /dev/null 2>&1; then
+    echo "sweep accepted the removed --engine event"
+    exit 1
+fi
 # The batched trial engine is gone: --engine is an unknown option.
 if "${twocs}" cluster --trials 4 --engine batched > /dev/null 2>&1; then
     echo "cluster accepted the removed --engine batched"

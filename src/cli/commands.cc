@@ -355,13 +355,10 @@ cmdSweep(const Args &args)
     core::FigureOptions options;
     options.csv = args.getInt("csv", 0) != 0;
     options.system = systemFrom(args);
-    fatalIf(args.has("engine") && !figure->takesEngine,
-            "--engine only applies to --figure 12 (the "
-            "hardware-evolution study); figure ", id,
-            " has a single evaluation path");
+    fatalIf(args.has("parallel") && !figure->takesPlan,
+            "--parallel only applies to --figure 10 or 12; figure ", id,
+            " takes no plan");
     options.plan = parallelFrom(args);
-    options.hasPlan = args.has("parallel");
-    options.engine = args.get("engine", "model");
     options.runner = runnerFrom(args, "sweep");
     figure->render(options, std::cout);
     return 0;
@@ -772,9 +769,7 @@ buildRegistry()
                         "figure to regenerate: " +
                             core::figureIdList() },
                       { "csv", FlagType::Bool, "0",
-                        "emit CSV instead of a table" },
-                      { "engine", FlagType::String, "model",
-                        "figure 12 evaluation engine: model|event" } },
+                        "emit CSV instead of a table" } },
                     parallel, system, runner, trace }),
           cmdSweep });
     registry.push_back(

@@ -3,6 +3,7 @@
 #include <ios>
 #include <sstream>
 
+#include "core/lowering.hh"
 #include "sim/graph_cache.hh"
 #include "util/logging.hh"
 
@@ -14,9 +15,41 @@ CaseStudy::CaseStudy(model::Hyperparams baseline_template,
 {
 }
 
+namespace {
+
+/** Aggregate a schedule into the Figure 14 decomposition. */
+CaseStudyResult
+resultFromSchedule(const sim::Schedule &sched)
+{
+    const sim::ResourceId compute = computeStream(0);
+    const sim::ResourceId comm_stream = commStream(0);
+    CaseStudyResult r;
+    r.makespan = sched.makespan();
+    r.computeTime = sched.busyTime(compute);
+    r.serializedCommTime =
+        sched.timeByTag("tp_ar") + sched.timeByTag("ep_a2a");
+    r.dpCommTime = sched.timeByTag("dp_ar");
+    const Seconds exposed = sched.exposedTime(comm_stream, compute);
+    r.dpExposedTime = exposed > r.serializedCommTime
+                          ? exposed - r.serializedCommTime
+                          : 0.0;
+    r.overlappedCommTime = sched.overlappedTime(comm_stream, compute);
+    return r;
+}
+
+/** One replay of `graph` at its base durations. */
+sim::Schedule
+replayOnce(std::shared_ptr<const sim::GraphTemplate> graph)
+{
+    sim::ReplayScratch scratch;
+    sim::replay(*graph, {}, scratch);
+    return sim::Schedule(std::move(graph), scratch.placements());
+}
+
+} // namespace
+
 sim::EventSimulator
-CaseStudy::lower(const CaseStudyConfig &config,
-                 std::vector<DurationRule> *recipe) const
+CaseStudy::lower(const CaseStudyConfig &config) const
 {
     fatalIf(config.fineGrainedOverlapFraction < 0.0 ||
                 config.fineGrainedOverlapFraction > 1.0,
@@ -47,18 +80,13 @@ CaseStudy::lower(const CaseStudyConfig &config,
         .dpBucketBytes = config.dpBucketBytes,
     };
     return lowerIteration(model::LayerGraphBuilder(hp, par, precision_),
-                          config.system, options, recipe);
+                          config.system, options);
 }
 
 sim::Schedule
 CaseStudy::buildSchedule(const CaseStudyConfig &config) const
 {
-    // Uncached: one replay of the base durations.
-    const std::shared_ptr<const sim::GraphTemplate> graph =
-        lower(config).compile();
-    sim::ReplayScratch scratch;
-    sim::replay(*graph, {}, scratch);
-    return sim::Schedule(graph, scratch.placements());
+    return replayOnce(lower(config).compile());
 }
 
 std::string
@@ -91,73 +119,20 @@ CaseStudy::cacheKey(const CaseStudyConfig &config) const
 std::shared_ptr<const sim::GraphTemplate>
 CaseStudy::compileGraph(const CaseStudyConfig &config) const
 {
-    // Both entry points share one cache row per key, built with
-    // its recipe, so a later compileCaseWithRecipe() hit never
-    // recompiles.
-    return compileCaseWithRecipe(config).graph;
-}
-
-CompiledCase
-CaseStudy::compileCaseWithRecipe(const CaseStudyConfig &config) const
-{
-    const sim::GraphCache::Compiled cached =
-        sim::GraphCache::instance().getOrCompile(
-            cacheKey(config), [&] {
-                auto recipe =
-                    std::make_shared<std::vector<DurationRule>>();
-                sim::GraphCache::Compiled out;
-                out.graph = lower(config, recipe.get()).compile();
-                out.aux = std::move(recipe);
-                return out;
-            });
-
-    CompiledCase cc;
-    cc.graph = cached.graph;
-    cc.recipe =
-        sim::GraphCache::auxAs<std::vector<DurationRule>>(cached);
-    // Only this function writes a `case|` row, and it always stores
-    // the recipe.
-    panicIf(cc.recipe == nullptr, "case-study cache row without a "
-                                  "duration recipe");
-    return cc;
-}
-
-void
-CaseStudy::fillDurations(const std::vector<DurationRule> &recipe,
-                         const hw::KernelCostModel &kernels,
-                         std::vector<Seconds> &durations)
-{
-    durations.resize(recipe.size());
-    for (std::size_t i = 0; i < recipe.size(); ++i) {
-        const DurationRule &rule = recipe[i];
-        durations[i] =
-            rule.kernelCosted ? kernels.cost(rule.kernel) : rule.fixed;
-    }
-}
-
-CaseStudyResult
-CaseStudy::resultFromSchedule(const sim::Schedule &sched)
-{
-    const sim::ResourceId compute = computeStream(0);
-    const sim::ResourceId comm_stream = commStream(0);
-    CaseStudyResult r;
-    r.makespan = sched.makespan();
-    r.computeTime = sched.busyTime(compute);
-    r.serializedCommTime =
-        sched.timeByTag("tp_ar") + sched.timeByTag("ep_a2a");
-    r.dpCommTime = sched.timeByTag("dp_ar");
-    const Seconds exposed = sched.exposedTime(comm_stream, compute);
-    r.dpExposedTime = exposed > r.serializedCommTime
-                          ? exposed - r.serializedCommTime
-                          : 0.0;
-    r.overlappedCommTime = sched.overlappedTime(comm_stream, compute);
-    return r;
+    return sim::GraphCache::instance()
+        .getOrCompile(cacheKey(config),
+                      [&] {
+                          sim::GraphCache::Compiled out;
+                          out.graph = lower(config).compile();
+                          return out;
+                      })
+        .graph;
 }
 
 CaseStudyResult
 CaseStudy::run(const CaseStudyConfig &config) const
 {
-    return resultFromSchedule(buildSchedule(config));
+    return resultFromSchedule(replayOnce(compileGraph(config)));
 }
 
 } // namespace twocs::core

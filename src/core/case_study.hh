@@ -17,7 +17,6 @@
 #ifndef TWOCS_CORE_CASE_STUDY_HH
 #define TWOCS_CORE_CASE_STUDY_HH
 
-#include "core/lowering.hh"
 #include "core/system_config.hh"
 #include "model/layer_graph.hh"
 #include "model/zoo.hh"
@@ -102,15 +101,6 @@ struct CaseStudyResult
     double computeFraction() const { return computeTime / makespan; }
 };
 
-/** A cached template plus the per-task duration recipe that lets
- *  structure-sharing siblings refill durations bit-identically to a
- *  from-scratch build (the delta sweep engine's unit of reuse). */
-struct CompiledCase
-{
-    std::shared_ptr<const sim::GraphTemplate> graph;
-    std::shared_ptr<const std::vector<DurationRule>> recipe;
-};
-
 /** Runs the two-stream timeline for a configuration. */
 class CaseStudy
 {
@@ -119,48 +109,26 @@ class CaseStudy
                            model::bertLarge(),
                        hw::Precision precision = hw::Precision::FP16);
 
+    /** One iteration's decomposition: the compileGraph() template
+     *  replayed once at its base durations. */
     CaseStudyResult run(const CaseStudyConfig &config) const;
 
-    /** The schedule behind a result, for timeline inspection. */
+    /** The schedule behind a result, for timeline inspection: an
+     *  uncached lower-and-compile on every call (the rebuild oracle
+     *  run() is tested against). */
     sim::Schedule buildSchedule(const CaseStudyConfig &config) const;
 
     /** The frozen two-stream iteration graph, for replay-many use
-     *  (the micro_sim_perf rebuild-vs-replay configurations).
+     *  (run(), the query service's perturbations, micro_sim_perf).
      *  Resolved through the process-wide sim::GraphCache. */
     std::shared_ptr<const sim::GraphTemplate>
     compileGraph(const CaseStudyConfig &config) const;
 
-    /**
-     * compileGraph() plus the duration recipe, for evaluating a
-     * family of configurations that share this one's structure but
-     * re-cost compute under different hardware scaling (the
-     * incremental sweep engine).
-     */
-    CompiledCase
-    compileCaseWithRecipe(const CaseStudyConfig &config) const;
-
-    /** Aggregate a schedule into the Figure 14 decomposition (the
-     *  one aggregation every engine shares, so replayed and rebuilt
-     *  paths agree bit for bit). */
-    static CaseStudyResult
-    resultFromSchedule(const sim::Schedule &sched);
-
-    /** Evaluate a recipe under one kernel model into `durations`
-     *  (resized to the recipe): fixed rules verbatim, kernel rules
-     *  re-costed — exactly the numbers a from-scratch build at the
-     *  same configuration would bake in. */
-    static void fillDurations(const std::vector<DurationRule> &recipe,
-                              const hw::KernelCostModel &kernels,
-                              std::vector<Seconds> &durations);
-
   private:
     /** Validate `config` and lower its iteration onto one device
      *  (core::lowerIteration). */
-    sim::EventSimulator
-    lower(const CaseStudyConfig &config,
-          std::vector<DurationRule> *recipe = nullptr) const;
-    /** The structural cache key compileGraph()/compileCaseWithRecipe()
-     *  store under. */
+    sim::EventSimulator lower(const CaseStudyConfig &config) const;
+    /** The structural cache key compileGraph() stores under. */
     std::string cacheKey(const CaseStudyConfig &config) const;
 
     model::Hyperparams baseline_;

@@ -346,58 +346,26 @@ renderFigure12(const FigureOptions &o, std::ostream &os)
 {
     // Hardware evolution: the Figure 10 model lines at each compute
     // scaling step, optionally under a full 3D plan.
-    fatalIf(o.engine != "model" && o.engine != "event",
-            "option --engine expects model|event, got '", o.engine,
-            "'");
     std::vector<EvolutionConfig> configs = figure12Configs();
-    if (o.engine == "model") {
-        SerializedStudyOptions opts;
-        opts.basePlan = o.plan;
-        opts.runner = runnerFor(o, "sweep_figure12");
-        // An explicit tp= in --parallel pins the TP degree for every
-        // line; otherwise each line keeps its required TP.
-        if (opts.basePlan.tpDegree > 1) {
-            for (EvolutionConfig &c : configs)
-                c.tpDegree = opts.basePlan.tpDegree;
-        }
-        const auto points =
-            runHardwareEvolutionStudy(o.system, configs, opts);
-
-        TextTable t({ "model", "flop_scale", "H", "SL", "TP", "plan",
-                      "comm_fraction" });
-        for (const EvolutionPoint &p : points) {
-            t.addRowOf(p.config.tag, p.config.flopScale,
-                       static_cast<long>(p.config.hidden),
-                       static_cast<long>(p.config.seqLen),
-                       p.point.tpDegree, p.point.plan.summary(),
-                       p.point.commFraction());
-        }
-        show(t, o, os);
-        return;
+    SerializedStudyOptions opts;
+    opts.basePlan = o.plan;
+    opts.runner = runnerFor(o, "sweep_figure12");
+    // An explicit tp= in --parallel pins the TP degree for every
+    // line; otherwise each line keeps its required TP.
+    if (opts.basePlan.tpDegree > 1) {
+        for (EvolutionConfig &c : configs)
+            c.tpDegree = opts.basePlan.tpDegree;
     }
-    // Ground truth on the event engine: one compile per structure, a
-    // duration refill and replay per point, byte-identical to a
-    // per-point rebuild (DESIGN.md §16).
-    fatalIf(o.hasPlan,
-            "--parallel only applies to --engine model: the "
-            "event-engine study runs each line at its required TP "
-            "degree");
-    const auto points = runSimulatedEvolutionStudy(
-        o.system, configs, runnerFor(o, "sweep_figure12"));
+    const auto points = runHardwareEvolutionStudy(o.system, configs, opts);
 
-    TextTable t({ "model", "flop_scale", "H", "SL", "TP", "iteration",
-                  "compute", "serialized_comm", "exposed_comm",
-                  "hidden_comm" });
-    for (const SimulatedEvolutionPoint &p : points) {
+    TextTable t({ "model", "flop_scale", "H", "SL", "TP", "plan",
+                  "comm_fraction" });
+    for (const EvolutionPoint &p : points) {
         t.addRowOf(p.config.tag, p.config.flopScale,
                    static_cast<long>(p.config.hidden),
                    static_cast<long>(p.config.seqLen),
-                   static_cast<long>(p.config.tpDegree),
-                   formatSeconds(p.result.makespan),
-                   formatPercent(p.result.computeFraction()),
-                   formatPercent(p.result.serializedCommFraction()),
-                   formatPercent(p.result.exposedCommFraction()),
-                   formatPercent(p.result.hiddenCommFraction()));
+                   p.point.tpDegree, p.point.plan.summary(),
+                   p.point.commFraction());
     }
     show(t, o, os);
 }
@@ -432,6 +400,67 @@ figure12Claims()
              0.75),
         band("4x flop-vs-bw comm-fraction range high", hi[1], 0.40,
              0.75),
+    };
+}
+
+// --- Figure 12 on the DES: serialized, exposed and hidden comm ----
+
+void
+renderFigure12Des(const FigureOptions &o, std::ostream &os)
+{
+    // The same grid as ground truth: each line at its required TP,
+    // one two-stream case-study iteration per cell.
+    const auto points = runSimulatedEvolutionStudy(
+        o.system, figure12Configs(), runnerFor(o, "sweep_figure12_des"));
+
+    TextTable t({ "model", "flop_scale", "H", "SL", "TP", "iteration",
+                  "compute", "serialized_comm", "exposed_comm",
+                  "hidden_comm" });
+    for (const SimulatedEvolutionPoint &p : points) {
+        t.addRowOf(p.config.tag, p.config.flopScale,
+                   static_cast<long>(p.config.hidden),
+                   static_cast<long>(p.config.seqLen),
+                   static_cast<long>(p.config.tpDegree),
+                   formatSeconds(p.result.makespan),
+                   formatPercent(p.result.computeFraction()),
+                   formatPercent(p.result.serializedCommFraction()),
+                   formatPercent(p.result.exposedCommFraction()),
+                   formatPercent(p.result.hiddenCommFraction()));
+    }
+    show(t, o, os);
+}
+
+Claims
+figure12DesClaims()
+{
+    // figure12Configs() lists every model line at 1x, then at 2x,
+    // then at 4x.
+    const std::vector<SimulatedEvolutionPoint> points =
+        runSimulatedEvolutionStudy(SystemConfig(), figure12Configs());
+    const std::size_t lines = figure10Lines().size();
+    double lo[3] = { 1.0, 1.0, 1.0 }, hi[3] = { 0.0, 0.0, 0.0 };
+    bool rises = true;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::size_t g = i / lines;
+        const double f = points[i].result.serializedCommFraction();
+        lo[g] = std::min(lo[g], f);
+        hi[g] = std::max(hi[g], f);
+        if (g > 0)
+            rises = rises &&
+                    f > points[i - lines].result.serializedCommFraction();
+    }
+    // Section 4.3.6: "the range increasing from 20-50% to 30-65% and
+    // 40-75%, respectively".
+    return {
+        band("1x DES serialized-comm fraction low", lo[0], 0.20, 0.50),
+        band("1x DES serialized-comm fraction high", hi[0], 0.20, 0.50),
+        band("2x DES serialized-comm fraction low", lo[1], 0.30, 0.65),
+        band("2x DES serialized-comm fraction high", hi[1], 0.30, 0.65),
+        band("4x DES serialized-comm fraction low", lo[2], 0.40, 0.75),
+        band("4x DES serialized-comm fraction high", hi[2], 0.40, 0.75),
+        check("the DES serialized-comm fraction rises with flop scale "
+              "on every model line",
+              rises),
     };
 }
 
@@ -1855,12 +1884,16 @@ constexpr Figure kFigures[] = {
       renderFigure7, figure7Claims },
     { "9b", "TP scaling with model size", false, renderFigure9b,
       figure9bClaims },
-    { "10", "Fraction of serialized comm. time", false, renderFigure10,
+    { "10", "Fraction of serialized comm. time", true, renderFigure10,
       figure10Claims },
     { "11", "Overlapped comm. as a percentage of comp. time", false,
       renderFigure11, figure11Claims },
     { "12", "Hardware evolution vs serialized comm. fraction", true,
       renderFigure12, figure12Claims },
+    { "12-des",
+      "Hardware evolution on the DES: serialized, exposed and hidden "
+      "comm",
+      false, renderFigure12Des, figure12DesClaims },
     { "13", "Hardware evolution vs overlapped comm. percentage", false,
       renderFigure13, figure13Claims },
     { "14", "Overall Comp-vs-Comm case study", false, renderFigure14,

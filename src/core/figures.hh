@@ -48,11 +48,8 @@ struct FigureClaim
 struct FigureOptions
 {
     SystemConfig system;
-    /** `--parallel`; hasPlan tells an identity plan from none. */
+    /** `--parallel` (figures 10 and 12 only). */
     model::ParallelPlan plan;
-    bool hasPlan = false;
-    /** `--engine`: model or event (figure 12 only). */
-    std::string engine = "model";
     /** Jobs and report path; each figure names its own study. */
     exec::RunnerOptions runner;
     /** `--csv`: every table as CSV instead of aligned text. */
@@ -65,8 +62,8 @@ struct Figure
     /** `--figure` value: "10", "9b", "table2", "ablation-moe", ... */
     const char *id;
     const char *title;
-    /** Whether the figure reads `--engine`. */
-    bool takesEngine;
+    /** Whether the figure reads `--parallel`. */
+    bool takesPlan;
     void (*render)(const FigureOptions &options, std::ostream &os);
     /** The figure's claims at the default system. */
     std::vector<FigureClaim> (*claims)();

@@ -11,8 +11,7 @@ namespace twocs::core {
 
 sim::EventSimulator
 lowerIteration(const model::LayerGraphBuilder &graph,
-               const SystemConfig &system, const LoweringOptions &options,
-               std::vector<DurationRule> *recipe)
+               const SystemConfig &system, const LoweringOptions &options)
 {
     const model::ParallelPlan &par = graph.parallel();
     const int p = options.devices;
@@ -36,17 +35,9 @@ lowerIteration(const model::LayerGraphBuilder &graph,
         comm_streams[d] = des.addResource("comm" + suffix);
     }
 
-    // Every task is added here, so the recipe mirrors the task ids.
-    // Collective costs never read the compute-scaling knobs and are
-    // baked; compute re-costs its kernel under a sibling's system.
     std::vector<sim::TaskId> deps;
     const auto add = [&](const model::TrainingOp &op, const char *tag,
                          sim::ResourceId resource, Seconds dur) {
-        if (recipe != nullptr) {
-            recipe->push_back(op.isComm()
-                                  ? DurationRule{ false, {}, dur }
-                                  : DurationRule{ true, op.kernel, 0.0 });
-        }
         return des.addTask(op.kernel.label, tag, resource, dur, deps);
     };
     const auto depOn = [&](sim::TaskId t) {
@@ -106,15 +97,9 @@ lowerIteration(const model::LayerGraphBuilder &graph,
             // comm::ringStepTime's pinned per-ring share semantics.
             const Seconds step = comm::ringStepTime(
                 topo, op.commBytes, p, system.linkEfficiency);
-            const int steps = 2 * (p - 1);
             last = comm::emitRing(des, comm_streams, std::move(last),
-                                  steps, step, op.kernel.label,
+                                  2 * (p - 1), step, op.kernel.label,
                                   "ring_step");
-            if (recipe != nullptr) {
-                recipe->insert(recipe->end(),
-                               static_cast<std::size_t>(steps * p),
-                               DurationRule{ false, {}, step });
-            }
             return;
         }
         // Technique 3: the decomposed fraction of a TP/EP collective

@@ -16,31 +16,11 @@
 #ifndef TWOCS_CORE_LOWERING_HH
 #define TWOCS_CORE_LOWERING_HH
 
-#include <vector>
-
 #include "core/system_config.hh"
 #include "model/layer_graph.hh"
 #include "sim/engine.hh"
 
 namespace twocs::core {
-
-/**
- * How one compiled task's duration is (re)derived for a sibling
- * configuration that shares the graph's structure: either a baked
- * value every sibling shares (collective costs, which never read the
- * compute-scaling knobs), or a kernel descriptor the sibling re-costs
- * under its own system. The rules are indexed by compiled task id:
- * every DES consumer replays the lowered graph as built, so task i
- * of the template is task i of the lowering.
- */
-struct DurationRule
-{
-    /** Re-cost `kernel` under the point's kernel model when true;
-     *  use `fixed` verbatim otherwise. */
-    bool kernelCosted = false;
-    hw::KernelDesc kernel;
-    Seconds fixed = 0.0;
-};
 
 /** The study knobs the lowering reads besides the op stream and the
  *  system (CaseStudyConfig's; the defaults are the cluster's). */
@@ -67,14 +47,11 @@ constexpr sim::ResourceId commStream(int d) { return 2 * d + 1; }
  * are `compute`/`comm` at one device, `compute<d>`/`comm<d>` at p.
  * Tags: `compute`; `tp_ar` and `overlap_tail` (closed-form TP);
  * `ring_step`; `ep_a2a`; `dp_ar` (every DP gradient collective);
- * `plan_coll` (PP sends, ZeRO parameter gathers). A non-null
- * `recipe` receives one DurationRule per task, in task order.
+ * `plan_coll` (PP sends, ZeRO parameter gathers).
  */
 sim::EventSimulator lowerIteration(const model::LayerGraphBuilder &graph,
                                    const SystemConfig &system,
-                                   const LoweringOptions &options,
-                                   std::vector<DurationRule> *recipe =
-                                       nullptr);
+                                   const LoweringOptions &options);
 
 } // namespace twocs::core
 

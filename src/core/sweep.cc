@@ -1,7 +1,6 @@
 #include "sweep.hh"
 
 #include <map>
-#include <tuple>
 
 #include "model/zoo.hh"
 #include "util/logging.hh"
@@ -84,11 +83,7 @@ runSerializedStudy(const AmdahlAnalysis &analysis,
         runner.map(configs, [&](const SerializedConfig &c) {
             const model::ParallelPlan plan =
                 planAtTp(options.basePlan, c.tpDegree);
-            return options.groundTruth
-                       ? analysis.evaluateDirect(c.hidden, c.seqLen, 1,
-                                                 plan)
-                       : analysis.evaluate(c.hidden, c.seqLen, 1,
-                                           plan);
+            return analysis.evaluate(c.hidden, c.seqLen, 1, plan);
         });
     return points;
 }
@@ -132,11 +127,7 @@ runHardwareEvolutionStudy(const SystemConfig &base,
                 planAtTp(options.basePlan, c.tpDegree);
             EvolutionPoint p;
             p.config = c;
-            p.point = options.groundTruth
-                          ? analysis.evaluateDirect(c.hidden, c.seqLen,
-                                                    1, plan)
-                          : analysis.evaluate(c.hidden, c.seqLen, 1,
-                                              plan);
+            p.point = analysis.evaluate(c.hidden, c.seqLen, 1, plan);
             return p;
         });
     return points;
@@ -147,61 +138,12 @@ runSimulatedEvolutionStudy(const SystemConfig &base,
                            const std::vector<EvolutionConfig> &configs,
                            const exec::RunnerOptions &runner_options)
 {
-    // Reorder the grid so the cells that share a graph structure —
-    // same model line, different compute scaling — form one work
-    // unit. Each group compiles once and derives every sibling's
-    // durations from the recipe; the replays land back in input
-    // order, so the reordering is invisible in the output.
-    std::vector<std::vector<std::size_t>> groups;
-    std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>,
-             std::size_t>
-        group_of;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const EvolutionConfig &c = configs[i];
-        const auto key = std::make_tuple(c.hidden, c.seqLen, c.tpDegree);
-        const auto [it, inserted] =
-            group_of.try_emplace(key, groups.size());
-        if (inserted)
-            groups.emplace_back();
-        groups[it->second].push_back(i);
-    }
-
     const CaseStudy study;
-    exec::ParallelSweepRunner runner(runner_options);
-    const std::vector<std::vector<SimulatedEvolutionPoint>> per_group =
-        runner.map(groups, [&](const std::vector<std::size_t> &members) {
-            const CompiledCase cc = study.compileCaseWithRecipe(
-                evolutionCase(base, configs[members.front()]));
-            // One pair of arenas per worker thread, rebound per
-            // template (the explicit reuse opt-in); the held
-            // shared_ptr keeps the template alive for the replays.
-            thread_local sim::ReplayScratch scratch;
-            thread_local std::vector<Seconds> durations;
-            scratch.bind(*cc.graph);
-            std::vector<SimulatedEvolutionPoint> local;
-            local.reserve(members.size());
-            for (const std::size_t idx : members) {
-                const CaseStudyConfig cfg =
-                    evolutionCase(base, configs[idx]);
-                CaseStudy::fillDurations(
-                    *cc.recipe, cfg.system.kernelModel(), durations);
-                sim::replay(*cc.graph, durations, scratch);
-                SimulatedEvolutionPoint p;
-                p.config = configs[idx];
-                p.result = CaseStudy::resultFromSchedule(
-                    sim::Schedule(cc.graph, scratch.placements()));
-                local.push_back(std::move(p));
-            }
-            return local;
+    return exec::ParallelSweepRunner(runner_options)
+        .map(configs, [&](const EvolutionConfig &c) {
+            return SimulatedEvolutionPoint{
+                c, study.run(evolutionCase(base, c)) };
         });
-
-    std::vector<SimulatedEvolutionPoint> points(configs.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        for (std::size_t k = 0; k < groups[g].size(); ++k)
-            points[groups[g][k]] = per_group[g][k];
-    }
-
-    return points;
 }
 
 std::vector<ZooStudyPoint>

@@ -67,9 +67,6 @@ std::vector<ModelLine> figure10Lines();
 /** Execution options of runSerializedStudy(). */
 struct SerializedStudyOptions
 {
-    /** Evaluate with the full simulated iteration (ground truth)
-     *  instead of the operator-model projection. */
-    bool groundTruth = false;
     /**
      * Plan applied to every configuration: the sweep's TP axis
      * replaces basePlan.tpDegree while the other axes (PP, micro-
@@ -137,16 +134,10 @@ struct SimulatedEvolutionPoint
 };
 
 /**
- * The hardware-evolution study on the event engine: every cell's
- * two-stream case-study iteration under its compute scaling
- * (DESIGN.md §16). Cells that share a graph structure — same
- * (H, SL, TP), different compute scaling — form one work unit that
- * compiles once through the process-wide sim::GraphCache, then
- * refills each sibling's durations from the recorded recipe and
- * replays. Every point is bit-identical to a per-point
- * CaseStudy::run (the test oracle), and results come back in input
- * order at any --jobs — the same determinism contract as every other
- * sweep.
+ * The hardware-evolution study on the event engine (figure `12-des`):
+ * one CaseStudy::run per cell, the cell's model line at its required
+ * TP under its compute scaling. Results come back in input order at
+ * any --jobs — the same determinism contract as every other sweep.
  */
 std::vector<SimulatedEvolutionPoint>
 runSimulatedEvolutionStudy(const SystemConfig &base,

@@ -76,7 +76,7 @@ class GraphCache
     /**
      * A cached compile result: the immutable template plus optional
      * caller-typed derived data (the ring simulator stores its
-     * final-task ids and duration-fill map here). The aux pointer is
+     * final-task ids here). The aux pointer is
      * type-erased so sim does not depend on its consumers; use
      * auxAs<T>() to read it back.
      */

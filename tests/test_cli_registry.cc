@@ -11,6 +11,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cli/args.hh"
@@ -139,7 +140,8 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         "\n"
         "flags:\n"
         "  --figure STR            figure to regenerate: 2, 6, 7, 9b,"
-        " 10, 11, 12, 13, 14, 15, table2, speedup-profiling-cost,"
+        " 10, 11, 12, 12-des, 13, 14, 15, table2,"
+        " speedup-profiling-cost,"
         " hw-trends, ablation-moe, ablation-pipeline,"
         " ablation-precision, ablation-comm-acceleration,"
         " ablation-opmodel-fitting, ablation-dp-bucketing,"
@@ -150,8 +152,6 @@ TEST(CliRegistry, GoldenHelpPageForSweep)
         " (default: 10)\n"
         "  --csv BOOL              emit CSV instead of a table"
         " (default: 0)\n"
-        "  --engine STR            figure 12 evaluation engine:"
-        " model|event (default: model)\n"
         "  --parallel STR          3D plan, e.g."
         " tp=8,pp=4,dp=2,zero=1,ep=8\n"
         "  --device STR            hardware catalog device name"
@@ -260,25 +260,49 @@ TEST(CliRegistry, ClusterRejectsLanesWithoutBatchedEngine)
 
 TEST(CliRegistry, SweepFigure12EngineIsValidated)
 {
-    // Unknown engine names and --engine on an analytic figure are
-    // configuration errors, not silent fallbacks.
-    // The retired figure-12 engine names are unknown now too.
-    for (const char *engine : { "warp", "rebuild", "cached", "delta" })
-        EXPECT_THROW(run({ "twocs", "sweep", "--figure", "12",
-                           "--engine", engine },
-                         nullptr),
-                     FatalError)
-            << engine;
-    EXPECT_THROW(run({ "twocs", "sweep", "--figure", "10", "--engine",
-                       "event" },
-                     nullptr),
-                 FatalError);
-    // The event-engine study rejects --parallel (it runs each model
-    // line at its required TP).
-    EXPECT_THROW(run({ "twocs", "sweep", "--figure", "12", "--engine",
-                       "event", "--parallel", "tp=8" },
-                     nullptr),
-                 FatalError);
+    // Figure 12's DES view is its own registry entry (12-des), so
+    // sweep has no --engine.
+    std::string out, err;
+    EXPECT_EQ(run({ "twocs", "sweep", "--figure", "12", "--engine",
+                    "event" },
+                  &out, &err),
+              2);
+    EXPECT_EQ(out, "");
+    EXPECT_NE(err.find("unknown option '--engine' for command 'sweep'"),
+              std::string::npos)
+        << err;
+}
+
+TEST(CliRegistry, SweepParallelOnlyAppliesToPlanFigures)
+{
+    // --parallel is an error on a figure that would ignore it.
+    const std::pair<const char *, const char *> refused[] = {
+        { "14", "tp=4" }, { "12-des", "tp=8" }
+    };
+    for (const auto &[id, plan] : refused) {
+        try {
+            run({ "twocs", "sweep", "--figure", id, "--parallel", plan },
+                nullptr);
+            ADD_FAILURE() << "figure " << id << " accepted --parallel";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("figure ") + id + " takes no plan"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Figures 10 and 12 render under the plan, and it shows.
+    for (const char *id : { "10", "12" }) {
+        std::string plain, planned;
+        EXPECT_EQ(run({ "twocs", "sweep", "--figure", id }, &plain), 0);
+        EXPECT_EQ(run({ "twocs", "sweep", "--figure", id, "--parallel",
+                        "tp=8,pp=4,dp=2,zero=1" },
+                      &planned),
+                  0)
+            << id;
+        EXPECT_FALSE(planned.empty()) << id;
+        EXPECT_NE(planned, plain) << id;
+    }
 }
 
 TEST(CliRegistry, RemovedPassesFlagIsAnUnknownOption)
